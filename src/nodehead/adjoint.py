@@ -4,7 +4,12 @@ Two strategies with opposite memory profiles:
 
 * :func:`backprop_through_solver` walks a stored fixed-step RK4 trajectory
   in reverse, differentiating the discrete recursion exactly. Memory grows
-  with the step count (the trajectory itself).
+  with the step count (the trajectory itself). :func:`backprop_rk4_batch`
+  is the same walk over a batch trajectory from ``solve_fixed_batch``: it
+  rebuilds each stage input in one
+  :class:`~nodehead.dynamics.BatchWorkspace`, sends every stage through
+  :func:`~nodehead.dynamics.vjp_batch`, and lets the workspace sum the
+  parameter gradient over rows and stages.
 * :func:`adjoint_solve` integrates the augmented system [h; a; g] backward
   in time, where a(t) is the adjoint state dL/dh(t) and g accumulates the
   parameter gradient. Retained memory is one augmented vector of size
@@ -18,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynamicsParams, eval_dynamics, vjp_batch, vjp_params, vjp_state
-from .errors import ContractError, NumericError
-from .solvers import SolveStats, Trajectory, integrate_adaptive
+from .dynamics import BatchWorkspace, DynamicsParams, eval_dynamics, vjp_batch, vjp_params, vjp_state
+from .errors import ContractError, NumericError, ShapeError
+from .solvers import RK4_B, RK4_C, SolveStats, Trajectory, integrate_adaptive
 
 
 @dataclass
@@ -106,35 +111,41 @@ def backprop_rk4_batch(params, trajectory, d_hT_rows):
 
     ``d_hT_rows`` has one cotangent row per sample; returns (d_h0_rows,
     d_params_sum) where the parameter gradient is summed over rows (callers
-    scale the cotangents for mean reductions).
+    scale the cotangents for mean reductions). Stage inputs are rebuilt in
+    one :class:`~nodehead.dynamics.BatchWorkspace`, which also accumulates
+    the parameter gradient, so the loop allocates nothing per stage.
     """
     if trajectory.stages is None:
         raise ContractError("trajectory has no retained stages; use solve_fixed_batch to produce it")
-    g = np.asarray(d_hT_rows, dtype=np.float64).copy()
-    d_params = np.zeros(params.n_params)
+    g = np.array(d_hT_rows, dtype=np.float64)
+    if g.shape != trajectory.states.shape[1:]:
+        raise ShapeError(f"cotangent shape {g.shape} does not match batch shape {trajectory.states.shape[1:]}")
+    work = BatchWorkspace(params, g.shape[0])
+    c = np.empty_like(g)
+    scratch = np.empty_like(g)
+    v = np.empty((4,) + g.shape)
     times = trajectory.times
     for i in range(len(times) - 2, -1, -1):
         t = times[i]
-        dt = times[i + 1] - times[i]
+        dt = times[i + 1] - t
         h = trajectory.states[i]
-        k1, k2, k3, _ = trajectory.stages[i]
-        y2 = h + 0.5 * dt * k1
-        y3 = h + 0.5 * dt * k2
-        y4 = h + dt * k3
-        c4 = (dt / 6.0) * g
-        v4, dp = vjp_batch(params, y4, t + dt, c4)
-        d_params += dp
-        c3 = (dt / 3.0) * g + dt * v4
-        v3, dp = vjp_batch(params, y3, t + 0.5 * dt, c3)
-        d_params += dp
-        c2 = (dt / 3.0) * g + 0.5 * dt * v3
-        v2, dp = vjp_batch(params, y2, t + 0.5 * dt, c2)
-        d_params += dp
-        c1 = (dt / 6.0) * g + 0.5 * dt * v2
-        v1, dp = vjp_batch(params, h, t, c1)
-        d_params += dp
-        g = g + v1 + v2 + v3 + v4
-    return g, d_params
+        k = trajectory.stages[i]
+        for j in (3, 2, 1, 0):
+            # stage j's cotangent: its weight b_j dt in the step, plus what stage
+            # j+1 sends back through its input h + RK4_C[j+1] dt k_j
+            np.multiply(g, RK4_B[j] * dt, out=c)
+            if j < 3:
+                np.multiply(v[j + 1], RK4_C[j + 1] * dt, out=scratch)
+                c += scratch
+            y = h
+            if j > 0:
+                y = work.y
+                np.multiply(k[j - 1], RK4_C[j] * dt, out=y)
+                y += h
+            vjp_batch(params, y, t + RK4_C[j] * dt, c, out=v[j], work=work)
+        for j in range(4):
+            g += v[j]
+    return g, work.d_params()
 
 
 def adjoint_solve(params, hT, d_hT, t0, t1, config):

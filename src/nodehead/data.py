@@ -70,6 +70,10 @@ class Dataset:
             raise FormatError(f"{self.features.shape[0]} feature rows but {self.labels.shape[0]} labels")
         if not np.all(np.isfinite(self.features)):
             raise DataError("non-finite feature values")
+        bad = (self.labels < 0) | (self.labels >= self.class_count)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"record {i} has label {self.labels[i]} outside [0, {self.class_count})")
 
     @property
     def d(self):
@@ -154,7 +158,11 @@ def save_feature_file(dataset, path):
 
 
 def load_feature_file(path):
-    """Read a NODF feature file; features are widened back to float64."""
+    """Read a NODF feature file; features are widened back to float64.
+
+    A label byte outside [0, class_count) raises :class:`DataError` naming
+    the file and the first bad record.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     header_size = 4 + struct.calcsize("<IIIB")
@@ -176,7 +184,10 @@ def load_feature_file(path):
         labels = np.frombuffer(blob, dtype=np.uint8, offset=header_size + 4 * n * d).astype(np.int64)
     else:
         labels = np.zeros(n, dtype=np.int64)
-    return Dataset(features=feats, labels=labels)
+    try:
+        return Dataset(features=feats, labels=labels)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def split_train_val(dataset, val_fraction, seed):

@@ -149,40 +149,113 @@ def vjp_params(params, h, t, a):
     return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
 
 
-def eval_dynamics_batch(params, states, t):
-    """Row-wise field evaluation for a batch of states with shared time t.
+class BatchWorkspace:
+    """Preallocated operands for repeated field evaluations on one (n, d) batch.
 
-    ``states`` has shape (n, d); the result matches. Equivalent to calling
-    :func:`eval_dynamics` per row, vectorized for the training loop.
+    Built once per solve from ``params``: ``w1`` is split into a transposed
+    state block and its time column, so a stage computes
+    ``z = y @ w1[:, :d].T + (t * w1[:, d] + b1)`` without appending a time
+    column to the states. The activation lives in ``u1 = [tanh(z) | 1]``, so
+    ``f = u1 @ [w2 | b2].T`` is one GEMM and the reverse pass gets
+    ``d[w2 | b2] = c.T @ u1`` from one GEMM too. Every buffer is contiguous
+    except ``u``, because strided elementwise passes cost more than the
+    bias adds they would save. The reverse pass sums its parameter
+    gradient over rows and stages here; :meth:`d_params` reads it back in
+    flat order.
     """
+
+    def __init__(self, params, n):
+        d, width = params.d, params.width
+        self.w1h_t = params.w1[:, :d].T.copy()
+        self.w1t = params.w1[:, d].copy()
+        self.b1 = params.b1
+        self.w2 = params.w2
+        self.w2b_t = np.vstack([params.w2.T, params.b2])
+        self.tb = np.empty(width)
+        self.y = np.empty((n, d))
+        self.z = np.empty((n, width))
+        self.u1 = np.empty((n, width + 1))
+        self.u1[:, width] = 1.0
+        self.u = self.u1[:, :width]
+        # reverse pass only
+        self.s = np.empty((n, width))
+        self.ones = np.ones(n)
+        self.g_w1h = np.zeros((width, d))
+        self.g_w1t = np.zeros(width)
+        self.g_b1 = np.zeros(width)
+        self.g2 = np.zeros((d, width + 1))
+        self._s_sum = np.empty(width)
+        self._g_w1h_step = np.empty_like(self.g_w1h)
+        self._g2_step = np.empty_like(self.g2)
+
+    def activate(self, states, t):
+        """Compute ``u = tanh(z)`` for the stage input (states, t)."""
+        np.multiply(self.w1t, t, out=self.tb)
+        self.tb += self.b1
+        np.matmul(states, self.w1h_t, out=self.z)
+        self.z += self.tb
+        np.tanh(self.z, out=self.u)
+
+    def d_params(self):
+        """The summed parameter gradient as a flat vector in the documented order."""
+        width = self.u.shape[1]
+        g_w1 = np.concatenate([self.g_w1h, self.g_w1t[:, None]], axis=1)
+        return np.concatenate([g_w1.ravel(), self.g_b1, self.g2[:, :width].ravel(), self.g2[:, width]])
+
+
+def check_batch(params, states, cotangents=None):
+    """``states`` as a float64 (n, d) array; raises ShapeError on a bad batch shape."""
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != params.d:
         raise ShapeError(f"batch shape {states.shape} does not match field dimension {params.d}")
-    x = np.concatenate([states, np.full((states.shape[0], 1), float(t))], axis=1)
-    z = x @ params.w1.T + params.b1
-    return np.tanh(z) @ params.w2.T + params.b2
+    if cotangents is not None and np.shape(cotangents) != states.shape:
+        raise ShapeError(
+            f"batch shapes {states.shape} and {np.shape(cotangents)} inconsistent with dimension {params.d}"
+        )
+    return states
 
 
-def vjp_batch(params, states, t, cotangents):
+def eval_dynamics_batch(params, states, t, out=None, work=None):
+    """Row-wise field evaluation for a batch of states with shared time t.
+
+    ``states`` has shape (n, d); the result matches. Equivalent to calling
+    :func:`eval_dynamics` per row, vectorized for the training loop. Solvers
+    pass a :class:`BatchWorkspace` built from ``params`` for this batch
+    shape as ``work`` and the destination as ``out``, so repeated calls
+    allocate nothing.
+    """
+    if work is None:
+        states = check_batch(params, states)
+        work = BatchWorkspace(params, states.shape[0])
+    work.activate(states, t)
+    return np.matmul(work.u1, work.w2b_t, out=out)
+
+
+def vjp_batch(params, states, t, cotangents, out=None, work=None):
     """Batched VJPs for one stage: per-row state gradients plus summed parameter gradient.
 
     Returns (d_states, d_flat) where d_states[i] = vjp_state(params, states[i],
     t, cotangents[i]) and d_flat is the sum over rows of vjp_params. The sum
-    is what batched reverse passes accumulate.
+    is what batched reverse passes accumulate: given a :class:`BatchWorkspace`
+    as ``work``, the parameter gradient is added to its running sum instead
+    (read it with :meth:`BatchWorkspace.d_params`), ``d_flat`` is None and
+    d_states is written to ``out``.
     """
-    states = np.asarray(states, dtype=np.float64)
-    cotangents = np.asarray(cotangents, dtype=np.float64)
-    if states.shape != cotangents.shape or states.ndim != 2 or states.shape[1] != params.d:
-        raise ShapeError(
-            f"batch shapes {states.shape} and {cotangents.shape} inconsistent with dimension {params.d}"
-        )
-    x = np.concatenate([states, np.full((states.shape[0], 1), float(t))], axis=1)
-    u = np.tanh(x @ params.w1.T + params.b1)
-    s = (cotangents @ params.w2) * (1.0 - u * u)
-    d_states = s @ params.w1[:, :-1]
-    d_w1 = s.T @ x
-    d_b1 = s.sum(axis=0)
-    d_w2 = cotangents.T @ u
-    d_b2 = cotangents.sum(axis=0)
-    d_flat = np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
-    return d_states, d_flat
+    fresh = work is None
+    if fresh:
+        states = check_batch(params, states, cotangents)
+        cotangents = np.asarray(cotangents, dtype=np.float64)
+        work = BatchWorkspace(params, states.shape[0])
+    work.activate(states, t)
+    s = np.matmul(cotangents, work.w2, out=work.s)
+    np.multiply(work.u, work.u, out=work.z)
+    np.subtract(1.0, work.z, out=work.z)
+    s *= work.z
+    d_states = np.matmul(s, work.w1h_t.T, out=out)
+    work.g_w1h += np.matmul(s.T, states, out=work._g_w1h_step)
+    s_sum = np.matmul(work.ones, s, out=work._s_sum)
+    work.g_b1 += s_sum
+    s_sum *= t
+    work.g_w1t += s_sum
+    work.g2 += np.matmul(cotangents.T, work.u1, out=work._g2_step)
+    return d_states, (work.d_params() if fresh else None)

@@ -317,16 +317,13 @@ def load_checkpoint(path):
     if kind not in (_KIND_BASELINE, _KIND_NODE):
         raise FormatError(f"unknown head kind {kind}")
     flat = np.frombuffer(blob[header_size:], dtype="<f8").astype(np.float64)
-    if kind == _KIND_NODE:
-        p = width * (d + 1) + width + d * width + d
-        expected = p + classes * d + classes
-        if flat.shape[0] != expected:
-            raise FormatError(f"checkpoint length mismatch: {flat.shape[0]} parameters, expected {expected}")
-        dynamics = unflatten(flat[:p], d, width)
-        w_out = flat[p : p + classes * d].reshape(classes, d).copy()
-        return NodeHead(dynamics, w_out, flat[p + classes * d :].copy())
-    expected = classes * d + classes
+    n_dynamics = width * (d + 1) + width + d * width + d if kind == _KIND_NODE else 0
+    expected = n_dynamics + classes * d + classes
     if flat.shape[0] != expected:
         raise FormatError(f"checkpoint length mismatch: {flat.shape[0]} parameters, expected {expected}")
-    w_out = flat[: classes * d].reshape(classes, d).copy()
-    return BaselineHead(w_out, flat[classes * d :].copy())
+    out_layer = (np.zeros((classes, d)), np.zeros(classes))
+    if kind == _KIND_NODE:
+        template = NodeHead(unflatten(np.zeros(n_dynamics), d, width), *out_layer)
+    else:
+        template = BaselineHead(*out_layer)
+    return head_from_flat(template, flat)

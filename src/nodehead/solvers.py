@@ -1,10 +1,20 @@
 """Numerical integration of the hidden-state ODE.
 
-Two integrators cover the two training strategies:
+Two methods cover the two training strategies, fixed-step RK4 in a
+single-state and a batch form:
 
 * :func:`solve_fixed` - classic 4-stage RK4 on a uniform grid, retaining
   every state and stage so the discrete recursion can be differentiated
-  exactly in reverse (memory grows with the step count).
+  exactly in reverse (memory grows with the step count). It takes one
+  state and any field, and is the reference the batch routine is tested
+  against.
+* :func:`solve_fixed_batch` - the same recursion on an (n, d) batch with a
+  shared grid, the routine training and evaluation run. It builds one
+  :class:`~nodehead.dynamics.BatchWorkspace` per solve, routes every stage
+  through :func:`~nodehead.dynamics.eval_dynamics_batch` into preallocated
+  buffers, and either writes the stages straight into the returned
+  trajectory or, with ``keep_trajectory=False``
+  (:func:`rk4_terminal_batch`), keeps only the current step.
 * :func:`solve_adaptive` - Dormand-Prince 5(4) embedded pair with
   rtol/atol step control, the tolerance-tunable path. Supports backward
   integration (t1 < t0) for the adjoint pass and retains nothing beyond
@@ -15,22 +25,25 @@ Step control: the per-component error scale is
 states, a step is accepted when the RMS of ``e_i / s_i`` is at most 1, and
 the next step is ``dt * clamp(safety * err**(-1/5), min_factor, max_factor)``.
 
-Integrators accept either :class:`~nodehead.dynamics.DynamicsParams` or any
-callable ``f(y, t) -> dy/dt``, so plain vector fields (test problems,
-augmented adjoint systems) run through the same code path.
+The single-state integrators accept either
+:class:`~nodehead.dynamics.DynamicsParams` or any callable
+``f(y, t) -> dy/dt``, so plain vector fields (test problems, augmented
+adjoint systems) run through the same code path; the batch routine takes
+DynamicsParams only.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DynamicsParams, eval_dynamics, eval_dynamics_batch
+from .dynamics import BatchWorkspace, DynamicsParams, check_batch, eval_dynamics, eval_dynamics_batch
 from .errors import ContractError, NumericError, StepBudgetError
 
 # Classic RK4 weights, kept in tableau form so an independently coded
 # tableau evaluation reproduces steps bitwise (all stage coefficients are
 # exact binary fractions).
-RK4_B = (1 / 6, 1 / 3, 1 / 3, 1 / 6)
+RK4_B = np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6])
+RK4_C = (0.0, 0.5, 0.5, 1.0)  # stage times; stage j reads h + RK4_C[j] * dt * k[j-1]
 
 # Dormand-Prince 5(4) tableau. Stage 7 is evaluated at the 5th-order
 # solution, so its value seeds stage 1 of the next step (FSAL).
@@ -179,66 +192,56 @@ def solve_fixed(params, h0, t0, t1, n_steps):
     return h, Trajectory(times=times, states=states, stages=stages)
 
 
-def solve_fixed_batch(params, states0, t0, t1, n_steps):
+def solve_fixed_batch(params, states0, t0, t1, n_steps, keep_trajectory=True):
     """Batched :func:`solve_fixed` over rows of ``states0`` (shape (n, d)).
 
-    Each row is an independent initial value; the uniform grid makes the
-    batched recursion exactly the per-row one, just evaluated together.
+    Returns (hT, Trajectory). Each row is an independent initial value; the
+    uniform grid makes the batched recursion exactly the per-row one, just
+    evaluated together. One :class:`~nodehead.dynamics.BatchWorkspace` serves
+    every stage, and the stage derivatives are written straight into the
+    trajectory buffers. With ``keep_trajectory=False`` only the current
+    step's stages are held and the trajectory is None.
     """
-    field_batch = _batch_field(params)
     if n_steps < 1:
         raise ContractError(f"n_steps must be >= 1, got {n_steps}")
     if not t1 > t0:
         raise ContractError(f"fixed solve requires t1 > t0, got [{t0}, {t1}]")
-    h = np.asarray(states0, dtype=np.float64)
+    h0 = check_batch(params, states0)
     times = t0 + (t1 - t0) * np.arange(n_steps + 1) / n_steps
     times[-1] = t1
-    states = np.empty((n_steps + 1,) + h.shape)
-    stages = np.empty((n_steps, 4) + h.shape)
-    states[0] = h
+    work = BatchWorkspace(params, h0.shape[0])
+    # without the trajectory, two state slots alternate and one stage slot is reused
+    kept = n_steps if keep_trajectory else 1
+    states = np.empty((kept + 1,) + h0.shape)
+    stages = np.empty((kept, 4) + h0.shape)
+    states[0] = h0
     for i in range(n_steps):
-        dt = times[i + 1] - times[i]
         t = times[i]
-        k1 = field_batch(h, t)
-        k2 = field_batch(h + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = field_batch(h + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = field_batch(h + dt * k3, t + dt)
-        h = h + dt * (RK4_B[0] * k1 + RK4_B[1] * k2 + RK4_B[2] * k3 + RK4_B[3] * k4)
-        _require_finite(h, t + dt)
-        states[i + 1] = h
-        stages[i] = np.stack([k1, k2, k3, k4])
-    return h, Trajectory(times=times, states=states, stages=stages)
-
-
-def _batch_field(params):
-    if isinstance(params, DynamicsParams):
-        return lambda s, t: eval_dynamics_batch(params, s, t)
-    if callable(params):
-        return params
-    raise TypeError(f"expected DynamicsParams or callable field, got {type(params).__name__}")
+        dt = times[i + 1] - t
+        h = states[i % (kept + 1)]
+        h_next = states[(i + 1) % (kept + 1)]
+        k = stages[i % kept]
+        eval_dynamics_batch(params, h, t, out=k[0], work=work)
+        for j in (1, 2, 3):
+            np.multiply(k[j - 1], RK4_C[j] * dt, out=work.y)
+            work.y += h
+            eval_dynamics_batch(params, work.y, t + RK4_C[j] * dt, out=k[j], work=work)
+        np.matmul(RK4_B, k.reshape(4, -1), out=h_next.reshape(-1))
+        h_next *= dt
+        h_next += h
+        _require_finite(h_next, t + dt)
+    if not keep_trajectory:
+        return h_next, None
+    return h_next, Trajectory(times=times, states=states, stages=stages)
 
 
 def rk4_terminal_batch(params, states0, t0, t1, n_steps):
-    """Batched fixed-step solve that keeps only the terminal states.
+    """Terminal states of :func:`solve_fixed_batch` without the trajectory.
 
-    Evaluation-only counterpart of :func:`solve_fixed_batch` for metric
-    passes, where the trajectory would be dead weight.
+    Evaluation-only form for metric passes, where the trajectory would be
+    dead weight.
     """
-    field_batch = _batch_field(params)
-    if n_steps < 1:
-        raise ContractError(f"n_steps must be >= 1, got {n_steps}")
-    h = np.asarray(states0, dtype=np.float64)
-    times = t0 + (t1 - t0) * np.arange(n_steps + 1) / n_steps
-    for i in range(n_steps):
-        dt = times[i + 1] - times[i]
-        t = times[i]
-        k1 = field_batch(h, t)
-        k2 = field_batch(h + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = field_batch(h + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = field_batch(h + dt * k3, t + dt)
-        h = h + dt * (RK4_B[0] * k1 + RK4_B[1] * k2 + RK4_B[2] * k3 + RK4_B[3] * k4)
-    _require_finite(h, t1)
-    return h
+    return solve_fixed_batch(params, states0, t0, t1, n_steps, keep_trajectory=False)[0]
 
 
 def integrate_adaptive(f, y0, t0, t1, config):

@@ -12,13 +12,14 @@ epoch, floats at 6 significant digits, newline-terminated.
 """
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import split_train_val
-from .errors import ContractError, FormatError, ShapeError
+from .errors import ContractError, FormatError, NumericError, ShapeError
 from .model import evaluate, head_from_flat, head_to_flat, init_baseline_head, init_node_head, train_step
 from .seeding import subseed
 from .solvers import SolverConfig
@@ -145,7 +146,9 @@ def train(head_kind, dataset, cfg):
     Splits off a validation part, initializes the head from the seed, and
     runs seeded-shuffle minibatch epochs. Returns (trained head, list of
     MetricsRecord). Identical configs produce identical metric series;
-    wall_ms is the one wall-clock field.
+    wall_ms is the one wall-clock field. A non-finite batch loss or gradient
+    raises :class:`NumericError` naming the epoch and batch, before the
+    optimizer step could spread it into the parameters.
     """
     if head_kind not in ("node", "baseline"):
         raise ContractError(f"unknown head kind {head_kind!r}")
@@ -168,6 +171,7 @@ def train(head_kind, dataset, cfg):
 
     shuffle_rng = np.random.default_rng(subseed(cfg.seed, "shuffle"))
     n_train = len(train_ds)
+    n_batches = math.ceil(n_train / cfg.batch_size)
     records = []
     for epoch in range(1, cfg.epochs + 1):
         tic = time.perf_counter()
@@ -180,6 +184,11 @@ def train(head_kind, dataset, cfg):
             loss, grads, stats, correct = train_step(
                 head, train_ds.features[idx], train_ds.labels[idx], cfg.grad_method, cfg.solver
             )
+            if not (math.isfinite(loss) and np.isfinite(grads).all()):
+                what = "gradient" if math.isfinite(loss) else "loss"
+                raise NumericError(
+                    f"non-finite {what} at epoch {epoch}, batch {start // cfg.batch_size + 1} of {n_batches}"
+                )
             flat, opt_state = step_fn(flat, grads, opt_state, cfg.optimizer)
             head = head_from_flat(head, flat)
             loss_sum += loss * idx.size

@@ -3,7 +3,7 @@ import pytest
 
 from nodehead.adjoint import adjoint_solve, backprop_rk4_batch, backprop_through_solver
 from nodehead.dynamics import init_params, unflatten
-from nodehead.errors import ContractError
+from nodehead.errors import ContractError, ShapeError
 from nodehead.solvers import SolverConfig, Trajectory, solve_fixed, solve_fixed_batch
 
 
@@ -115,6 +115,45 @@ class TestBackpropThroughSolver:
             np.testing.assert_allclose(d_h0_b[i], res.d_h0, atol=1e-12)
             flat_sum += res.d_params
         np.testing.assert_allclose(d_flat_b, flat_sum, atol=1e-11)
+
+
+class TestBatchReverse:
+    @pytest.mark.parametrize("n, d, width", [(5, 3, 7), (1, 2, 5)])
+    def test_shapes_match_per_row_reverse(self, n, d, width, rng):
+        p = init_params(n * d + width, d, width, scale=0.9)
+        states0 = rng.standard_normal((n, d))
+        cots = rng.standard_normal((n, d))
+        _, traj_b = solve_fixed_batch(p, states0, 0.0, 1.0, 9)
+        d_h0_b, d_flat_b = backprop_rk4_batch(p, traj_b, cots)
+        assert d_h0_b.shape == (n, d) and d_flat_b.shape == (p.n_params,)
+        flat_sum = np.zeros(p.n_params)
+        for i in range(n):
+            _, traj = solve_fixed(p, states0[i], 0.0, 1.0, 9)
+            res = backprop_through_solver(p, traj, cots[i])
+            np.testing.assert_allclose(d_h0_b[i], res.d_h0, rtol=0, atol=1e-12)
+            flat_sum += res.d_params
+        np.testing.assert_allclose(d_flat_b, flat_sum, rtol=0, atol=1e-12)
+
+    def test_outputs_not_aliased_and_inputs_untouched(self, rng):
+        p = init_params(2, 3, 4, scale=0.8)
+        _, traj = solve_fixed_batch(p, rng.standard_normal((4, 3)), 0.0, 1.0, 6)
+        traj_before = (traj.states.copy(), traj.stages.copy())
+        cots = rng.standard_normal((4, 3))
+        cots_before = cots.copy()
+        d_h0, d_flat = backprop_rk4_batch(p, traj, cots)
+        kept = (d_h0.copy(), d_flat.copy())
+        backprop_rk4_batch(p, traj, -cots)
+        np.testing.assert_array_equal(d_h0, kept[0])
+        np.testing.assert_array_equal(d_flat, kept[1])
+        np.testing.assert_array_equal(cots, cots_before)
+        np.testing.assert_array_equal(traj.states, traj_before[0])
+        np.testing.assert_array_equal(traj.stages, traj_before[1])
+
+    def test_cotangent_shape_checked(self, rng):
+        p = init_params(0, 3, 4)
+        _, traj = solve_fixed_batch(p, rng.standard_normal((4, 3)), 0.0, 1.0, 3)
+        with pytest.raises(ShapeError):
+            backprop_rk4_batch(p, traj, np.zeros((3, 3)))
 
 
 class TestAdjointSolve:

@@ -89,6 +89,15 @@ class TestTrainCommand:
         assert main(["train", "--head", "baseline", "--data", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_out_of_range_label_exits_two_naming_file(self, feature_file, tmp_path, capsys):
+        bad = tmp_path / "bad_label.nodf"
+        blob = bytearray(feature_file.read_bytes())
+        blob[-1] = 12  # last record's label byte
+        bad.write_bytes(bytes(blob))
+        assert main(["train", "--head", "node", "--width", "4", "--n-steps", "2",
+                     "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "bad_label.nodf: record 79 has label 12" in capsys.readouterr().err
+
     def test_empty_data_file_exits_two(self, tmp_path):
         empty = tmp_path / "empty.bin"
         empty.write_bytes(b"")

@@ -156,6 +156,16 @@ class TestFeatureFile:
         with pytest.raises(FormatError, match="length"):
             load_feature_file(path)
 
+    def test_label_outside_class_range_names_file_and_record(self, tmp_path, rng):
+        ds = Dataset(rng.standard_normal((4, 3)), np.array([0, 1, 2, 3]))
+        path = tmp_path / "bad.nodf"
+        save_feature_file(ds, path)
+        blob = bytearray(path.read_bytes())
+        blob[-2] = 12  # the label byte of record 2; 12 >= the 10 classes
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=r"bad\.nodf: record 2 has label 12 outside \[0, 10\)"):
+            load_feature_file(path)
+
     def test_label_less_file_accepted(self, tmp_path):
         # external producers may omit labels (has_labels = 0)
         import struct
@@ -168,6 +178,13 @@ class TestFeatureFile:
         assert len(ds) == 2 and ds.d == 3
         np.testing.assert_array_equal(ds.labels, np.zeros(2, dtype=np.int64))
         np.testing.assert_array_equal(ds.features, feats.astype(np.float64))
+
+
+class TestDataset:
+    @pytest.mark.parametrize("labels, bad", [([0, 1, 2, 1], 2), ([0, -1, 1, 0], 1)])
+    def test_labels_outside_class_count_rejected(self, labels, bad):
+        with pytest.raises(DataError, match=f"record {bad} has label {labels[bad]} outside"):
+            Dataset(np.zeros((4, 2)), np.array(labels), class_count=2)
 
 
 class TestSplit:

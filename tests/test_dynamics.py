@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nodehead.dynamics import (
+    BatchWorkspace,
     DynamicsParams,
     eval_dynamics,
     eval_dynamics_batch,
@@ -169,6 +170,39 @@ class TestVjps:
             np.testing.assert_allclose(d_states[i], vjp_state(p, states[i], 0.25, cots[i]), atol=1e-13)
             flat_sum += vjp_params(p, states[i], 0.25, cots[i])
         np.testing.assert_allclose(d_flat, flat_sum, atol=1e-12)
+
+
+class TestBatchWorkspace:
+    def test_eval_with_workspace_matches_fresh_call(self, rng):
+        p = init_params(6, 3, 7, scale=0.9)
+        work = BatchWorkspace(p, 5)
+        out = np.empty((5, 3))
+        for t in (0.0, 0.3, 1.0):
+            states = rng.standard_normal((5, 3))
+            got = eval_dynamics_batch(p, states, t, out=out, work=work)
+            assert got is out
+            np.testing.assert_array_equal(got, eval_dynamics_batch(p, states, t))
+
+    def test_vjp_with_workspace_sums_parameter_gradients(self, rng):
+        p = init_params(8, 3, 7, scale=0.9)
+        work = BatchWorkspace(p, 5)
+        out = np.empty((5, 3))
+        flat_sum = np.zeros(p.n_params)
+        for t in (0.0, 0.5, 1.0):
+            states, cots = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+            d_states, d_flat = vjp_batch(p, states, t, cots, out=out, work=work)
+            assert d_states is out and d_flat is None
+            fresh_states, fresh_flat = vjp_batch(p, states, t, cots)
+            np.testing.assert_array_equal(d_states, fresh_states)
+            flat_sum += fresh_flat
+        np.testing.assert_allclose(work.d_params(), flat_sum, rtol=0, atol=1e-13)
+
+    def test_batch_shapes_checked(self, rng):
+        p = init_params(0, 3, 4)
+        with pytest.raises(ShapeError):
+            eval_dynamics_batch(p, rng.standard_normal((2, 4)), 0.0)
+        with pytest.raises(ShapeError):
+            vjp_batch(p, rng.standard_normal((2, 3)), 0.0, rng.standard_normal((3, 3)))
 
 
 class TestFlattenRoundTrip:

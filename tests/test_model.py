@@ -220,6 +220,16 @@ class TestCheckpoints:
             load_checkpoint(path)
 
 
+    def test_node_length_mismatch_names_counts(self, tmp_path):
+        head = init_node_head(0, 3, 2, width=4)
+        path = tmp_path / "trunc.nodc"
+        save_checkpoint(head, path)
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(FormatError, match=rf"length mismatch: {head.n_params - 2} parameters, "
+                                              rf"expected {head.n_params}$"):
+            load_checkpoint(path)
+
+
 class TestEvaluate:
     def test_accuracy_on_separable_data(self, toy_feature_dataset):
         ds = toy_feature_dataset

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nodehead.dynamics import init_params
-from nodehead.errors import ContractError, NumericError, StepBudgetError
+from nodehead.dynamics import DynamicsParams, init_params
+from nodehead.errors import ContractError, NumericError, ShapeError, StepBudgetError
 from nodehead.solvers import (
     SolveStats,
     SolverConfig,
@@ -129,6 +129,52 @@ class TestSolveFixed:
         hT_full, _ = solve_fixed_batch(p, states0, 0.0, 1.0, 9)
         hT_term = rk4_terminal_batch(p, states0, 0.0, 1.0, 9)
         np.testing.assert_array_equal(hT_full, hT_term)
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("n, d, width", [(5, 3, 7), (1, 4, 2), (3, 1, 5)])
+    def test_shapes_match_per_row_solves(self, n, d, width, rng):
+        p = init_params(n + d + width, d, width, scale=0.9)
+        states0 = rng.standard_normal((n, d))
+        hT, traj = solve_fixed_batch(p, states0, 0.0, 1.0, 7)
+        assert hT.shape == (n, d)
+        assert traj.states.shape == (8, n, d) and traj.stages.shape == (7, 4, n, d)
+        for i in range(n):
+            hT_row, traj_row = solve_fixed(p, states0[i], 0.0, 1.0, 7)
+            np.testing.assert_allclose(hT[i], hT_row, atol=1e-12)
+            np.testing.assert_allclose(traj.states[:, i], traj_row.states, atol=1e-12)
+            np.testing.assert_allclose(traj.stages[:, :, i], traj_row.stages, atol=1e-12)
+        np.testing.assert_array_equal(rk4_terminal_batch(p, states0, 0.0, 1.0, 7), traj.states[-1])
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_non_finite_state_raises_with_time(self, keep):
+        # constant drift f = b2 = 1e308: the state overflows on the 4th step of dt = 0.5
+        d, width = 2, 3
+        p = DynamicsParams(np.zeros((width, d + 1)), np.zeros(width), np.zeros((d, width)),
+                           np.full(d, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as exc:
+            solve_fixed_batch(p, np.zeros((2, d)), 0.0, 4.0, 8, keep_trajectory=keep)
+        assert exc.value.where == pytest.approx(2.0)
+
+    def test_outputs_not_aliased_and_inputs_untouched(self, rng):
+        p = init_params(4, 3, 5, scale=0.8)
+        states0 = rng.standard_normal((4, 3))
+        before = states0.copy()
+        hT, traj = solve_fixed_batch(p, states0, 0.0, 1.0, 5)
+        term = rk4_terminal_batch(p, states0, 0.0, 1.0, 5)
+        kept = [a.copy() for a in (hT, traj.states, traj.stages, term)]
+        solve_fixed_batch(p, -states0, 0.0, 1.0, 5)
+        rk4_terminal_batch(p, -states0, 0.0, 1.0, 5)
+        for a, b in zip((hT, traj.states, traj.stages, term), kept):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(states0, before)
+
+    def test_batch_shape_checked(self, rng):
+        p = init_params(0, 3, 4)
+        with pytest.raises(ShapeError):
+            solve_fixed_batch(p, rng.standard_normal((2, 4)), 0.0, 1.0, 3)
+        with pytest.raises(ShapeError):
+            rk4_terminal_batch(p, rng.standard_normal(3), 0.0, 1.0, 3)
 
 
 class TestSolveAdaptive:

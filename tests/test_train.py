@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nodehead.errors import ContractError, FormatError
+from nodehead.errors import ContractError, FormatError, NumericError
 from nodehead.model import evaluate, head_to_flat, init_baseline_head
 from nodehead.solvers import SolverConfig
 from nodehead.train import (
@@ -150,6 +150,39 @@ class TestTrainLoop:
                           val_fraction=0.2, width=8)
         _, records = train(kind, toy_feature_dataset, cfg)
         assert max(r.train_acc for r in records) >= 0.95
+
+    @pytest.mark.parametrize("kind", ["baseline", "node"])
+    @pytest.mark.parametrize("bad", ["loss", "gradient"])
+    def test_non_finite_batch_raises_before_optimizer_step(self, kind, bad, toy_feature_dataset,
+                                                           monkeypatch):
+        import importlib
+
+        tr = importlib.import_module("nodehead.train")  # the package re-exports train() over it
+        real_step, real_update = tr.train_step, tr.adam_update
+        calls = {"step": 0, "update": 0}
+
+        def step(*args):
+            loss, grads, stats, correct = real_step(*args)
+            calls["step"] += 1
+            if calls["step"] == 7:  # 80 train rows / 16 = 5 batches: epoch 2, batch 2
+                if bad == "loss":
+                    loss = float("nan")
+                else:
+                    grads = grads.copy()
+                    grads[-1] = np.inf
+            return loss, grads, stats, correct
+
+        def update(*args):
+            calls["update"] += 1
+            return real_update(*args)
+
+        monkeypatch.setattr(tr, "train_step", step)
+        monkeypatch.setattr(tr, "adam_update", update)
+        cfg = TrainConfig(epochs=3, batch_size=16, val_fraction=0.2, width=4,
+                          solver=SolverConfig(method="rk4_fixed", n_steps=2))
+        with pytest.raises(NumericError, match=f"non-finite {bad} at epoch 2, batch 2 of 5"):
+            train(kind, toy_feature_dataset, cfg)
+        assert calls["update"] == 6
 
     def test_unknown_head_kind(self, toy_feature_dataset):
         with pytest.raises(ContractError):

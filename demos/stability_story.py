@@ -11,6 +11,7 @@ Takes a couple of minutes; shrink EPOCHS or N_IMAGES for a quicker look.
 """
 
 import pathlib
+import sys
 import tempfile
 
 import numpy as np
@@ -40,3 +41,4 @@ code = main([
 print(f"\ncompare exited {code}; artifacts under {work / 'compare'}")
 print("per-epoch curves: seed*/{baseline,node}/metrics.csv  "
       "(plot them with: nodehead plot --csv <metrics.csv> --out <dir>)")
+sys.exit(code)

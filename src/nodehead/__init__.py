@@ -54,7 +54,7 @@ from .solvers import (
     solve_adaptive,
     solve_fixed,
 )
-from .tensorops import cross_entropy, map_tanh, matmul, softmax
+from .tensorops import softmax
 from .train import (
     AdamConfig,
     MetricsRecord,

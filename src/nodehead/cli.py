@@ -39,7 +39,7 @@ from .model import (
     loss_and_grads,
     save_checkpoint,
 )
-from .solvers import SolverConfig, rk4_terminal_batch
+from .solvers import SolverConfig
 from .svgplot import plot_metrics_csv
 from .train import (
     AdamConfig,
@@ -55,6 +55,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+# The exceptions a command may end with, and the exit code each one maps to.
+_EXIT_CODES = {FormatError: EXIT_DATA, DataError: EXIT_DATA, OSError: EXIT_DATA,
+               ContractError: EXIT_USAGE, NumericError: EXIT_NUMERIC}
 
 _HEADS = ("baseline", "node")
 
@@ -74,21 +78,34 @@ def _utc_now():
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
 
-def write_manifest(path, command, arg_pairs):
-    """Record the resolved configuration before the run starts."""
+def write_manifest(path, args):
+    """Record every parsed flag of ``args`` before the run starts.
+
+    Unset (None) flags are left out; list values are joined with commas.
+    """
     lines = [
-        f"command={command}",
+        f"command={args.command}",
         f"toolkit_version={__version__}",
         f"started_at={_utc_now()}",
     ]
-    for key, value in arg_pairs:
-        if value is None:
+    for name, value in vars(args).items():
+        if name in ("func", "command") or value is None:
             continue
-        text = str(value)
+        key = name.replace("_", "-")
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         if "\n" in text:
             raise ValueError(f"manifest value for {key} contains a newline")
         lines.append(f"arg.{key}={text}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _start_run(args):
+    """Create the ``--out`` directory and write its manifest; returns (out, manifest path)."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = out / "manifest.txt"
+    write_manifest(manifest, args)
+    return out, manifest
 
 
 def finish_manifest(path):
@@ -115,12 +132,23 @@ def read_manifest(path):
     return command, args
 
 
-def _args_to_pairs(args, names):
-    return [(name.replace("_", "-"), getattr(args, name)) for name in names]
-
-
 # ---------------------------------------------------------------------------
 # shared flag groups and resolution
+#
+# The parser is the one list of flags: manifests record the parsed namespace,
+# and each ``compare`` run is a namespace of train's defaults plus compare's
+# values. Subcommands that share a flag declare it through the same helper,
+# with their own default.
+
+def _add_train_flags(p, epochs, val_fraction=0.1, grad=True, seed=True):
+    if grad:
+        p.add_argument("--grad", choices=("discrete", "adjoint"), default="discrete")
+    p.add_argument("--epochs", type=int, default=epochs)
+    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--val-fraction", type=float, default=val_fraction)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+
 
 def _add_data_flags(p):
     p.add_argument("--data", required=True, help="NODF feature file or CIFAR-10 binary batch file")
@@ -134,9 +162,12 @@ def _add_model_flags(p):
     p.add_argument("--scale", type=float, default=0.1, help="init scale of the dynamics MLP")
 
 
-def _add_solver_flags(p):
-    p.add_argument("--rtol", type=float, default=1e-5)
-    p.add_argument("--atol", type=float, default=1e-5)
+def _add_solver_flags(p, tolerances=True):
+    """Solver flags; ``tolerances=False`` leaves out --rtol/--atol for a
+    command that sets the tolerances itself."""
+    if tolerances:
+        p.add_argument("--rtol", type=float, default=1e-5)
+        p.add_argument("--atol", type=float, default=1e-5)
     p.add_argument("--n-steps", type=int, default=16, help="fixed-step count for the discrete method")
     p.add_argument("--max-steps", type=int, default=100_000)
 
@@ -151,13 +182,14 @@ def _add_optimizer_flags(p):
     p.add_argument("--momentum", type=float, default=0.9)
 
 
-def _add_train_flags(p):
+def _add_train_command_flags(p):
     p.add_argument("--head", choices=_HEADS, required=True)
-    p.add_argument("--grad", choices=("discrete", "adjoint"), default="discrete")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--val-fraction", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_train_flags(p, epochs=10)
+    _add_data_flags(p)
+    _add_model_flags(p)
+    _add_solver_flags(p)
+    _add_optimizer_flags(p)
+    p.add_argument("--out", required=True)
 
 
 def _resolve_optimizer(args):
@@ -174,28 +206,20 @@ def _optimizer_config(args):
     return SgdConfig(lr=args.lr, momentum=args.momentum)
 
 
-def _solver_config(args, grad_method):
+def _solver_config(args, grad_method, tol=None):
+    """Solver settings for ``grad_method``; ``tol`` stands in for both --rtol and --atol."""
     method = "rk4_fixed" if grad_method == "discrete" else "dopri5"
-    return SolverConfig(
-        method=method,
-        rtol=args.rtol,
-        atol=args.atol,
-        n_steps=args.n_steps,
-        max_steps=args.max_steps,
-    )
+    rtol, atol = (args.rtol, args.atol) if tol is None else (tol, tol)
+    return SolverConfig(method=method, rtol=rtol, atol=atol, n_steps=args.n_steps,
+                        max_steps=args.max_steps)
 
 
-def _train_config(args):
+def _train_config(args, grad_method, optimizer, solver=None):
     return TrainConfig(
-        optimizer=_optimizer_config(args),
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        grad_method=args.grad,
-        solver=_solver_config(args, args.grad),
-        val_fraction=args.val_fraction,
-        width=args.width,
-        init_scale=args.scale,
+        optimizer=optimizer, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
+        grad_method=grad_method,
+        solver=_solver_config(args, grad_method) if solver is None else solver,
+        val_fraction=args.val_fraction, width=args.width, init_scale=args.scale,
     )
 
 
@@ -220,25 +244,25 @@ def _dataset_from_args(args):
     return _load_dataset(args.data, args.feature_dim, args.extractor_seed, args.limit)
 
 
-_TRAIN_ARG_NAMES = (
-    "head", "grad", "data", "out", "seed", "epochs", "batch_size", "val_fraction",
-    "optimizer", "lr", "beta1", "beta2", "eps", "momentum",
-    "rtol", "atol", "n_steps", "max_steps", "width", "scale",
-    "feature_dim", "extractor_seed", "limit",
-)
+def _run(func, args, *rest):
+    """Run one command; an error of the exit-code contract becomes its exit code."""
+    try:
+        return func(args, *rest)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"nodehead {args.command}: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_train(args):
+def cmd_train(args, dataset=None):
+    """Train one head; ``dataset`` stands in for loading ``--data`` when given."""
     _resolve_optimizer(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = out / "manifest.txt"
-    write_manifest(manifest, "train", _args_to_pairs(args, _TRAIN_ARG_NAMES))
-    dataset = _dataset_from_args(args)
-    head, records = train(args.head, dataset, _train_config(args))
+    out, manifest = _start_run(args)
+    if dataset is None:
+        dataset = _dataset_from_args(args)
+    head, records = train(args.head, dataset, _train_config(args, args.grad, _optimizer_config(args)))
     write_metrics_csv(records, out / "metrics.csv")
     save_checkpoint(head, out / "head.nodc")
     finish_manifest(manifest)
@@ -259,42 +283,32 @@ def _stability_csv(report, path, first_end_epoch):
 
 def cmd_compare(args):
     _resolve_optimizer(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = out / "manifest.txt"
-    seeds = args.seeds
-    pairs = _args_to_pairs(
-        args,
-        ("grad", "data", "test_data", "out", "epochs", "batch_size", "val_fraction",
-         "optimizer", "lr", "beta1", "beta2", "eps", "momentum", "rtol", "atol",
-         "n_steps", "max_steps", "width", "scale", "feature_dim", "extractor_seed",
-         "limit", "window"),
-    ) + [("seeds", ",".join(str(s) for s in seeds))]
-    write_manifest(manifest, "compare", pairs)
-
+    out, manifest = _start_run(args)
+    dataset = _dataset_from_args(args)
     test_ds = None
     if args.test_data:
         test_ds = _load_dataset(args.test_data, args.feature_dim, args.extractor_seed, 0)
 
+    # a run's flags: train's defaults, overridden by every flag compare shares with train
+    train_parser = _Parser(prog="nodehead train")
+    _add_train_command_flags(train_parser)
+    defaults = {a.dest: a.default for a in train_parser._actions if a.default is not argparse.SUPPRESS}
+    shared = {name: getattr(args, name) for name in defaults if hasattr(args, name)}
     rows = []
     failures = []
-    for seed in seeds:
+    for seed in args.seeds:
         for head_kind in _HEADS:
             run_dir = out / f"seed{seed}" / head_kind
-            argv = ["train", "--head", head_kind, "--seed", str(seed), "--out", str(run_dir)]
-            for name in ("grad", "data", "optimizer"):
-                argv += [f"--{name}", str(getattr(args, name))]
-            for name in ("epochs", "batch_size", "val_fraction", "lr", "beta1", "beta2",
-                         "eps", "momentum", "rtol", "atol", "n_steps", "max_steps",
-                         "width", "scale", "feature_dim", "extractor_seed", "limit"):
-                argv += [f"--{name.replace('_', '-')}", str(getattr(args, name))]
-            code = main(argv)
+            run = argparse.Namespace(**{**defaults, **shared, "command": "train", "head": head_kind,
+                                        "seed": seed, "out": str(run_dir)})
+            code = _run(cmd_train, run, dataset)
             row = {"seed": seed, "head": head_kind, "flag": "ok"}
             if code != EXIT_OK:
                 row["flag"] = f"failed-exit-{code}"
                 failures.append((seed, head_kind, code))
                 rows.append(row)
                 continue
+            # the table reads the run's files back, so it holds the CSV's 6-digit values
             records = read_metrics_csv(run_dir / "metrics.csv")
             row["final_train_acc"] = records[-1].train_acc
             row["final_val_acc"] = records[-1].val_acc
@@ -316,7 +330,7 @@ def cmd_compare(args):
 
     node_wins = 0
     decided = 0
-    for seed in seeds:
+    for seed in args.seeds:
         by_head = {r["head"]: r for r in rows if r["seed"] == seed}
         base, node = by_head.get("baseline", {}), by_head.get("node", {})
         if "mean_std_val_loss" in base and "mean_std_val_loss" in node:
@@ -385,17 +399,11 @@ def _pairwise_deviation(a, b, max_abs, max_rel):
 
 def _fd_loss_grad(head, features, labels, n_steps, step):
     """Central finite differences of the discrete-forward loss over all head params."""
-    from .tensorops import EPS_LOG, softmax
-
     flat0 = head_to_flat(head)
+    cfg = SolverConfig(method="rk4_fixed", n_steps=n_steps)
 
     def loss_at(flat):
-        h = head_from_flat(head, flat)
-        hT = rk4_terminal_batch(h.dynamics, features, 0.0, 1.0, n_steps)
-        logits = hT @ h.w_out.T + h.b_out
-        probs = softmax(logits)
-        picked = probs[np.arange(len(labels)), labels]
-        return float(np.mean(-np.log(picked + EPS_LOG)))
+        return evaluate(head_from_flat(head, flat), features, labels, cfg)[0]
 
     grad = np.empty_like(flat0)
     for i in range(flat0.size):
@@ -406,12 +414,7 @@ def _fd_loss_grad(head, features, labels, n_steps, step):
 
 
 def cmd_gradcheck(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = out / "manifest.txt"
-    names = ("d", "width", "seed", "classes", "batch", "rtol", "atol", "n_steps",
-             "fd_n_steps", "fd_step", "scale", "max_rel", "max_abs", "out")
-    write_manifest(manifest, "gradcheck", _args_to_pairs(args, names))
+    out, manifest = _start_run(args)
 
     head = init_node_head(args.seed, args.d, args.classes, width=args.width, scale=args.scale)
     rng = np.random.default_rng(args.seed)
@@ -445,20 +448,12 @@ def cmd_gradcheck(args):
 
 
 def cmd_sweep_tol(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = out / "manifest.txt"
-    names = ("tols", "mode", "data", "out", "seed", "epochs", "batch_size", "val_fraction",
-             "width", "scale", "feature_dim", "extractor_seed", "limit", "n_steps", "max_steps")
-    pairs = [(n.replace("_", "-"),
-              ",".join(f"{t:g}" for t in args.tols) if n == "tols" else getattr(args, n))
-             for n in names]
-    write_manifest(manifest, "sweep-tol", pairs)
+    out, manifest = _start_run(args)
     dataset = _dataset_from_args(args)
 
     lines = ["rtol,atol,n_feval,final_val_acc,wall_ms"]
     for tol in args.tols:
-        cfg = SolverConfig(method="dopri5", rtol=tol, atol=tol, max_steps=args.max_steps)
+        cfg = _solver_config(args, "adjoint", tol)
         tic = time.perf_counter()
         if args.mode == "eval":
             head = init_node_head(args.seed, dataset.d, dataset.class_count,
@@ -466,12 +461,7 @@ def cmd_sweep_tol(args):
             _, acc, stats = evaluate(head, dataset.features, dataset.labels, cfg)
             n_feval = stats.n_feval
         else:
-            tcfg = TrainConfig(
-                optimizer=SgdConfig(), epochs=args.epochs, batch_size=args.batch_size,
-                seed=args.seed, grad_method="adjoint", solver=cfg,
-                val_fraction=args.val_fraction, width=args.width, init_scale=args.scale,
-            )
-            _, records = train("node", dataset, tcfg)
+            _, records = train("node", dataset, _train_config(args, "adjoint", SgdConfig(), cfg))
             acc = records[-1].val_acc
             n_feval = sum(r.n_feval for r in records)
         wall_ms = (time.perf_counter() - tic) * 1000.0
@@ -484,12 +474,7 @@ def cmd_sweep_tol(args):
 
 
 def cmd_bench(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = out / "manifest.txt"
-    names = ("data", "out", "seed", "epochs", "batch_size", "val_fraction", "rtol", "atol",
-             "n_steps", "max_steps", "width", "scale", "feature_dim", "extractor_seed", "limit")
-    write_manifest(manifest, "bench", _args_to_pairs(args, names))
+    out, manifest = _start_run(args)
     dataset = _dataset_from_args(args)
 
     configs = [
@@ -499,13 +484,8 @@ def cmd_bench(args):
     ]
     lines = ["model,epochs,mean_epoch_ms,total_s"]
     for label, head_kind, grad, opt in configs:
-        cfg = TrainConfig(
-            optimizer=opt, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
-            grad_method=grad, solver=_solver_config(args, grad),
-            val_fraction=args.val_fraction, width=args.width, init_scale=args.scale,
-        )
         tic = time.perf_counter()
-        _, records = train(head_kind, dataset, cfg)
+        _, records = train(head_kind, dataset, _train_config(args, grad, opt))
         total_s = time.perf_counter() - tic
         mean_epoch_ms = sum(r.wall_ms for r in records) / len(records)
         lines.append(f"{label},{args.epochs},{mean_epoch_ms:.6g},{total_s:.6g}")
@@ -517,10 +497,7 @@ def cmd_bench(args):
 
 
 def cmd_plot(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = out / "manifest.txt"
-    write_manifest(manifest, "plot", _args_to_pairs(args, ("csv", "out", "columns")))
+    out, manifest = _start_run(args)
     columns = args.columns.split(",") if args.columns else None
     try:
         written = plot_metrics_csv(args.csv, out, columns)
@@ -564,21 +541,13 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"nodehead {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[], help="train one head and write metrics + checkpoint")
-    _add_train_flags(p)
-    _add_data_flags(p)
-    _add_model_flags(p)
-    _add_solver_flags(p)
-    _add_optimizer_flags(p)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("train", help="train one head and write metrics + checkpoint")
+    _add_train_command_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare", help="baseline vs node across seeds with stability reports")
     p.add_argument("--seeds", type=_comma_ints, required=True, help="comma-separated seed list")
-    p.add_argument("--grad", choices=("discrete", "adjoint"), default="discrete")
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--val-fraction", type=float, default=1 / 6)
+    _add_train_flags(p, epochs=60, val_fraction=1 / 6, seed=False)
     p.add_argument("--window", type=int, default=10)
     p.add_argument("--test-data", default=None)
     _add_data_flags(p)
@@ -608,22 +577,15 @@ def build_parser():
     p = sub.add_parser("sweep-tol", help="tolerance vs cost/accuracy trade-off table")
     p.add_argument("--tols", type=_comma_floats, required=True)
     p.add_argument("--mode", choices=("eval", "train"), default="eval")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    _add_train_flags(p, epochs=5, grad=False)
     _add_data_flags(p)
     _add_model_flags(p)
-    p.add_argument("--n-steps", type=int, default=16)
-    p.add_argument("--max-steps", type=int, default=100_000)
+    _add_solver_flags(p, tolerances=False)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_tol)
 
     p = sub.add_parser("bench", help="timing table: baseline / node-discrete / node-adjoint")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    _add_train_flags(p, epochs=3, grad=False)
     _add_data_flags(p)
     _add_model_flags(p)
     _add_solver_flags(p)
@@ -649,20 +611,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except (FormatError, DataError) as exc:
-        print(f"nodehead {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ContractError as exc:
-        print(f"nodehead {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NumericError as exc:
-        print(f"nodehead {args.command}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"nodehead {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    return _run(args.func, args)
 
 
 if __name__ == "__main__":

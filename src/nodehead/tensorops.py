@@ -1,51 +1,12 @@
-"""Dense float64 array operations used by every other module.
+"""Dense float64 array operations shared by the model's loss.
 
-Arrays are plain C-order ``numpy.ndarray`` objects with ``dtype == float64``;
-``as_tensor`` is the single entry point that enforces this. All operations
-are pure functions of their inputs and never mutate arguments, so concurrent
-calls over shared arrays are safe.
+Operations are pure functions of their inputs and never mutate arguments,
+so concurrent calls over shared arrays are safe.
 """
 
 import numpy as np
 
-from .errors import ShapeError
-
-EPS_LOG = 1e-12  # floor inside cross_entropy so log(0) never occurs
-
-
-def as_tensor(values):
-    """Copy ``values`` into a fresh C-order float64 array."""
-    return np.array(values, dtype=np.float64, order="C")
-
-
-def check_finite(x, context=""):
-    """Raise ShapeError-free ValueError when ``x`` holds NaN/Inf."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"non-finite values encountered {context}".strip())
-    return x
-
-
-def matmul(a, b):
-    """Matrix product of ``a`` and ``b`` with an explicit inner-dimension check.
-
-    Accepts the usual numpy combinations (2-d @ 2-d, 2-d @ 1-d, 1-d @ 2-d,
-    1-d @ 1-d). Raises :class:`ShapeError` naming both shapes when the inner
-    dimensions disagree.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim == 0 or b.ndim == 0 or a.ndim > 2 or b.ndim > 2:
-        raise ShapeError(f"matmul expects 1-d or 2-d operands, got {a.shape} and {b.shape}")
-    inner_a = a.shape[-1]
-    inner_b = b.shape[0]
-    if inner_a != inner_b:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def map_tanh(x):
-    """Elementwise hyperbolic tangent; output lies strictly inside [-1, 1]."""
-    return np.tanh(np.asarray(x, dtype=np.float64))
+EPS_LOG = 1e-12  # floor inside the cross-entropy so log(0) never occurs
 
 
 def softmax(logits):
@@ -58,16 +19,3 @@ def softmax(logits):
     shifted = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def cross_entropy(probs, label):
-    """Negative log-likelihood ``-log(probs[label] + 1e-12)`` of one sample.
-
-    ``probs`` must be a valid distribution over classes; ``label`` an index
-    into it. Raises IndexError when the label is out of range.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    label = int(label)
-    if label < 0 or label >= p.shape[-1]:
-        raise IndexError(f"label {label} out of range for {p.shape[-1]} classes")
-    return float(-np.log(p[..., label] + EPS_LOG))

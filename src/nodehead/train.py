@@ -148,7 +148,8 @@ def train(head_kind, dataset, cfg):
     MetricsRecord). Identical configs produce identical metric series;
     wall_ms is the one wall-clock field. A non-finite batch loss or gradient
     raises :class:`NumericError` naming the epoch and batch, before the
-    optimizer step could spread it into the parameters.
+    optimizer step could spread it into the parameters; a non-finite
+    validation loss raises it naming the epoch, before the record is kept.
     """
     if head_kind not in ("node", "baseline"):
         raise ContractError(f"unknown head kind {head_kind!r}")
@@ -195,6 +196,8 @@ def train(head_kind, dataset, cfg):
             n_correct += correct
             n_feval += stats.n_feval
         val_loss, val_acc, val_stats = evaluate(head, val_ds.features, val_ds.labels, cfg.solver)
+        if not math.isfinite(val_loss):
+            raise NumericError(f"non-finite validation loss at epoch {epoch}")
         n_feval += val_stats.n_feval
         records.append(
             MetricsRecord(

@@ -3,9 +3,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import nodehead.cli as cli
 from conftest import make_cifar_blob, make_class_corpus
 from nodehead.cli import main, read_manifest
 from nodehead.data import Dataset, save_feature_file
+from nodehead.errors import NumericError
 from nodehead.model import head_to_flat, init_baseline_head, load_checkpoint
 from nodehead.train import read_metrics_csv
 
@@ -98,6 +100,17 @@ class TestTrainCommand:
                      "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "bad_label.nodf: record 79 has label 12" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_validation_loss_exits_three(self, feature_file, tmp_path, capsys):
+        # one batch per epoch: the single Adam step at lr=1e308 puts the weights
+        # near the float64 limit, so only the validation logits overflow
+        code = main(["train", "--head", "baseline", "--lr", "1e308", "--epochs", "1",
+                     "--batch-size", "128", "--data", str(feature_file),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "non-finite validation loss at epoch 1" in capsys.readouterr().err
+
     def test_empty_data_file_exits_two(self, tmp_path):
         empty = tmp_path / "empty.bin"
         empty.write_bytes(b"")
@@ -175,6 +188,39 @@ class TestCompareCommand:
         a = (sub / "metrics.csv").read_text()
         b = (tmp_path / "redo" / "metrics.csv").read_text()
         assert mask_wall_ms(a) == mask_wall_ms(b)
+
+
+    def test_corrupt_data_exits_two_naming_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(100))  # not a record multiple
+        out = tmp_path / "cmp4"
+        assert main(["compare", "--seeds", "0,1", "--data", str(bad), "--out", str(out)]) == 2
+        assert "bad.bin" in capsys.readouterr().err
+        assert not (out / "seed0").exists()  # no run started
+
+    def test_failed_run_is_flagged_and_later_runs_still_execute(self, feature_file, tmp_path,
+                                                                monkeypatch, capsys):
+        real_train = cli.train
+
+        def train(head_kind, dataset, cfg):
+            if head_kind == "node" and cfg.seed == 0:
+                raise NumericError("injected failure")
+            return real_train(head_kind, dataset, cfg)
+
+        monkeypatch.setattr(cli, "train", train)
+        out = tmp_path / "cmp5"
+        code = main(["compare", "--seeds", "0,1", "--epochs", "2", "--window", "2",
+                     "--width", "4", "--n-steps", "2", "--data", str(feature_file),
+                     "--out", str(out)])
+        assert code == 3
+        assert "nodehead train: injected failure" in capsys.readouterr().err
+        rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[1], r[-1]) for r in rows] == [
+            ("0", "baseline", "ok"), ("0", "node", "failed-exit-3"),
+            ("1", "baseline", "ok"), ("1", "node", "ok"),
+        ]
+        assert (out / "seed1" / "node" / "metrics.csv").exists()
+        assert "1 run(s) failed" in (out / "summary.txt").read_text()
 
 
 class TestGradcheckCommand:
@@ -302,6 +348,40 @@ class TestManifestContract:
         command, args = read_manifest(out / "manifest.txt")
         assert command == "sweep-tol"
         assert args["tols"] == "0.0001"
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--head", "node", "--epochs", "1", "--width", "4", "--n-steps", "2",
+         "--lr", "0.123456789", "--data", "{feats}"],
+        ["compare", "--seeds", "0,1", "--epochs", "1", "--window", "2", "--width", "4",
+         "--n-steps", "2", "--val-fraction", "0.3", "--data", "{feats}", "--test-data", "{feats}"],
+        ["gradcheck", "--d", "2", "--width", "2", "--n-steps", "20", "--fd-n-steps", "10",
+         "--max-rel", "1", "--max-abs", "1"],
+        ["sweep-tol", "--tols", "0.123456789,1e-5", "--limit", "8", "--width", "4",
+         "--data", "{feats}"],
+        ["bench", "--epochs", "1", "--limit", "16", "--width", "4", "--n-steps", "2",
+         "--batch-size", "8", "--data", "{feats}"],
+        ["plot", "--csv", "{csv}", "--columns", "val_loss,train_acc"],
+    ], ids=lambda argv: argv[0])
+    def test_manifest_round_trips_through_rerun(self, argv, feature_file, tmp_path, monkeypatch):
+        csv = tmp_path / "m.csv"
+        csv.write_text("epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval\n"
+                       "1,0.5,0.9,0.6,0.8,12.5,480\n")
+        argv = [a.format(feats=feature_file, csv=csv) for a in argv]
+        recorded = []  # the namespace each manifest was written from
+        real_write = cli.write_manifest
+
+        def write_manifest(path, args):
+            recorded.append(dict(vars(args)))
+            real_write(path, args)
+
+        monkeypatch.setattr(cli, "write_manifest", write_manifest)
+        code = main(argv + ["--out", str(tmp_path / "a")])
+        original = recorded[0]
+        recorded.clear()
+        assert main(["rerun", str(tmp_path / "a" / "manifest.txt"), "--out", str(tmp_path / "b")]) == code
+        again = recorded[0]
+        assert (original.pop("out"), again.pop("out")) == (str(tmp_path / "a"), str(tmp_path / "b"))
+        assert again == original
 
     def test_rerun_rejects_rerun_manifest(self, tmp_path):
         m = tmp_path / "m.txt"

@@ -184,6 +184,15 @@ class TestTrainLoop:
             train(kind, toy_feature_dataset, cfg)
         assert calls["update"] == 6
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_validation_loss_raises(self, toy_feature_dataset):
+        # one batch per epoch: the single Adam step at lr=1e308 puts the weights
+        # near the float64 limit, so only the validation logits overflow
+        cfg = TrainConfig(optimizer=AdamConfig(lr=1e308), epochs=1, batch_size=128)
+        with pytest.raises(NumericError, match="non-finite validation loss at epoch 1"):
+            train("baseline", toy_feature_dataset, cfg)
+
     def test_unknown_head_kind(self, toy_feature_dataset):
         with pytest.raises(ContractError):
             train("resnet", toy_feature_dataset, TrainConfig())

@@ -11,7 +11,7 @@ fully-connected baseline on training stability.
 
 __version__ = "0.1.0"
 
-from .adjoint import GradientResult, adjoint_solve, backprop_through_solver
+from .adjoint import GradientResult, adjoint_solve
 from .data import (
     Dataset,
     FrozenExtractor,
@@ -50,9 +50,7 @@ from .solvers import (
     SolverConfig,
     Trajectory,
     integrate_adaptive,
-    rk4_step,
     solve_adaptive,
-    solve_fixed,
 )
 from .tensorops import softmax
 from .train import (

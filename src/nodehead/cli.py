@@ -162,13 +162,14 @@ def _add_model_flags(p):
     p.add_argument("--scale", type=float, default=0.1, help="init scale of the dynamics MLP")
 
 
-def _add_solver_flags(p, tolerances=True):
-    """Solver flags; ``tolerances=False`` leaves out --rtol/--atol for a
-    command that sets the tolerances itself."""
-    if tolerances:
-        p.add_argument("--rtol", type=float, default=1e-5)
-        p.add_argument("--atol", type=float, default=1e-5)
+def _add_solver_flags(p):
+    p.add_argument("--rtol", type=float, default=1e-5)
+    p.add_argument("--atol", type=float, default=1e-5)
     p.add_argument("--n-steps", type=int, default=16, help="fixed-step count for the discrete method")
+    _add_max_steps_flag(p)
+
+
+def _add_max_steps_flag(p):
     p.add_argument("--max-steps", type=int, default=100_000)
 
 
@@ -206,11 +207,9 @@ def _optimizer_config(args):
     return SgdConfig(lr=args.lr, momentum=args.momentum)
 
 
-def _solver_config(args, grad_method, tol=None):
-    """Solver settings for ``grad_method``; ``tol`` stands in for both --rtol and --atol."""
+def _solver_config(args, grad_method):
     method = "rk4_fixed" if grad_method == "discrete" else "dopri5"
-    rtol, atol = (args.rtol, args.atol) if tol is None else (tol, tol)
-    return SolverConfig(method=method, rtol=rtol, atol=atol, n_steps=args.n_steps,
+    return SolverConfig(method=method, rtol=args.rtol, atol=args.atol, n_steps=args.n_steps,
                         max_steps=args.max_steps)
 
 
@@ -453,7 +452,7 @@ def cmd_sweep_tol(args):
 
     lines = ["rtol,atol,n_feval,final_val_acc,wall_ms"]
     for tol in args.tols:
-        cfg = _solver_config(args, "adjoint", tol)
+        cfg = SolverConfig(method="dopri5", rtol=tol, atol=tol, max_steps=args.max_steps)
         tic = time.perf_counter()
         if args.mode == "eval":
             head = init_node_head(args.seed, dataset.d, dataset.class_count,
@@ -513,12 +512,22 @@ def cmd_plot(args):
 
 
 def cmd_rerun(args):
+    """Re-execute a manifest's command into ``--out``.
+
+    A recorded flag that the command no longer declares is dropped, with a
+    note on stderr naming it.
+    """
     command, recorded = read_manifest(args.manifest)
     if command == "rerun":
         raise ContractError("cannot rerun a rerun manifest")
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = commands.choices[command]._option_string_actions if command in commands.choices else None
     argv = [command]
     for key, value in recorded.items():
         if key == "out":
+            continue
+        if declared is not None and f"--{key}" not in declared:
+            print(f"nodehead rerun: dropping --{key}, which {command} no longer takes", file=sys.stderr)
             continue
         argv += [f"--{key}", value]
     argv += ["--out", args.out]
@@ -580,7 +589,7 @@ def build_parser():
     _add_train_flags(p, epochs=5, grad=False)
     _add_data_flags(p)
     _add_model_flags(p)
-    _add_solver_flags(p, tolerances=False)
+    _add_max_steps_flag(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_tol)
 

@@ -13,7 +13,8 @@ File formats (little-endian throughout):
   followed by 3072 pixel bytes (1024 red, 1024 green, 1024 blue).
 * NODF feature file: magic ``NODF``, u32 version = 1, u32 N, u32 d,
   u8 has_labels, N*d float32 features row-major, then N label bytes when
-  has_labels is 1. Features are stored at 32-bit precision and widened to
+  has_labels is 1. Loading requires the labels: a file with has_labels = 0
+  is a data error. Features are stored at 32-bit precision and widened to
   float64 on load.
 """
 
@@ -160,8 +161,9 @@ def save_feature_file(dataset, path):
 def load_feature_file(path):
     """Read a NODF feature file; features are widened back to float64.
 
-    A label byte outside [0, class_count) raises :class:`DataError` naming
-    the file and the first bad record.
+    A file without labels (``has_labels=0``) or with a label byte outside
+    [0, class_count) raises :class:`DataError` naming the file (and the
+    first bad record).
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -175,15 +177,14 @@ def load_feature_file(path):
         raise FormatError(f"{path}: unsupported version {version}")
     if has_labels not in (0, 1):
         raise FormatError(f"{path}: has_labels byte must be 0 or 1, got {has_labels}")
-    expected = header_size + 4 * n * d + (n if has_labels else 0)
+    if not has_labels:
+        raise DataError(f"{path}: file has no labels (has_labels=0); training and evaluation need them")
+    expected = header_size + 4 * n * d + n
     if len(blob) != expected:
         raise FormatError(f"{path}: length {len(blob)} does not match header fields (expected {expected})")
     feats = np.frombuffer(blob, dtype="<f4", count=n * d, offset=header_size)
     feats = feats.reshape(n, d).astype(np.float64)
-    if has_labels:
-        labels = np.frombuffer(blob, dtype=np.uint8, offset=header_size + 4 * n * d).astype(np.int64)
-    else:
-        labels = np.zeros(n, dtype=np.int64)
+    labels = np.frombuffer(blob, dtype=np.uint8, offset=header_size + 4 * n * d).astype(np.int64)
     try:
         return Dataset(features=feats, labels=labels)
     except DataError as exc:

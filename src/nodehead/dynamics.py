@@ -7,9 +7,20 @@ tanh MLP over the time-appended state:
 
 Appending t as one extra input coordinate is the simplest way to give f an
 explicit time dependence; tanh keeps the field Lipschitz so explicit solvers
-behave well. Besides forward evaluation this module provides the two
-vector-Jacobian products the adjoint method consumes (a.T @ df/dh and
-a.T @ df/dparams), both analytic.
+behave well.
+
+Every routine works on a batch of states of shape (n, d) with one shared
+time: :func:`eval_dynamics_batch` evaluates the field and :func:`vjp_batch`
+returns the two vector-Jacobian products reverse passes and the adjoint
+consume (a.T @ df/dh per row, a.T @ df/dparams summed over rows), both
+analytic. The single-state :func:`eval_dynamics`, :func:`vjp_state` and
+:func:`vjp_params` are their n=1 cases.
+
+A *field* is either :class:`DynamicsParams` or a closed-form field: any
+object with batch methods ``eval(H, t) -> F`` and
+``vjp(H, t, A) -> (dH, dθ summed over rows)`` and an ``n_params``
+attribute. :func:`workspace` is the one place that tells them apart;
+solvers build one workspace per solve and pass it to every call.
 
 Flat parameter order (a stable contract relied on by checkpoints and the
 adjoint's gradient accumulator): w1 row-major, then b1, then w2 row-major,
@@ -106,47 +117,23 @@ def init_params(seed, d, width, scale=0.1):
     return DynamicsParams(w1, b1, w2, b2)
 
 
-def _check_state(params, h):
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (params.d,):
-        raise ShapeError(f"state shape {h.shape} does not match field dimension ({params.d},)")
-    return h
+def _row(h):
+    return np.asarray(h, dtype=np.float64)[None]
 
 
-def eval_dynamics(params, h, t):
-    """dh/dt at (h, t): w2 @ tanh(w1 @ [h; t] + b1) + b2."""
-    h = _check_state(params, h)
-    x = np.concatenate([h, [t]])
-    z = params.w1 @ x + params.b1
-    return params.w2 @ np.tanh(z) + params.b2
+def eval_dynamics(field, h, t):
+    """dh/dt at one state ``h`` of shape (d,); the n=1 case of :func:`eval_dynamics_batch`."""
+    return eval_dynamics_batch(field, _row(h), t)[0]
 
 
-def vjp_state(params, h, t, a):
-    """a.T @ df/dh, evaluated analytically.
-
-    With z = w1 @ [h; t] + b1 and w1_h the weight block over h (w1 without
-    its time column), this is w1_h.T @ (diag(1 - tanh(z)^2) @ (w2.T @ a)).
-    """
-    h = _check_state(params, h)
-    a = _check_state(params, a)
-    x = np.concatenate([h, [t]])
-    u = np.tanh(params.w1 @ x + params.b1)
-    s = (params.w2.T @ a) * (1.0 - u * u)
-    return params.w1[:, :-1].T @ s
+def vjp_state(field, h, t, a):
+    """a.T @ df/dh at one state; the state half of an n=1 :func:`vjp_batch`."""
+    return vjp_batch(field, _row(h), t, _row(a))[0][0]
 
 
-def vjp_params(params, h, t, a):
-    """a.T @ df/dparams as a flat vector in the documented parameter order."""
-    h = _check_state(params, h)
-    a = _check_state(params, a)
-    x = np.concatenate([h, [t]])
-    u = np.tanh(params.w1 @ x + params.b1)
-    s = (params.w2.T @ a) * (1.0 - u * u)
-    d_w1 = np.outer(s, x)
-    d_b1 = s
-    d_w2 = np.outer(a, u)
-    d_b2 = a
-    return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
+def vjp_params(field, h, t, a):
+    """a.T @ df/dparams at one state as a flat vector; the parameter half of an n=1 :func:`vjp_batch`."""
+    return vjp_batch(field, _row(h), t, _row(a))[1]
 
 
 class BatchWorkspace:
@@ -172,14 +159,14 @@ class BatchWorkspace:
         self.w2 = params.w2
         self.w2b_t = np.vstack([params.w2.T, params.b2])
         self.tb = np.empty(width)
-        self.y = np.empty((n, d))
         self.z = np.empty((n, width))
         self.u1 = np.empty((n, width + 1))
         self.u1[:, width] = 1.0
         self.u = self.u1[:, :width]
-        # reverse pass only
+        # vector-Jacobian products only
         self.s = np.empty((n, width))
         self.ones = np.ones(n)
+        self.x = np.empty((n, d + 1))
         self.g_w1h = np.zeros((width, d))
         self.g_w1t = np.zeros(width)
         self.g_b1 = np.zeros(width)
@@ -196,6 +183,48 @@ class BatchWorkspace:
         self.z += self.tb
         np.tanh(self.z, out=self.u)
 
+    def eval(self, states, t, out=None):
+        self.activate(states, t)
+        return np.matmul(self.u1, self.w2b_t, out=out)
+
+    def vjp(self, states, t, cotangents, out=None, d_params_out=None, value_out=None):
+        """With z = w1 @ [h; t] + b1 and w1_h the block of w1 over h, a.T @ df/dh is
+        w1_h.T @ ((w2.T @ a) * (1 - tanh(z)^2)); see :func:`vjp_batch` for the rest."""
+        self.activate(states, t)
+        if value_out is not None:
+            np.matmul(self.u1, self.w2b_t, out=value_out)
+        s = np.matmul(cotangents, self.w2, out=self.s)
+        np.multiply(self.u, self.u, out=self.z)
+        np.subtract(1.0, self.z, out=self.z)
+        s *= self.z
+        d_states = np.matmul(s, self.w1h_t.T, out=out)
+        if d_params_out is not None:
+            self._write_d_params(states, t, cotangents, d_params_out)
+            return d_states, d_params_out
+        self.g_w1h += np.matmul(s.T, states, out=self._g_w1h_step)
+        s_sum = np.matmul(self.ones, s, out=self._s_sum)
+        self.g_b1 += s_sum
+        s_sum *= t
+        self.g_w1t += s_sum
+        self.g2 += np.matmul(cotangents.T, self.u1, out=self._g2_step)
+        return d_states, None
+
+    def _write_d_params(self, states, t, cotangents, out):
+        """This stage's row-summed parameter gradient, written straight into the flat ``out``.
+
+        np.dot because it writes each block into its contiguous slice of
+        ``out`` and, unlike np.matmul, stays fast on the rank-1 products of
+        an n=1 batch.
+        """
+        d, width = self.w2.shape
+        n_w1 = width * (d + 1)
+        self.x[:, :d] = states
+        self.x[:, d] = t
+        np.dot(self.s.T, self.x, out=out[:n_w1].reshape(width, d + 1))
+        np.dot(self.ones, self.s, out=out[n_w1 : n_w1 + width])
+        np.dot(cotangents.T, self.u, out=out[n_w1 + width : -d].reshape(d, width))
+        np.dot(self.ones, cotangents, out=out[-d:])
+
     def d_params(self):
         """The summed parameter gradient as a flat vector in the documented order."""
         width = self.u.shape[1]
@@ -203,59 +232,89 @@ class BatchWorkspace:
         return np.concatenate([g_w1.ravel(), self.g_b1, self.g2[:, :width].ravel(), self.g2[:, width]])
 
 
-def check_batch(params, states, cotangents=None):
-    """``states`` as a float64 (n, d) array; raises ShapeError on a bad batch shape."""
-    states = np.asarray(states, dtype=np.float64)
-    if states.ndim != 2 or states.shape[1] != params.d:
-        raise ShapeError(f"batch shape {states.shape} does not match field dimension {params.d}")
-    if cotangents is not None and np.shape(cotangents) != states.shape:
+class FieldWorkspace:
+    """The workspace of a closed-form field: the calls a :class:`BatchWorkspace`
+    answers, served by the field's own ``eval`` and ``vjp``."""
+
+    def __init__(self, field):
+        self.field = field
+        self.g = np.zeros(field.n_params)
+
+    def eval(self, states, t, out=None):
+        return _into(out, self.field.eval(states, t))
+
+    def vjp(self, states, t, cotangents, out=None, d_params_out=None, value_out=None):
+        d_states, d_flat = self.field.vjp(states, t, cotangents)
+        if value_out is not None:
+            value_out[...] = self.field.eval(states, t)
+        if d_params_out is None:
+            self.g += d_flat
+        else:
+            d_params_out[...] = d_flat
+        return _into(out, d_states), d_params_out
+
+    def d_params(self):
+        return self.g.copy()
+
+
+def _into(out, value):
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
+def workspace(field, states, cotangents=None):
+    """The workspace for repeated evaluations of ``field`` on batches shaped like ``states``.
+
+    This is the one place the field kind is decided: :class:`DynamicsParams`
+    gets a :class:`BatchWorkspace` once ``states`` (and ``cotangents``, when
+    given) are checked to be (n, d) batches of its dimension, raising
+    :class:`ShapeError` otherwise; any other field is closed-form and gets a
+    :class:`FieldWorkspace`.
+    """
+    if not isinstance(field, DynamicsParams):
+        return FieldWorkspace(field)
+    shape = np.shape(states)
+    if len(shape) != 2 or shape[1] != field.d:
+        raise ShapeError(f"batch shape {shape} does not match field dimension {field.d}")
+    if cotangents is not None and np.shape(cotangents) != shape:
         raise ShapeError(
-            f"batch shapes {states.shape} and {np.shape(cotangents)} inconsistent with dimension {params.d}"
+            f"batch shapes {shape} and {np.shape(cotangents)} inconsistent with dimension {field.d}"
         )
-    return states
+    return BatchWorkspace(field, shape[0])
 
 
-def eval_dynamics_batch(params, states, t, out=None, work=None):
+def eval_dynamics_batch(field, states, t, out=None, work=None):
     """Row-wise field evaluation for a batch of states with shared time t.
 
-    ``states`` has shape (n, d); the result matches. Equivalent to calling
-    :func:`eval_dynamics` per row, vectorized for the training loop. Solvers
-    pass a :class:`BatchWorkspace` built from ``params`` for this batch
-    shape as ``work`` and the destination as ``out``, so repeated calls
-    allocate nothing.
+    ``states`` has shape (n, d); the result matches. Solvers pass the
+    :func:`workspace` they built for this batch shape as ``work`` and the
+    destination as ``out``, so repeated calls allocate nothing.
     """
     if work is None:
-        states = check_batch(params, states)
-        work = BatchWorkspace(params, states.shape[0])
-    work.activate(states, t)
-    return np.matmul(work.u1, work.w2b_t, out=out)
+        states = np.asarray(states, dtype=np.float64)
+        work = workspace(field, states)
+    return work.eval(states, t, out)
 
 
-def vjp_batch(params, states, t, cotangents, out=None, work=None):
+def vjp_batch(field, states, t, cotangents, out=None, work=None, d_params_out=None, value_out=None):
     """Batched VJPs for one stage: per-row state gradients plus summed parameter gradient.
 
-    Returns (d_states, d_flat) where d_states[i] = vjp_state(params, states[i],
-    t, cotangents[i]) and d_flat is the sum over rows of vjp_params. The sum
-    is what batched reverse passes accumulate: given a :class:`BatchWorkspace`
-    as ``work``, the parameter gradient is added to its running sum instead
-    (read it with :meth:`BatchWorkspace.d_params`), ``d_flat`` is None and
-    d_states is written to ``out``.
+    Returns (d_states, d_flat) where d_states[i] = a_i.T @ df/dh at row i
+    (written to ``out`` when given) and d_flat is the sum over rows of
+    a_i.T @ df/dparams in flat order, written to ``d_params_out`` when
+    given. Reverse passes pass the :func:`workspace` they built for this
+    batch shape as ``work`` and no ``d_params_out``: the parameter gradient
+    is then added to the workspace's running sum (read it with its
+    ``d_params``) and d_flat is None. ``value_out`` also receives
+    f(states, t) from the same activation, so one call gives all three
+    parts of the adjoint's augmented right-hand side.
     """
-    fresh = work is None
-    if fresh:
-        states = check_batch(params, states, cotangents)
+    if work is None:
+        states = np.asarray(states, dtype=np.float64)
         cotangents = np.asarray(cotangents, dtype=np.float64)
-        work = BatchWorkspace(params, states.shape[0])
-    work.activate(states, t)
-    s = np.matmul(cotangents, work.w2, out=work.s)
-    np.multiply(work.u, work.u, out=work.z)
-    np.subtract(1.0, work.z, out=work.z)
-    s *= work.z
-    d_states = np.matmul(s, work.w1h_t.T, out=out)
-    work.g_w1h += np.matmul(s.T, states, out=work._g_w1h_step)
-    s_sum = np.matmul(work.ones, s, out=work._s_sum)
-    work.g_b1 += s_sum
-    s_sum *= t
-    work.g_w1t += s_sum
-    work.g2 += np.matmul(cotangents.T, work.u1, out=work._g2_step)
-    return d_states, (work.d_params() if fresh else None)
+        work = workspace(field, states, cotangents)
+        if d_params_out is None:
+            d_params_out = np.empty(field.n_params)
+    return work.vjp(states, t, cotangents, out, d_params_out, value_out)

@@ -262,9 +262,10 @@ def train_step(head, features, labels, grad_method="discrete", config=None):
 def evaluate(head, features, labels, config=None):
     """Mean loss and accuracy of ``head`` on (features, labels).
 
-    Returns (loss, accuracy, SolveStats). NODE heads integrate each row;
-    the fixed method runs batched, the adaptive one per sample (its step
-    control is per-trajectory by construction).
+    Returns (loss, accuracy, SolveStats). NODE heads evolve the features
+    first: the fixed method as one (n, d) batch, the adaptive one row by
+    row through :func:`~nodehead.solvers.solve_adaptive`, so its step
+    control stays per-trajectory.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64).ravel()

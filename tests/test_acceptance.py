@@ -11,8 +11,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import reference as ref
 from conftest import make_class_corpus
-from nodehead.adjoint import adjoint_solve, backprop_through_solver
+from nodehead.adjoint import adjoint_solve, backprop_rk4_batch
 from nodehead.cli import main
 from nodehead.data import Dataset, load_feature_file, save_feature_file
 from nodehead.dynamics import init_params, unflatten
@@ -25,7 +26,7 @@ from nodehead.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from nodehead.solvers import SolverConfig, solve_adaptive, solve_fixed
+from nodehead.solvers import SolverConfig, integrate_adaptive, solve_fixed_batch
 from nodehead.train import read_metrics_csv
 
 
@@ -79,15 +80,15 @@ def test_criterion_1_gradient_consistency_triangle():
             h0 = gen.standard_normal(d)
             c = gen.standard_normal(d)
 
-            hT, traj = solve_fixed(params, h0, 0.0, 1.0, 2000)
-            disc = backprop_through_solver(params, traj, c)
-            adj = adjoint_solve(params, hT, c, 0.0, 1.0, SolverConfig(rtol=1e-8, atol=1e-8))
+            hT, traj = solve_fixed_batch(params, h0[None], 0.0, 1.0, 2000)
+            disc_h0, disc_params = backprop_rk4_batch(params, traj, c[None])
+            adj = adjoint_solve(params, hT[0], c, 0.0, 1.0, SolverConfig(rtol=1e-8, atol=1e-8))
 
             # FD baseline over the n=200 discrete map (agrees with the n=2000
             # map far below the tolerance gate; see decisions ledger)
             def terminal(p, h):
-                out, _ = solve_fixed(p, h, 0.0, 1.0, 200)
-                return float(c @ out)
+                out, _ = solve_fixed_batch(p, h[None], 0.0, 1.0, 200)
+                return float(c @ out[0])
 
             step = 1e-5
             fd_h0 = np.zeros(d)
@@ -106,8 +107,8 @@ def test_criterion_1_gradient_consistency_triangle():
                 ) / (2 * step)
 
             for a, b in [
-                (disc.d_h0, adj.d_h0), (disc.d_h0, fd_h0), (adj.d_h0, fd_h0),
-                (disc.d_params, adj.d_params), (disc.d_params, fd_params),
+                (disc_h0[0], adj.d_h0), (disc_h0[0], fd_h0), (adj.d_h0, fd_h0),
+                (disc_params, adj.d_params), (disc_params, fd_params),
                 (adj.d_params, fd_params),
             ]:
                 assert agrees(a, b), f"seed {seed} (d={d}, width={width}) disagrees"
@@ -117,18 +118,18 @@ def test_criterion_2_solver_oracles():
     """Closed-form decay/rotation accuracy and 4th-order RK4 convergence."""
     with criterion(2, "solver oracle accuracy", budget_s=5):
         cfg = SolverConfig(rtol=1e-5, atol=1e-5)
-        hT, _ = solve_adaptive(lambda h, t: -h, np.array([1.0]), 0.0, 1.0, cfg)
+        hT, _ = integrate_adaptive(lambda h, t: -h, np.array([1.0]), 0.0, 1.0, cfg)
         assert abs(hT[0] - 0.3678794412) <= 1e-4
 
         rot = lambda h, t: np.array([-h[1], h[0]])
-        hT, _ = solve_adaptive(rot, np.array([1.0, 0.0]), 0.0, 2 * np.pi, cfg)
+        hT, _ = integrate_adaptive(rot, np.array([1.0, 0.0]), 0.0, 2 * np.pi, cfg)
         assert np.linalg.norm(hT - np.array([1.0, 0.0])) <= 1e-4
         assert abs(np.linalg.norm(hT) - 1.0) <= 1e-4
 
         err = {}
         for n in (100, 200):
-            out, _ = solve_fixed(lambda h, t: h, np.array([1.0]), 0.0, 1.0, n)
-            err[n] = abs(out[0] - np.e)
+            out, _ = solve_fixed_batch(ref.LinearField(1.0), np.array([[1.0]]), 0.0, 1.0, n)
+            err[n] = abs(out[0, 0] - np.e)
         assert 8.0 <= err[100] / err[200] <= 32.0
 
 
@@ -171,8 +172,8 @@ def test_criterion_5_adjoint_memory_contract():
         expected = 2 * 3 + params.n_params
         sizes, fevals = [], []
         for tol in (1e-3, 1e-12):
-            hT, _ = solve_fixed(params, h0, 0.0, 1.0, 400)
-            res = adjoint_solve(params, hT, np.ones(3), 0.0, 1.0, SolverConfig(rtol=tol, atol=tol))
+            hT, _ = solve_fixed_batch(params, h0[None], 0.0, 1.0, 400)
+            res = adjoint_solve(params, hT[0], np.ones(3), 0.0, 1.0, SolverConfig(rtol=tol, atol=tol))
             sizes.append(res.retained_floats)
             fevals.append(res.stats.n_feval)
         assert fevals[1] >= 10 * fevals[0], f"feval contrast too small: {fevals}"

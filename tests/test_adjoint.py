@@ -1,35 +1,41 @@
 import numpy as np
 import pytest
 
-from nodehead.adjoint import adjoint_solve, backprop_rk4_batch, backprop_through_solver
+import reference as ref
+from nodehead.adjoint import adjoint_solve, backprop_rk4_batch
 from nodehead.dynamics import init_params, unflatten
 from nodehead.errors import ContractError, ShapeError
-from nodehead.solvers import SolverConfig, Trajectory, solve_fixed, solve_fixed_batch
+from nodehead.solvers import SolverConfig, Trajectory, solve_fixed_batch
 
 
-class LinearField:
-    """dh/dt = lam * h with one parameter (lam); all derivatives closed-form."""
+def solve_row(params, h0, n_steps):
+    """Discrete forward solve of one state; returns (hT, trajectory of the n=1 batch)."""
+    hT, traj = solve_fixed_batch(params, np.asarray(h0)[None], 0.0, 1.0, n_steps)
+    return hT[0], traj
 
-    n_params = 1
 
-    def __init__(self, lam=-1.0):
-        self.lam = lam
+def backprop_row(params, traj, d_hT):
+    """Discrete reverse pass of one state; returns (d_h0, d_params)."""
+    d_h0, d_params = backprop_rk4_batch(params, traj, np.asarray(d_hT)[None])
+    return d_h0[0], d_params
 
-    def eval(self, h, t):
-        return self.lam * h
 
-    def vjp_state(self, h, t, a):
-        return self.lam * a
-
-    def vjp_params(self, h, t, a):
-        return np.array([float(a @ h)])
+def reference_rows(params, states0, cots, n_steps):
+    """Per-row reference reverse passes; returns (d_h0 rows, d_params summed over rows)."""
+    f = lambda h, t: ref.field(params, h, t)
+    d_h0 = np.empty_like(states0)
+    flat_sum = np.zeros(params.n_params)
+    for i in range(len(states0)):
+        _, times, states, stages = ref.rk4_solve(f, states0[i], 0.0, 1.0, n_steps)
+        d_h0[i], d_params = ref.rk4_backprop(params, times, states, stages, cots[i])
+        flat_sum += d_params
+    return d_h0, flat_sum
 
 
 def fd_discrete_grads(params, h0, c, n_steps, step=1e-6):
     """Finite differences of c.T hT through the discrete fixed-step map."""
     def terminal(p, h):
-        hT, _ = solve_fixed(p, h, 0.0, 1.0, n_steps)
-        return float(c @ hT)
+        return float(c @ solve_row(p, h, n_steps)[0])
 
     d_h0 = np.zeros_like(h0)
     for i in range(h0.size):
@@ -50,56 +56,53 @@ def fd_discrete_grads(params, h0, c, n_steps, step=1e-6):
 class TestBackpropThroughSolver:
     def test_zero_cotangent_gives_zero_gradients(self, rng):
         p = init_params(0, 3, 4, scale=0.8)
-        _, traj = solve_fixed(p, rng.standard_normal(3), 0.0, 1.0, 10)
-        res = backprop_through_solver(p, traj, np.zeros(3))
-        np.testing.assert_array_equal(res.d_h0, np.zeros(3))
-        np.testing.assert_array_equal(res.d_params, np.zeros(p.n_params))
+        _, traj = solve_row(p, rng.standard_normal(3), 10)
+        d_h0, d_params = backprop_row(p, traj, np.zeros(3))
+        np.testing.assert_array_equal(d_h0, np.zeros(3))
+        np.testing.assert_array_equal(d_params, np.zeros(p.n_params))
 
     def test_zero_field_passes_cotangent_through_exactly(self, rng):
         p = init_params(0, 3, 4, scale=0.0)
-        _, traj = solve_fixed(p, rng.standard_normal(3), 0.0, 1.0, 25)
+        _, traj = solve_row(p, rng.standard_normal(3), 25)
         d_hT = rng.standard_normal(3)
-        res = backprop_through_solver(p, traj, d_hT)
-        np.testing.assert_array_equal(res.d_h0, d_hT)
+        d_h0, d_params = backprop_row(p, traj, d_hT)
+        np.testing.assert_array_equal(d_h0, d_hT)
         # f == b2 when all weights vanish, so d/d_b2 integrates the cotangent
         # over [0, 1]: the RK4 quadrature of a constant is exact
-        np.testing.assert_allclose(res.d_params[-3:], d_hT, atol=1e-12)
+        np.testing.assert_allclose(d_params[-3:], d_hT, atol=1e-12)
 
     def test_matches_finite_differences_of_discrete_map(self):
         gen = np.random.default_rng(2)
         p = init_params(2, 3, 4, scale=0.8)
         h0 = gen.standard_normal(3)
         c = gen.standard_normal(3)
-        _, traj = solve_fixed(p, h0, 0.0, 1.0, 20)
-        res = backprop_through_solver(p, traj, c)
+        _, traj = solve_row(p, h0, 20)
+        d_h0, d_params = backprop_row(p, traj, c)
         fd_h0, fd_params = fd_discrete_grads(p, h0, c, 20)
-        np.testing.assert_allclose(res.d_h0, fd_h0, atol=1e-6)
-        np.testing.assert_allclose(res.d_params, fd_params, atol=1e-6)
+        np.testing.assert_allclose(d_h0, fd_h0, atol=1e-6)
+        np.testing.assert_allclose(d_params, fd_params, atol=1e-6)
 
     def test_missing_stages_is_contract_error(self, rng):
         p = init_params(0, 2, 3)
-        traj = Trajectory(times=np.array([0.0, 1.0]), states=rng.standard_normal((2, 2)), stages=None)
+        traj = Trajectory(times=np.array([0.0, 1.0]), states=rng.standard_normal((2, 1, 2)), stages=None)
         with pytest.raises(ContractError):
-            backprop_through_solver(p, traj, np.zeros(2))
+            backprop_rk4_batch(p, traj, np.zeros((1, 2)))
 
     def test_linear_in_cotangent(self, rng):
         p = init_params(4, 3, 5, scale=0.7)
-        _, traj = solve_fixed(p, rng.standard_normal(3), 0.0, 1.0, 15)
+        _, traj = solve_row(p, rng.standard_normal(3), 15)
         v1, v2 = rng.standard_normal(3), rng.standard_normal(3)
         alpha = -2.3
-        combined = backprop_through_solver(p, traj, alpha * v1 + v2)
-        r1 = backprop_through_solver(p, traj, v1)
-        r2 = backprop_through_solver(p, traj, v2)
-        np.testing.assert_allclose(combined.d_h0, alpha * r1.d_h0 + r2.d_h0, atol=1e-12)
-        np.testing.assert_allclose(combined.d_params, alpha * r1.d_params + r2.d_params, atol=1e-12)
+        combined = backprop_row(p, traj, alpha * v1 + v2)
+        r1 = backprop_row(p, traj, v1)
+        r2 = backprop_row(p, traj, v2)
+        for k in range(2):
+            np.testing.assert_allclose(combined[k], alpha * r1[k] + r2[k], atol=1e-12)
 
     def test_retained_floats_grow_with_step_count(self, rng):
         p = init_params(0, 3, 4, scale=0.5)
         h0 = rng.standard_normal(3)
-        sizes = []
-        for n in (10, 100):
-            _, traj = solve_fixed(p, h0, 0.0, 1.0, n)
-            sizes.append(backprop_through_solver(p, traj, np.ones(3)).retained_floats)
+        sizes = [solve_row(p, h0, n)[1].n_retained_floats for n in (10, 100)]
         assert sizes[1] > 9 * sizes[0]
 
     def test_batch_reverse_matches_singles(self, rng):
@@ -108,12 +111,8 @@ class TestBackpropThroughSolver:
         cots = rng.standard_normal((5, 3))
         _, traj_b = solve_fixed_batch(p, states0, 0.0, 1.0, 12)
         d_h0_b, d_flat_b = backprop_rk4_batch(p, traj_b, cots)
-        flat_sum = np.zeros(p.n_params)
-        for i in range(5):
-            _, traj = solve_fixed(p, states0[i], 0.0, 1.0, 12)
-            res = backprop_through_solver(p, traj, cots[i])
-            np.testing.assert_allclose(d_h0_b[i], res.d_h0, atol=1e-12)
-            flat_sum += res.d_params
+        d_h0, flat_sum = reference_rows(p, states0, cots, 12)
+        np.testing.assert_allclose(d_h0_b, d_h0, atol=1e-12)
         np.testing.assert_allclose(d_flat_b, flat_sum, atol=1e-11)
 
 
@@ -126,12 +125,8 @@ class TestBatchReverse:
         _, traj_b = solve_fixed_batch(p, states0, 0.0, 1.0, 9)
         d_h0_b, d_flat_b = backprop_rk4_batch(p, traj_b, cots)
         assert d_h0_b.shape == (n, d) and d_flat_b.shape == (p.n_params,)
-        flat_sum = np.zeros(p.n_params)
-        for i in range(n):
-            _, traj = solve_fixed(p, states0[i], 0.0, 1.0, 9)
-            res = backprop_through_solver(p, traj, cots[i])
-            np.testing.assert_allclose(d_h0_b[i], res.d_h0, rtol=0, atol=1e-12)
-            flat_sum += res.d_params
+        d_h0, flat_sum = reference_rows(p, states0, cots, 9)
+        np.testing.assert_allclose(d_h0_b, d_h0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(d_flat_b, flat_sum, rtol=0, atol=1e-12)
 
     def test_outputs_not_aliased_and_inputs_untouched(self, rng):
@@ -149,6 +144,21 @@ class TestBatchReverse:
         np.testing.assert_array_equal(traj.states, traj_before[0])
         np.testing.assert_array_equal(traj.stages, traj_before[1])
 
+    def test_closed_form_field_matches_rk4_stability_polynomial(self, rng):
+        # dh/dt = lam h: one RK4 step multiplies by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+        # with z = lam dt, so hT = R^N h0 and dL/dlam = dt R'(z) N R^(N-1) (c . h0)
+        lam, n_steps = -0.7, 8
+        dt = 1.0 / n_steps
+        z = lam * dt
+        r = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        dr = 1 + z + z**2 / 2 + z**3 / 6
+        states0, cots = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+        _, traj = solve_fixed_batch(ref.LinearField(lam), states0, 0.0, 1.0, n_steps)
+        d_h0, d_lam = backprop_rk4_batch(ref.LinearField(lam), traj, cots)
+        np.testing.assert_allclose(d_h0, r**n_steps * cots, rtol=1e-13)
+        expected = dt * dr * n_steps * r ** (n_steps - 1) * np.sum(cots * states0)
+        np.testing.assert_allclose(d_lam, [expected], rtol=1e-12)
+
     def test_cotangent_shape_checked(self, rng):
         p = init_params(0, 3, 4)
         _, traj = solve_fixed_batch(p, rng.standard_normal((4, 3)), 0.0, 1.0, 3)
@@ -160,14 +170,14 @@ class TestAdjointSolve:
     def test_zero_cotangent_gives_zero_gradients(self, rng):
         p = init_params(1, 3, 4, scale=0.8)
         cfg = SolverConfig(rtol=1e-8, atol=1e-8)
-        hT, _ = solve_fixed(p, rng.standard_normal(3), 0.0, 1.0, 50)
+        hT, _ = solve_row(p, rng.standard_normal(3), 50)
         res = adjoint_solve(p, hT, np.zeros(3), 0.0, 1.0, cfg)
         np.testing.assert_allclose(res.d_h0, np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(res.d_params, np.zeros(p.n_params), atol=1e-12)
 
     def test_linear_flow_closed_form(self):
         # dh/dt = -h: dL/dh0 = e^{-1} d_hT and dL/dlam = e^{-1} h0 for L = d_hT.h(1)
-        field = LinearField(lam=-1.0)
+        field = ref.LinearField(-1.0)
         cfg = SolverConfig(rtol=1e-10, atol=1e-10)
         hT = np.array([np.exp(-1.0)])
         res = adjoint_solve(field, hT, np.array([1.0]), 0.0, 1.0, cfg)
@@ -179,11 +189,11 @@ class TestAdjointSolve:
         p = init_params(6, 3, 5, scale=0.9)
         h0 = gen.standard_normal(3)
         c = gen.standard_normal(3)
-        hT, traj = solve_fixed(p, h0, 0.0, 1.0, 2000)
-        disc = backprop_through_solver(p, traj, c)
+        hT, traj = solve_row(p, h0, 2000)
+        disc_h0, disc_params = backprop_row(p, traj, c)
         adj = adjoint_solve(p, hT, c, 0.0, 1.0, SolverConfig(rtol=1e-8, atol=1e-8))
-        np.testing.assert_allclose(adj.d_h0, disc.d_h0, rtol=1e-4, atol=1e-10)
-        np.testing.assert_allclose(adj.d_params, disc.d_params, rtol=1e-4, atol=1e-10)
+        np.testing.assert_allclose(adj.d_h0, disc_h0, rtol=1e-4, atol=1e-10)
+        np.testing.assert_allclose(adj.d_params, disc_params, rtol=1e-4, atol=1e-10)
 
     def test_linear_in_cotangent(self, rng):
         # the continuous adjoint is linear in d_hT; numerically the adaptive
@@ -191,7 +201,7 @@ class TestAdjointSolve:
         # so exactness needs tight tolerances
         p = init_params(3, 2, 4, scale=0.8)
         cfg = SolverConfig(rtol=1e-11, atol=1e-11)
-        hT, _ = solve_fixed(p, rng.standard_normal(2), 0.0, 1.0, 100)
+        hT, _ = solve_row(p, rng.standard_normal(2), 100)
         v = rng.standard_normal(2)
         r1 = adjoint_solve(p, hT, v, 0.0, 1.0, cfg)
         r2 = adjoint_solve(p, hT, 3.0 * v, 0.0, 1.0, cfg)
@@ -207,7 +217,7 @@ class TestAdjointSolve:
         sizes, fevals = [], []
         for tol in (1e-3, 1e-12):
             cfg = SolverConfig(rtol=tol, atol=tol)
-            hT, _ = solve_fixed(p, h0, 0.0, 1.0, 800)
+            hT, _ = solve_row(p, h0, 800)
             res = adjoint_solve(p, hT, np.ones(3), 0.0, 1.0, cfg)
             sizes.append(res.retained_floats)
             fevals.append(res.stats.n_feval)
@@ -230,16 +240,16 @@ class TestGradientConsistencyTriangle:
         h0 = gen.standard_normal(d)
         c = gen.standard_normal(d)
         n = 400
-        hT, traj = solve_fixed(p, h0, 0.0, 1.0, n)
-        disc = backprop_through_solver(p, traj, c)
+        hT, traj = solve_row(p, h0, n)
+        disc_h0, disc_params = backprop_row(p, traj, c)
         adj = adjoint_solve(p, hT, c, 0.0, 1.0, SolverConfig(rtol=1e-8, atol=1e-8))
         fd_h0, fd_params = fd_discrete_grads(p, h0, c, n)
         for a, b in [
-            (disc.d_h0, adj.d_h0),
-            (disc.d_h0, fd_h0),
+            (disc_h0, adj.d_h0),
+            (disc_h0, fd_h0),
             (adj.d_h0, fd_h0),
-            (disc.d_params, adj.d_params),
-            (disc.d_params, fd_params),
+            (disc_params, adj.d_params),
+            (disc_params, fd_params),
             (adj.d_params, fd_params),
         ]:
             diff = np.abs(a - b)

@@ -100,6 +100,16 @@ class TestTrainCommand:
                      "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "bad_label.nodf: record 79 has label 12" in capsys.readouterr().err
 
+    def test_label_less_feature_file_exits_two_naming_file(self, tmp_path, capsys):
+        bad = tmp_path / "nolabels.nodf"
+        save_feature_file(Dataset(np.zeros((4, 3)), np.zeros(4, dtype=np.int64)), bad)
+        blob = bytearray(bad.read_bytes()[:-4])  # drop the label bytes
+        blob[16] = 0  # has_labels
+        bad.write_bytes(bytes(blob))
+        assert main(["train", "--head", "baseline", "--data", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "nolabels.nodf: file has no labels" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_non_finite_validation_loss_exits_three(self, feature_file, tmp_path, capsys):
@@ -382,6 +392,31 @@ class TestManifestContract:
         again = recorded[0]
         assert (original.pop("out"), again.pop("out")) == (str(tmp_path / "a"), str(tmp_path / "b"))
         assert again == original
+
+    def test_rerun_drops_flag_the_command_no_longer_takes(self, feature_file, tmp_path, capsys):
+        # a sweep-tol manifest from when the command still declared --n-steps
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "manifest.txt").write_text(
+            "command=sweep-tol\ntoolkit_version=0.1.0\nstarted_at=2026-01-01T00:00:00.000000Z\n"
+            "arg.tols=0.001,1e-05\narg.mode=eval\narg.epochs=5\narg.batch-size=64\n"
+            "arg.val-fraction=0.1\narg.seed=0\n"
+            f"arg.data={feature_file}\narg.feature-dim=64\narg.extractor-seed=0\narg.limit=8\n"
+            "arg.width=4\narg.scale=0.1\narg.n-steps=16\narg.max-steps=100000\n"
+            f"arg.out={old}\nfinished_at=2026-01-01T00:00:01.000000Z\n")
+        assert main(["sweep-tol", "--tols", "0.001,1e-05", "--limit", "8", "--width", "4",
+                     "--data", str(feature_file), "--out", str(tmp_path / "fresh")]) == 0
+        capsys.readouterr()
+        assert main(["rerun", str(old / "manifest.txt"), "--out", str(tmp_path / "redo")]) == 0
+        assert "dropping --n-steps" in capsys.readouterr().err
+
+        def without_wall_ms(path):
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        redo, fresh = tmp_path / "redo" / "sweep.csv", tmp_path / "fresh" / "sweep.csv"
+        assert without_wall_ms(redo) == without_wall_ms(fresh)
+        _, recorded = read_manifest(tmp_path / "redo" / "manifest.txt")
+        assert "n-steps" not in recorded
 
     def test_rerun_rejects_rerun_manifest(self, tmp_path):
         m = tmp_path / "m.txt"

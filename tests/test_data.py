@@ -166,18 +166,17 @@ class TestFeatureFile:
         with pytest.raises(DataError, match=r"bad\.nodf: record 2 has label 12 outside \[0, 10\)"):
             load_feature_file(path)
 
-    def test_label_less_file_accepted(self, tmp_path):
-        # external producers may omit labels (has_labels = 0)
+    def test_label_less_file_rejected(self, tmp_path):
+        # external producers may omit labels (has_labels = 0); training on
+        # made-up labels would be a silently wrong run
         import struct
 
         feats = np.arange(6, dtype="<f4").reshape(2, 3)
         blob = b"NODF" + struct.pack("<IIIB", 1, 2, 3, 0) + feats.tobytes()
         path = tmp_path / "nolabels.nodf"
         path.write_bytes(blob)
-        ds = load_feature_file(path)
-        assert len(ds) == 2 and ds.d == 3
-        np.testing.assert_array_equal(ds.labels, np.zeros(2, dtype=np.int64))
-        np.testing.assert_array_equal(ds.features, feats.astype(np.float64))
+        with pytest.raises(DataError, match=r"nolabels\.nodf: file has no labels"):
+            load_feature_file(path)
 
 
 class TestDataset:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference as ref
 from nodehead.dynamics import (
     BatchWorkspace,
     DynamicsParams,
@@ -100,7 +101,9 @@ class TestEvalDynamics:
         states = rng.standard_normal((9, 3))
         batched = eval_dynamics_batch(p, states, 0.4)
         for i in range(9):
-            np.testing.assert_allclose(batched[i], eval_dynamics(p, states[i], 0.4), atol=1e-14)
+            want = ref.field(p, states[i], 0.4)
+            np.testing.assert_allclose(batched[i], want, atol=1e-14)
+            np.testing.assert_allclose(eval_dynamics(p, states[i], 0.4), want, atol=1e-14)
 
 
 class TestVjps:
@@ -167,8 +170,12 @@ class TestVjps:
         d_states, d_flat = vjp_batch(p, states, 0.25, cots)
         flat_sum = np.zeros(p.n_params)
         for i in range(6):
-            np.testing.assert_allclose(d_states[i], vjp_state(p, states[i], 0.25, cots[i]), atol=1e-13)
-            flat_sum += vjp_params(p, states[i], 0.25, cots[i])
+            want = ref.vjp_state(p, states[i], 0.25, cots[i])
+            np.testing.assert_allclose(d_states[i], want, atol=1e-13)
+            np.testing.assert_allclose(vjp_state(p, states[i], 0.25, cots[i]), want, atol=1e-13)
+            flat_sum += ref.vjp_params(p, states[i], 0.25, cots[i])
+            np.testing.assert_allclose(vjp_params(p, states[i], 0.25, cots[i]),
+                                       ref.vjp_params(p, states[i], 0.25, cots[i]), atol=1e-13)
         np.testing.assert_allclose(d_flat, flat_sum, atol=1e-12)
 
 
@@ -196,6 +203,16 @@ class TestBatchWorkspace:
             np.testing.assert_array_equal(d_states, fresh_states)
             flat_sum += fresh_flat
         np.testing.assert_allclose(work.d_params(), flat_sum, rtol=0, atol=1e-13)
+
+    def test_value_out_shares_the_activation(self, rng):
+        p = init_params(8, 3, 7, scale=0.9)
+        states, cots = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        value = np.empty((4, 3))
+        d_states, d_flat = vjp_batch(p, states, 0.3, cots, value_out=value)
+        np.testing.assert_array_equal(value, eval_dynamics_batch(p, states, 0.3))
+        fresh_states, fresh_flat = vjp_batch(p, states, 0.3, cots)
+        np.testing.assert_array_equal(d_states, fresh_states)
+        np.testing.assert_array_equal(d_flat, fresh_flat)
 
     def test_batch_shapes_checked(self, rng):
         p = init_params(0, 3, 4)

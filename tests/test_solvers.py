@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
+import reference as ref
+from nodehead import solvers
 from nodehead.dynamics import DynamicsParams, init_params
 from nodehead.errors import ContractError, NumericError, ShapeError, StepBudgetError
 from nodehead.solvers import (
     SolveStats,
     SolverConfig,
     integrate_adaptive,
-    rk4_step,
     rk4_terminal_batch,
     solve_adaptive,
-    solve_fixed,
     solve_fixed_batch,
 )
 
 ZERO_FIELD = lambda h, t: np.zeros_like(h)
 DECAY = lambda h, t: -h
-GROWTH = lambda h, t: h
 ROTATION = lambda h, t: np.array([-h[1], h[0]])
+GROWTH = ref.LinearField(1.0)
 
 
 def rk4_oracle(f, h, t, dt):
@@ -34,11 +34,17 @@ def rk4_oracle(f, h, t, dt):
     return h + dt * sum(bi * ki for bi, ki in zip(b, ks))
 
 
+def rk4_step(field, h, t, dt):
+    """One RK4 step of the batch kernel on a single row; returns (h_next, stages (4, d))."""
+    h_next, traj = solve_fixed_batch(field, np.asarray(h, dtype=np.float64)[None], t, t + dt, 1)
+    return h_next[0], traj.stages[0, :, 0]
+
+
 class TestSolverConfig:
     def test_defaults_match_documented_controller(self):
         cfg = SolverConfig()
         assert cfg.rtol == cfg.atol == 1e-5
-        assert cfg.safety == 0.9 and cfg.min_factor == 0.2 and cfg.max_factor == 5.0
+        assert solvers.SAFETY == 0.9 and solvers.MIN_FACTOR == 0.2 and solvers.MAX_FACTOR == 5.0
         assert cfg.max_steps == 100_000
 
     @pytest.mark.parametrize(
@@ -48,8 +54,8 @@ class TestSolverConfig:
             {"atol": -1e-9},
             {"n_steps": 0},
             {"max_steps": 0},
-            {"min_factor": 1.5},
-            {"max_factor": 0.5},
+            {"atol": 0.0},
+            {"rtol": -1e-3},
             {"method": "euler"},
         ],
     )
@@ -61,7 +67,7 @@ class TestSolverConfig:
 class TestRk4Step:
     def test_zero_field_keeps_state(self, rng):
         h = rng.standard_normal(4)
-        h_next, stages = rk4_step(ZERO_FIELD, h, 0.0, 0.25)
+        h_next, stages = rk4_step(ref.LinearField(0.0), h, 0.0, 0.25)
         np.testing.assert_array_equal(h_next, h)
         assert stages.shape == (4, 4)
 
@@ -69,59 +75,56 @@ class TestRk4Step:
         h_next, _ = rk4_step(GROWTH, np.array([1.0]), 0.0, 0.1)
         assert abs(h_next[0] - np.exp(0.1)) <= 1e-7
 
-    def test_matches_independent_tableau_bitwise(self, rng):
+    def test_matches_independent_tableau(self, rng):
         p = init_params(3, 3, 5, scale=0.8)
-        from nodehead.dynamics import eval_dynamics
-
-        f = lambda h, t: eval_dynamics(p, h, t)
+        f = lambda h, t: ref.field(p, h, t)
         h = rng.standard_normal(3)
         ours, _ = rk4_step(p, h, 0.2, 0.05)
-        np.testing.assert_array_equal(ours, rk4_oracle(f, h, 0.2, 0.05))
+        np.testing.assert_allclose(ours, rk4_oracle(f, h, 0.2, 0.05), rtol=0, atol=1e-12)
 
     def test_non_finite_state_raises_with_time(self):
-        blow_up = lambda h, t: h * np.inf
         with pytest.raises(NumericError) as exc:
-            rk4_step(blow_up, np.array([1.0]), 0.5, 0.1)
+            rk4_step(ref.LinearField(np.inf), np.array([1.0]), 0.5, 0.1)
         assert exc.value.where == pytest.approx(0.6)
 
 
 class TestSolveFixed:
     def test_zero_field_trajectory_constant(self, rng):
-        h0 = rng.standard_normal(3)
-        hT, traj = solve_fixed(ZERO_FIELD, h0, 0.0, 1.0, 7)
+        h0 = rng.standard_normal((1, 3))
+        hT, traj = solve_fixed_batch(ref.LinearField(0.0), h0, 0.0, 1.0, 7)
         np.testing.assert_array_equal(hT, h0)
-        assert traj.states.shape == (8, 3)
+        assert traj.states.shape == (8, 1, 3)
         for state in traj.states:
             np.testing.assert_array_equal(state, h0)
 
     def test_exponential_growth_accuracy(self):
-        hT, traj = solve_fixed(GROWTH, np.array([1.0]), 0.0, 1.0, 100)
-        assert abs(hT[0] - np.e) <= 1e-7
+        hT, traj = solve_fixed_batch(GROWTH, np.array([[1.0]]), 0.0, 1.0, 100)
+        assert abs(hT[0, 0] - np.e) <= 1e-7
         assert np.all(np.diff(traj.times) > 0)
         assert len(traj.times) == len(traj.states) == 101
 
     def test_fourth_order_convergence_ratio(self):
         err = {}
         for n in (100, 200):
-            hT, _ = solve_fixed(GROWTH, np.array([1.0]), 0.0, 1.0, n)
-            err[n] = abs(hT[0] - np.e)
+            hT, _ = solve_fixed_batch(GROWTH, np.array([[1.0]]), 0.0, 1.0, n)
+            err[n] = abs(hT[0, 0] - np.e)
         ratio = err[100] / err[200]
         assert 8.0 <= ratio <= 32.0
 
     def test_preconditions(self):
         with pytest.raises(ContractError):
-            solve_fixed(ZERO_FIELD, np.zeros(2), 0.0, 1.0, 0)
+            solve_fixed_batch(GROWTH, np.zeros((1, 2)), 0.0, 1.0, 0)
         with pytest.raises(ContractError):
-            solve_fixed(ZERO_FIELD, np.zeros(2), 1.0, 0.0, 4)
+            solve_fixed_batch(GROWTH, np.zeros((1, 2)), 1.0, 0.0, 4)
 
     def test_batch_agrees_with_single(self, rng):
         p = init_params(5, 3, 6, scale=0.7)
         states0 = rng.standard_normal((5, 3))
         hT_batch, traj_batch = solve_fixed_batch(p, states0, 0.0, 1.0, 12)
         for i in range(5):
-            hT, traj = solve_fixed(p, states0[i], 0.0, 1.0, 12)
+            hT, _, _, stages = ref.rk4_solve(lambda h, t: ref.field(p, h, t), states0[i], 0.0, 1.0, 12)
             np.testing.assert_allclose(hT_batch[i], hT, atol=1e-12)
-            np.testing.assert_allclose(traj_batch.stages[:, :, i, :], traj.stages, atol=1e-12)
+            np.testing.assert_allclose(traj_batch.stages[:, :, i, :], stages, atol=1e-12)
 
     def test_terminal_batch_matches_full_solve(self, rng):
         p = init_params(5, 4, 6, scale=0.7)
@@ -140,10 +143,11 @@ class TestBatchKernel:
         assert hT.shape == (n, d)
         assert traj.states.shape == (8, n, d) and traj.stages.shape == (7, 4, n, d)
         for i in range(n):
-            hT_row, traj_row = solve_fixed(p, states0[i], 0.0, 1.0, 7)
+            hT_row, _, states_row, stages_row = ref.rk4_solve(
+                lambda h, t: ref.field(p, h, t), states0[i], 0.0, 1.0, 7)
             np.testing.assert_allclose(hT[i], hT_row, atol=1e-12)
-            np.testing.assert_allclose(traj.states[:, i], traj_row.states, atol=1e-12)
-            np.testing.assert_allclose(traj.stages[:, :, i], traj_row.stages, atol=1e-12)
+            np.testing.assert_allclose(traj.states[:, i], states_row, atol=1e-12)
+            np.testing.assert_allclose(traj.stages[:, :, i], stages_row, atol=1e-12)
         np.testing.assert_array_equal(rk4_terminal_batch(p, states0, 0.0, 1.0, 7), traj.states[-1])
 
     @pytest.mark.parametrize("keep", [True, False])
@@ -180,29 +184,29 @@ class TestBatchKernel:
 class TestSolveAdaptive:
     def test_zero_field_no_rejections(self, rng):
         h0 = rng.standard_normal(4)
-        hT, stats = solve_adaptive(ZERO_FIELD, h0, 0.0, 1.0, SolverConfig())
+        hT, stats = integrate_adaptive(ZERO_FIELD, h0, 0.0, 1.0, SolverConfig())
         np.testing.assert_array_equal(hT, h0)
         assert stats.n_reject == 0
 
     def test_decay_closed_form(self):
-        hT, _ = solve_adaptive(DECAY, np.array([1.0]), 0.0, 1.0, SolverConfig())
+        hT, _ = integrate_adaptive(DECAY, np.array([1.0]), 0.0, 1.0, SolverConfig())
         assert abs(hT[0] - 0.3678794412) <= 1e-4
 
     def test_rotation_orbit_conservation(self):
-        hT, _ = solve_adaptive(ROTATION, np.array([1.0, 0.0]), 0.0, 2 * np.pi, SolverConfig())
+        hT, _ = integrate_adaptive(ROTATION, np.array([1.0, 0.0]), 0.0, 2 * np.pi, SolverConfig())
         assert np.linalg.norm(hT - np.array([1.0, 0.0])) <= 1e-4
         assert abs(np.linalg.norm(hT) - 1.0) <= 1e-4
 
     def test_norm_drift_within_tolerance_budget(self):
         cfg = SolverConfig(rtol=1e-6, atol=1e-6)
-        hT, _ = solve_adaptive(ROTATION, np.array([1.0, 0.0]), 0.0, 2 * np.pi, cfg)
+        hT, _ = integrate_adaptive(ROTATION, np.array([1.0, 0.0]), 0.0, 2 * np.pi, cfg)
         assert abs(np.linalg.norm(hT) - 1.0) <= 10 * (cfg.atol + cfg.rtol)
 
     def test_feval_monotone_in_tolerance(self):
         # curved flow: tightening the tolerance must strictly raise the cost
         counts = []
         for tol in (1e-3, 1e-5, 1e-7):
-            _, stats = solve_adaptive(
+            _, stats = integrate_adaptive(
                 ROTATION, np.array([1.0, 0.0]), 0.0, 2 * np.pi, SolverConfig(rtol=tol, atol=tol)
             )
             counts.append(stats.n_feval)
@@ -220,9 +224,9 @@ class TestSolveAdaptive:
     def test_agrees_with_fixed_at_high_accuracy(self, rng):
         p = init_params(2, 3, 6, scale=0.9)
         h0 = rng.standard_normal(3)
-        h_fixed, _ = solve_fixed(p, h0, 0.0, 1.0, 10_000)
+        h_fixed, _ = solve_fixed_batch(p, h0[None], 0.0, 1.0, 10_000)
         h_adaptive, _ = solve_adaptive(p, h0, 0.0, 1.0, SolverConfig(rtol=1e-10, atol=1e-10))
-        np.testing.assert_allclose(h_adaptive, h_fixed, atol=1e-6)
+        np.testing.assert_allclose(h_adaptive, h_fixed[0], atol=1e-6)
 
     def test_reversibility(self, rng):
         p = init_params(8, 3, 6, scale=0.9)
@@ -242,38 +246,36 @@ class TestSolveAdaptive:
     def test_step_budget_error_reports_progress(self):
         cfg = SolverConfig(max_steps=3)
         with pytest.raises(StepBudgetError) as exc:
-            solve_adaptive(lambda h, t: 100 * np.cos(100 * t) * h, np.array([1.0]), 0.0, 10.0, cfg)
+            integrate_adaptive(lambda h, t: 100 * np.cos(100 * t) * h, np.array([1.0]), 0.0, 10.0, cfg)
         assert exc.value.where is not None
         assert 0.0 <= exc.value.where < 10.0
 
     def test_non_finite_raises_numeric_error(self):
         stiff_blowup = lambda h, t: h * h * 1e4
         with np.errstate(over="ignore"), pytest.raises((NumericError, StepBudgetError)):
-            solve_adaptive(stiff_blowup, np.array([10.0]), 0.0, 5.0, SolverConfig(max_steps=200))
+            integrate_adaptive(stiff_blowup, np.array([10.0]), 0.0, 5.0, SolverConfig(max_steps=200))
 
     def test_requires_distinct_endpoints(self):
         with pytest.raises(ContractError):
-            solve_adaptive(ZERO_FIELD, np.zeros(2), 0.5, 0.5, SolverConfig())
+            integrate_adaptive(ZERO_FIELD, np.zeros(2), 0.5, 0.5, SolverConfig())
 
     def test_stops_exactly_at_t1(self):
         seen = []
         def recording(h, t):
             seen.append(t)
             return -h
-        hT, _ = solve_adaptive(recording, np.array([1.0]), 0.0, 0.7, SolverConfig())
+        hT, _ = integrate_adaptive(recording, np.array([1.0]), 0.0, 0.7, SolverConfig())
         assert max(seen) <= 0.7 + 1e-12
 
     def test_against_scipy_reference(self, rng):
         scipy_integrate = pytest.importorskip("scipy.integrate")
         p = init_params(4, 4, 8, scale=1.0)
-        from nodehead.dynamics import eval_dynamics
-
         h0 = rng.standard_normal(4)
-        ref = scipy_integrate.solve_ivp(
-            lambda t, y: eval_dynamics(p, y, t), (0.0, 1.0), h0, rtol=1e-10, atol=1e-10
+        expected = scipy_integrate.solve_ivp(
+            lambda t, y: ref.field(p, y, t), (0.0, 1.0), h0, rtol=1e-10, atol=1e-10
         ).y[:, -1]
         ours, _ = solve_adaptive(p, h0, 0.0, 1.0, SolverConfig(rtol=1e-8, atol=1e-8))
-        np.testing.assert_allclose(ours, ref, atol=1e-6)
+        np.testing.assert_allclose(ours, expected, atol=1e-6)
 
 
 class TestSolveStats:

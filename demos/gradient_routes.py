@@ -8,7 +8,7 @@ they agree, along with what each route had to keep in memory.
 
 import numpy as np
 
-from nodehead import SolverConfig, init_node_head, loss_and_grads
+from nodehead import SolverConfig, init_node_head, train_step
 from nodehead.adjoint import adjoint_solve, backprop_rk4_batch
 from nodehead.dynamics import init_params
 from nodehead.model import evaluate, head_from_flat, head_to_flat
@@ -24,8 +24,8 @@ labels = rng.integers(0, CLASSES, BATCH)
 fixed = SolverConfig(method="rk4_fixed", n_steps=400)
 adaptive = SolverConfig(rtol=1e-8, atol=1e-8)
 
-loss_d, g_discrete, stats_d = loss_and_grads(head, features, labels, "discrete", fixed)
-loss_a, g_adjoint, stats_a = loss_and_grads(head, features, labels, "adjoint", adaptive)
+loss_d, g_discrete, stats_d, _ = train_step(head, features, labels, "discrete", fixed)
+loss_a, g_adjoint, stats_a, _ = train_step(head, features, labels, "adjoint", adaptive)
 
 print(f"loss (discrete forward):  {loss_d:.10f}")
 print(f"loss (adaptive forward):  {loss_a:.10f}")

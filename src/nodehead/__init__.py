@@ -35,15 +35,15 @@ from .model import (
     BaselineHead,
     NodeHead,
     evaluate,
-    forward_baseline,
-    forward_node,
+    forward,
     head_from_flat,
     head_to_flat,
     init_baseline_head,
     init_node_head,
     load_checkpoint,
-    loss_and_grads,
     save_checkpoint,
+    softmax,
+    train_step,
 )
 from .solvers import (
     SolveStats,
@@ -52,7 +52,6 @@ from .solvers import (
     integrate_adaptive,
     solve_adaptive,
 )
-from .tensorops import softmax
 from .train import (
     AdamConfig,
     MetricsRecord,

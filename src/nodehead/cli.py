@@ -36,8 +36,8 @@ from .model import (
     head_to_flat,
     init_node_head,
     load_checkpoint,
-    loss_and_grads,
     save_checkpoint,
+    train_step,
 )
 from .solvers import SolverConfig
 from .svgplot import plot_metrics_csv
@@ -287,6 +287,8 @@ def cmd_compare(args):
     test_ds = None
     if args.test_data:
         test_ds = _load_dataset(args.test_data, args.feature_dim, args.extractor_seed, 0)
+        if test_ds.d != dataset.d:
+            raise DataError(f"{args.test_data}: feature dimension {test_ds.d}, but --data has {dataset.d}")
 
     # a run's flags: train's defaults, overridden by every flag compare shares with train
     train_parser = _Parser(prog="nodehead train")
@@ -422,8 +424,8 @@ def cmd_gradcheck(args):
 
     fixed_cfg = SolverConfig(method="rk4_fixed", n_steps=args.n_steps)
     adaptive_cfg = SolverConfig(method="dopri5", rtol=args.rtol, atol=args.atol)
-    _, g_discrete, _ = loss_and_grads(head, features, labels, "discrete", fixed_cfg)
-    _, g_adjoint, _ = loss_and_grads(head, features, labels, "adjoint", adaptive_cfg)
+    _, g_discrete, _, _ = train_step(head, features, labels, "discrete", fixed_cfg)
+    _, g_adjoint, _, _ = train_step(head, features, labels, "adjoint", adaptive_cfg)
     g_fd = _fd_loss_grad(head, features, labels, args.fd_n_steps, args.fd_step)
 
     table = [

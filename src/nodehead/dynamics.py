@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,9 @@ def init_params(seed, d, width, scale=0.1):
     scale=0 gives the zero field (the block becomes the identity map).
     """
     if d < 1 or width < 1:
-        raise ShapeError(f"d and width must be >= 1, got d={d}, width={width}")
-    if scale < 0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
+        raise ContractError(f"d and width must be >= 1, got d={d}, width={width}")
+    if not 0 <= scale < np.inf:
+        raise ContractError(f"scale must be finite and >= 0, got {scale}")
     rng = np.random.default_rng(seed)
     lim1 = scale * np.sqrt(1.0 / (d + 1))
     lim2 = scale * np.sqrt(1.0 / width)

@@ -1,13 +1,18 @@
 """Classifier heads over frozen features.
 
-Two heads share an identical final linear layer; they differ only in what
-sits in front of it:
+Two heads share an identical final linear layer; they differ only in the
+block that sits in front of it:
 
 * :class:`NodeHead` - the feature vector is evolved by the learnable ODE
   field over t in [0, 1] before the linear layer. With zero field
   parameters the evolution is the identity, so the head degenerates to the
   baseline exactly.
-* :class:`BaselineHead` - the linear layer alone.
+* :class:`BaselineHead` - the block is the identity, ``hT = features``.
+
+Both heads take one route on (n, d) batches: :func:`forward` runs the block
+and the output layer ``hT @ w_out.T + b_out``, :func:`evaluate` adds the
+loss, and :func:`train_step` adds the gradients, whose output-layer part
+``d_logits.T @ hT`` is the same expression for both heads.
 
 Both heads expose one flat trainable-parameter vector (see
 :func:`head_to_flat`) in a fixed order that checkpoints reuse:
@@ -20,25 +25,22 @@ u32 classes, then the flat parameters as float64.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tensorops
 from .adjoint import adjoint_solve, backprop_rk4_batch
 from .dynamics import DynamicsParams, init_params, unflatten
 from .errors import ContractError, FormatError, ShapeError
 from .seeding import subseed
-from .solvers import (
-    SolveStats,
-    SolverConfig,
-    rk4_terminal_batch,
-    solve,
-    solve_adaptive,
-    solve_fixed_batch,
-)
+from .solvers import SolveStats, SolverConfig, solve
+# looked up here by the benchmark's span tracer (perfbench/spans.py)
+from .solvers import rk4_terminal_batch, solve_adaptive, solve_fixed_batch  # noqa: F401
 
 T_SPAN = (0.0, 1.0)
+EPS_LOG = 1e-12  # floor inside the cross-entropy so log(0) never occurs
+# the solver method each gradient route differentiates
+_GRAD_METHODS = {"discrete": "rk4_fixed", "adjoint": "dopri5"}
 
 CHECKPOINT_MAGIC = b"NODC"
 CHECKPOINT_VERSION = 1
@@ -106,6 +108,8 @@ class BaselineHead:
 
 
 def _init_out_layer(seed, d, classes):
+    if d < 1 or classes < 1:
+        raise ContractError(f"d and classes must be >= 1, got d={d}, classes={classes}")
     rng = np.random.default_rng(seed)
     lim = np.sqrt(1.0 / d)
     w_out = rng.uniform(-lim, lim, size=(classes, d))
@@ -126,31 +130,10 @@ def init_baseline_head(seed, d, classes):
     return BaselineHead(w_out, b_out)
 
 
-def forward_baseline(head, features):
-    """Logits ``w_out @ features + b_out``; accepts one row (d,) or a batch (n, d)."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[-1] != head.d:
-        raise ShapeError(f"feature shape {features.shape} does not match head dimension {head.d}")
-    return features @ head.w_out.T + head.b_out
-
-
-def forward_node(head, features, config):
-    """Evolve the features through the ODE block over [0, 1], then the linear layer.
-
-    Returns (logits, SolveStats); the solver method comes from ``config``.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (head.d,):
-        raise ShapeError(f"feature shape {features.shape} does not match head dimension {head.d}")
-    hT, stats = solve(head.dynamics, features, T_SPAN[0], T_SPAN[1], config)
-    return head.w_out @ hT + head.b_out, stats
-
-
 def head_to_flat(head):
     """All trainable parameters as one float64 vector in the documented order."""
-    if isinstance(head, NodeHead):
-        return np.concatenate([head.dynamics.flatten(), head.w_out.ravel(), head.b_out])
-    return np.concatenate([head.w_out.ravel(), head.b_out])
+    block = [head.dynamics.flatten()] if isinstance(head, NodeHead) else []
+    return np.concatenate(block + [head.w_out.ravel(), head.b_out])
 
 
 def head_from_flat(template, flat):
@@ -159,30 +142,80 @@ def head_from_flat(template, flat):
     if flat.shape != (template.n_params,):
         raise ShapeError(f"flat vector shape {flat.shape}, expected ({template.n_params},)")
     d, classes = template.d, template.classes
+    p = flat.size - classes * (d + 1)  # the block's parameters come first
+    w_out = flat[p : p + classes * d].reshape(classes, d).copy()
+    b_out = flat[p + classes * d :].copy()
     if isinstance(template, NodeHead):
-        p = template.dynamics.n_params
-        dynamics = unflatten(flat[:p], d, template.dynamics.width)
-        w_out = flat[p : p + classes * d].reshape(classes, d).copy()
-        b_out = flat[p + classes * d :].copy()
-        return NodeHead(dynamics, w_out, b_out)
-    w_out = flat[: classes * d].reshape(classes, d).copy()
-    b_out = flat[classes * d :].copy()
+        return NodeHead(unflatten(flat[:p], d, template.dynamics.width), w_out, b_out)
     return BaselineHead(w_out, b_out)
+
+
+def _check_batch(head, features, labels=None):
+    """The batch checks of every entry point; returns float64 (n, d) features
+    and, when given, int64 labels."""
+    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if features.shape[0] == 0:
+        raise ContractError("empty batch")
+    if features.ndim != 2 or features.shape[1] != head.d:
+        raise ShapeError(f"feature shape {features.shape} does not match head dimension {head.d}")
+    if labels is None:
+        return features
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    if features.shape[0] != labels.shape[0]:
+        raise ShapeError(f"{features.shape[0]} feature rows vs {labels.shape[0]} labels")
+    return features, labels
+
+
+def _evolve(head, features, config, keep_trajectory=False):
+    """The head's block over ``T_SPAN``: (hT, SolveStats, Trajectory | None);
+    the baseline's is the identity and does no solver work."""
+    if isinstance(head, BaselineHead):
+        return features, SolveStats(), None
+    return solve(head.dynamics, features, *T_SPAN, config, keep_trajectory)
+
+
+def _block_grad(head, hT, d_logits, traj, config, stats):
+    """Loss gradient of the block's parameters: none for the baseline's
+    identity, the reverse pass over ``traj`` when there is one, otherwise
+    the adjoint backward solve row by row (its cost merged into ``stats``)."""
+    if isinstance(head, BaselineHead):
+        return np.empty(0)
+    d_hT = d_logits @ head.w_out
+    if traj is not None:
+        return backprop_rk4_batch(head.dynamics, traj, d_hT)[1]
+    d_dyn = np.zeros(head.dynamics.n_params)
+    for i in range(hT.shape[0]):
+        res = adjoint_solve(head.dynamics, hT[i], d_hT[i], *T_SPAN, config)
+        d_dyn += res.d_params
+        stats.merge(res.stats)
+    return d_dyn
+
+
+def softmax(logits):
+    """Softmax along the last axis, computed with max-subtraction.
+
+    Components are positive and sum to 1 within 1e-12 for any finite input;
+    the shift makes the exponentials overflow-safe.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _loss_and_dlogits(logits, labels):
     """Mean cross-entropy and its exact logit gradient for one batch.
 
-    The 1e-12 floor inside the loss makes the analytic gradient
+    The EPS_LOG floor inside the loss makes the analytic gradient
     coef * (p - onehot) with coef = p_label / (p_label + eps), scaled by 1/n;
     keeping the factor makes finite differences of the implemented loss agree
     to machine-level accuracy.
     """
     n = logits.shape[0]
-    probs = tensorops.softmax(logits)
+    probs = softmax(logits)
     rows = np.arange(n)
     p_label = probs[rows, labels]
-    q = p_label + tensorops.EPS_LOG
+    q = p_label + EPS_LOG
     loss = float(np.mean(-np.log(q)))
     coef = (p_label / q) / n
     d_logits = probs * coef[:, None]
@@ -190,105 +223,49 @@ def _loss_and_dlogits(logits, labels):
     return loss, probs, d_logits
 
 
-def loss_and_grads(head, features, labels, grad_method="discrete", config=None):
-    """Mean cross-entropy over a batch plus gradients for every head parameter.
-
-    ``grad_method`` selects how gradients flow through the ODE block:
-    "discrete" differentiates the stored fixed-step recursion (uses
-    ``config.n_steps``), "adjoint" runs the continuous backward solve at the
-    config tolerances. Output-layer gradients are closed-form either way.
-    Returns (loss, flat gradient vector, SolveStats).
-    """
-    loss, grads, stats, _ = train_step(head, features, labels, grad_method, config)
-    return loss, grads, stats
+def forward(head, features, config=None):
+    """Logits of an (n, d) batch, the block then the output layer; returns
+    (logits, SolveStats). The NODE block solves by ``config.method``."""
+    features = _check_batch(head, features)
+    hT, stats, _ = _evolve(head, features, SolverConfig() if config is None else config)
+    return hT @ head.w_out.T + head.b_out, stats
 
 
 def train_step(head, features, labels, grad_method="discrete", config=None):
-    """:func:`loss_and_grads` plus the batch correct-prediction count.
+    """Mean cross-entropy over a batch, gradients for every head parameter,
+    and the batch correct-prediction count.
 
-    The extra count lets the training loop report running accuracy without a
-    second forward pass.
+    ``grad_method`` selects the solver method and how gradients flow through
+    the ODE block: "discrete" differentiates the stored fixed-step recursion
+    (uses ``config.n_steps``), "adjoint" solves with dopri5 and runs the
+    continuous backward solve at the config tolerances. Output-layer
+    gradients are closed-form either way. Returns (loss, flat gradient
+    vector, SolveStats, n_correct); the count lets the training loop report
+    running accuracy without a second forward pass.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    if features.shape[0] == 0:
-        raise ContractError("empty batch")
-    if features.shape[0] != labels.shape[0]:
-        raise ShapeError(f"{features.shape[0]} feature rows vs {labels.shape[0]} labels")
-    if config is None:
-        config = SolverConfig()
-    stats = SolveStats()
-    n = features.shape[0]
-
-    if isinstance(head, BaselineHead):
-        logits = forward_baseline(head, features)
-        loss, probs, d_logits = _loss_and_dlogits(logits, labels)
-        n_correct = int(np.sum(np.argmax(probs, axis=1) == labels))
-        d_w_out = d_logits.T @ features
-        d_b_out = d_logits.sum(axis=0)
-        return loss, np.concatenate([d_w_out.ravel(), d_b_out]), stats, n_correct
-
-    if grad_method == "discrete":
-        hT, traj = solve_fixed_batch(head.dynamics, features, *T_SPAN, config.n_steps)
-        stats.n_feval += 4 * config.n_steps * n
-        stats.n_accept += config.n_steps
-        stats.retained_floats = max(stats.retained_floats, traj.n_retained_floats)
-        logits = hT @ head.w_out.T + head.b_out
-        loss, probs, d_logits = _loss_and_dlogits(logits, labels)
-        d_hT = d_logits @ head.w_out
-        _, d_dyn = backprop_rk4_batch(head.dynamics, traj, d_hT)
-    elif grad_method == "adjoint":
-        hT = np.empty_like(features)
-        for i in range(n):
-            hT[i], s = solve_adaptive(head.dynamics, features[i], *T_SPAN, config)
-            stats.merge(s)
-        logits = hT @ head.w_out.T + head.b_out
-        loss, probs, d_logits = _loss_and_dlogits(logits, labels)
-        d_hT = d_logits @ head.w_out
-        d_dyn = np.zeros(head.dynamics.n_params)
-        for i in range(n):
-            res = adjoint_solve(head.dynamics, hT[i], d_hT[i], *T_SPAN, config)
-            d_dyn += res.d_params
-            stats.merge(res.stats)
-    else:
+    method = _GRAD_METHODS.get(grad_method)
+    if method is None:
         raise ContractError(f"unknown grad_method {grad_method!r}")
-
+    features, labels = _check_batch(head, features, labels)
+    if config is None:
+        config = SolverConfig(method=method)
+    elif config.method != method:
+        config = replace(config, method=method)
+    hT, stats, traj = _evolve(head, features, config, keep_trajectory=grad_method == "discrete")
+    loss, probs, d_logits = _loss_and_dlogits(hT @ head.w_out.T + head.b_out, labels)
     n_correct = int(np.sum(np.argmax(probs, axis=1) == labels))
-    d_w_out = d_logits.T @ hT
-    d_b_out = d_logits.sum(axis=0)
-    return loss, np.concatenate([d_dyn, d_w_out.ravel(), d_b_out]), stats, n_correct
+    d_block = _block_grad(head, hT, d_logits, traj, config, stats)
+    grads = np.concatenate([d_block, (d_logits.T @ hT).ravel(), d_logits.sum(axis=0)])
+    return loss, grads, stats, n_correct
 
 
 def evaluate(head, features, labels, config=None):
-    """Mean loss and accuracy of ``head`` on (features, labels).
-
-    Returns (loss, accuracy, SolveStats). NODE heads evolve the features
-    first: the fixed method as one (n, d) batch, the adaptive one row by
-    row through :func:`~nodehead.solvers.solve_adaptive`, so its step
-    control stays per-trajectory.
-    """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    if features.shape[0] == 0:
-        raise ContractError("empty evaluation set")
-    if config is None:
-        config = SolverConfig()
-    stats = SolveStats()
-    if isinstance(head, BaselineHead):
-        logits = forward_baseline(head, features)
-    elif config.method == "rk4_fixed":
-        hT = rk4_terminal_batch(head.dynamics, features, *T_SPAN, config.n_steps)
-        stats.n_feval += 4 * config.n_steps * features.shape[0]
-        logits = hT @ head.w_out.T + head.b_out
-    else:
-        hT = np.empty_like(features)
-        for i in range(features.shape[0]):
-            hT[i], s = solve_adaptive(head.dynamics, features[i], *T_SPAN, config)
-            stats.merge(s)
-        logits = hT @ head.w_out.T + head.b_out
+    """Mean loss and accuracy: :func:`forward`, then the loss; returns
+    (loss, accuracy, SolveStats)."""
+    features, labels = _check_batch(head, features, labels)
+    logits, stats = forward(head, features, config)
     loss, probs, _ = _loss_and_dlogits(logits, labels)
-    accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
-    return loss, accuracy, stats
+    return loss, float(np.mean(np.argmax(probs, axis=1) == labels)), stats
 
 
 def save_checkpoint(head, path):

@@ -1,9 +1,10 @@
 """Numerical integration of the hidden-state ODE.
 
-Two methods cover the two training strategies. Both take a field in the
-sense of :mod:`nodehead.dynamics` (``DynamicsParams`` or a closed-form
-field), build one workspace per solve with
-:func:`~nodehead.dynamics.workspace`, and reach the field only through
+Two methods cover the two training strategies, and :func:`solve` is the
+one place that picks between them by ``SolverConfig.method``, on an (n, d)
+batch. Both take a field in the sense of :mod:`nodehead.dynamics`
+(``DynamicsParams`` or a closed-form field), build one workspace per solve
+with :func:`~nodehead.dynamics.workspace`, and reach the field only through
 :func:`~nodehead.dynamics.eval_dynamics_batch`:
 
 * :func:`solve_fixed_batch` - classic 4-stage RK4 on a uniform grid shared
@@ -14,10 +15,11 @@ field), build one workspace per solve with
   (:func:`rk4_terminal_batch`), keeps only the current step.
 * :func:`solve_adaptive` - Dormand-Prince 5(4) embedded pair with
   rtol/atol step control for one state, the tolerance-tunable path: the
-  field runs at n=1. The stepping itself is :func:`integrate_adaptive`,
-  which takes a plain ``f(y, t)`` because the adjoint also integrates its
-  augmented system with it. Supports backward integration (t1 < t0) for
-  the adjoint pass and retains nothing beyond the current state.
+  field runs at n=1, and :func:`solve` loops it over the rows of a batch.
+  The stepping itself is :func:`integrate_adaptive`, which takes a plain
+  ``f(y, t)`` because the adjoint also integrates its augmented system
+  with it. Supports backward integration (t1 < t0) for the adjoint pass
+  and retains nothing beyond the current state.
 
 Step control: the first step is (t1 - t0) / 10, the per-component error
 scale is ``s_i = atol + rtol * max(|y_i|, |y'_i|)`` over the current and
@@ -81,7 +83,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("rk4_fixed", "dopri5"):
             raise ContractError(f"unknown solver method {self.method!r}")
-        if self.rtol <= 0 or self.atol <= 0:
+        if not (self.rtol > 0 and self.atol > 0):
             raise ContractError(f"tolerances must be positive, got rtol={self.rtol}, atol={self.atol}")
         if self.n_steps < 1:
             raise ContractError(f"n_steps must be >= 1, got {self.n_steps}")
@@ -257,19 +259,24 @@ def solve_adaptive(field, h0, t0, t1, config):
     return hT[0], stats
 
 
-def solve(field, h0, t0, t1, config):
-    """Solve one state ``h0`` (shape (d,)) by ``config.method``; returns (hT, SolveStats).
+def solve(field, states0, t0, t1, config, keep_trajectory=False):
+    """Solve the rows of ``states0`` (shape (n, d)) by ``config.method``; returns
+    (hT, SolveStats, Trajectory | None).
 
-    The fixed method runs :func:`solve_fixed_batch` at n=1; its stats are
-    derived from its grid (four evaluations per step, every step accepted)
-    and its trajectory is dropped - callers that need it for a reverse pass
-    use :func:`solve_fixed_batch` directly.
+    The fixed method is one :func:`solve_fixed_batch` call, with stats from
+    its grid (four evaluations per step and row, every step accepted) and the
+    trajectory when ``keep_trajectory``. The adaptive method runs
+    :func:`solve_adaptive` per row, so step control stays per-trajectory.
     """
+    states0 = np.asarray(states0, dtype=np.float64)
     if config.method == "rk4_fixed":
-        hT, traj = solve_fixed_batch(field, np.asarray(h0, dtype=np.float64)[None], t0, t1, config.n_steps)
-        return hT[0], SolveStats(
-            n_feval=4 * config.n_steps,
-            n_accept=config.n_steps,
-            retained_floats=traj.n_retained_floats,
-        )
-    return solve_adaptive(field, h0, t0, t1, config)
+        hT, traj = solve_fixed_batch(field, states0, t0, t1, config.n_steps, keep_trajectory)
+        stats = SolveStats(n_feval=4 * config.n_steps * states0.shape[0], n_accept=config.n_steps,
+                           retained_floats=traj.n_retained_floats if traj else states0.size)
+        return hT, stats, traj
+    hT = np.empty_like(states0)
+    stats = SolveStats()
+    for i in range(states0.shape[0]):
+        hT[i], s = solve_adaptive(field, states0[i], t0, t1, config)
+        stats.merge(s)
+    return hT, stats, None

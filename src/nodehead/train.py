@@ -37,11 +37,11 @@ class AdamConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lr < 0:
+        if not self.lr >= 0:
             raise ContractError(f"lr must be >= 0, got {self.lr}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ContractError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ContractError(f"eps must be > 0, got {self.eps}")
 
 
@@ -53,7 +53,7 @@ class SgdConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
-        if self.lr < 0:
+        if not self.lr >= 0:
             raise ContractError(f"lr must be >= 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise ContractError(f"momentum must lie in [0, 1), got {self.momentum}")

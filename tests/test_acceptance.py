@@ -18,8 +18,7 @@ from nodehead.cli import main
 from nodehead.data import Dataset, load_feature_file, save_feature_file
 from nodehead.dynamics import init_params, unflatten
 from nodehead.model import (
-    forward_baseline,
-    forward_node,
+    forward,
     head_to_flat,
     init_baseline_head,
     init_node_head,
@@ -141,7 +140,7 @@ def test_criterion_3_tolerance_cost_tradeoff():
         fevals = []
         logits_by_tol = {}
         for tol in (1e-3, 1e-5, 1e-7, 1e-9):
-            logits, stats = forward_node(head, x, SolverConfig(rtol=tol, atol=tol))
+            logits, stats = forward(head, x[None], SolverConfig(rtol=tol, atol=tol))
             fevals.append(stats.n_feval)
             logits_by_tol[tol] = logits
         swept = fevals[:3]
@@ -159,8 +158,8 @@ def test_criterion_4_node_identity_equivalence():
         cfg = SolverConfig()
         for _ in range(100):
             x = gen.standard_normal(6)
-            a, _ = forward_node(node, x, cfg)
-            b = forward_baseline(base, x)
+            a, _ = forward(node, x[None], cfg)
+            b, _ = forward(base, x[None])
             assert np.abs(a - b).max() <= 1e-12
 
 

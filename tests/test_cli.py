@@ -233,6 +233,42 @@ class TestCompareCommand:
         assert "1 run(s) failed" in (out / "summary.txt").read_text()
 
 
+class TestBadFlagsExitThroughTable:
+    """A bad flag ends in its exit code and one message line naming it, not a traceback."""
+
+    @pytest.mark.parametrize("command, flags, code, named", [
+        ("train", ["--scale", "-1"], 1, "scale"),
+        ("train", ["--scale", "nan"], 1, "scale"),
+        ("train", ["--width", "0"], 1, "width=0"),
+        ("train", ["--grad", "adjoint", "--rtol", "nan"], 1, "rtol=nan"),
+        ("train", ["--lr", "nan"], 1, "lr must be"),
+        ("train", ["--eps", "nan"], 1, "eps must be"),
+        ("compare", ["--test-data", "other-dim.nodf"], 2, "other-dim.nodf"),
+        ("gradcheck", ["--d", "0"], 1, "d=0"),
+        ("gradcheck", ["--classes", "0"], 1, "classes=0"),
+    ], ids=["train-scale-negative", "train-scale-nan", "train-width-0", "train-rtol-nan",
+            "train-lr-nan", "train-eps-nan", "compare-test-data-dim", "gradcheck-d-0",
+            "gradcheck-classes-0"])
+    def test_exit_code_and_one_line(self, command, flags, code, named, feature_file, tmp_path,
+                                    capsys):
+        gen = np.random.default_rng(1)
+        save_feature_file(Dataset(gen.standard_normal((20, 8)), gen.integers(0, 2, 20)),
+                          tmp_path / "other-dim.nodf")
+        flags = [str(tmp_path / f) if f.endswith(".nodf") else f for f in flags]
+        argv = {
+            "train": ["train", "--head", "node", "--epochs", "1", "--width", "4",
+                      "--data", str(feature_file)],
+            "compare": ["compare", "--seeds", "0", "--epochs", "1", "--width", "4",
+                        "--data", str(feature_file)],
+            "gradcheck": ["gradcheck"],
+        }[command]
+        out = tmp_path / "out"
+        assert main(argv + flags + ["--out", str(out)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"nodehead {command}: ") and named in err[0]
+        assert not (out / "seed0").exists()  # compare stops before any run starts
+
+
 class TestGradcheckCommand:
     def test_small_head_passes_at_tight_tolerance(self, tmp_path):
         code = main(["gradcheck", "--d", "3", "--width", "4", "--seed", "0",

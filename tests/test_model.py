@@ -7,39 +7,38 @@ from nodehead.model import (
     BaselineHead,
     NodeHead,
     evaluate,
-    forward_baseline,
-    forward_node,
+    forward,
     head_from_flat,
     head_to_flat,
     init_baseline_head,
     init_node_head,
     load_checkpoint,
-    loss_and_grads,
     save_checkpoint,
+    softmax,
+    train_step,
 )
-from nodehead.solvers import SolverConfig
-from nodehead.tensorops import softmax
+from nodehead.solvers import SolveStats, SolverConfig, solve_adaptive, solve_fixed_batch
 
 
 class TestForwardBaseline:
     def test_identity_weight_passes_features_through(self, rng):
         x = rng.standard_normal(4)
         head = BaselineHead(w_out=np.eye(4), b_out=np.zeros(4))
-        np.testing.assert_array_equal(forward_baseline(head, x), x)
+        np.testing.assert_array_equal(forward(head, x[None])[0][0], x)
 
     def test_zero_weight_gives_bias(self, rng):
         head = BaselineHead(w_out=np.zeros((3, 5)), b_out=np.array([0.1, -0.2, 0.3]))
-        np.testing.assert_array_equal(forward_baseline(head, rng.standard_normal(5)), head.b_out)
+        np.testing.assert_array_equal(forward(head, rng.standard_normal((1, 5)))[0][0], head.b_out)
 
     def test_matches_matmul_oracle(self, rng):
         head = init_baseline_head(2, 6, 4)
         x = rng.standard_normal(6)
-        np.testing.assert_allclose(forward_baseline(head, x), head.w_out @ x + head.b_out, atol=1e-14)
+        np.testing.assert_allclose(forward(head, x[None])[0][0], head.w_out @ x + head.b_out, atol=1e-14)
 
     def test_shape_mismatch(self):
         head = init_baseline_head(0, 4, 2)
         with pytest.raises(ShapeError):
-            forward_baseline(head, np.zeros(5))
+            forward(head, np.zeros((1, 5)))
 
 
 class TestForwardNode:
@@ -49,8 +48,8 @@ class TestForwardNode:
         np.testing.assert_array_equal(node.w_out, base.w_out)  # shared out-layer sub-seed
         for _ in range(20):
             x = rng.standard_normal(5)
-            logits_node, _ = forward_node(node, x, SolverConfig())
-            logits_base = forward_baseline(base, x)
+            logits_node, _ = forward(node, x[None], SolverConfig())
+            logits_base, _ = forward(base, x[None])
             np.testing.assert_allclose(logits_node, logits_base, atol=1e-12)
 
     def test_zero_features_zero_wout_gives_bias(self):
@@ -59,32 +58,32 @@ class TestForwardNode:
             w_out=np.zeros((2, 4)),
             b_out=np.array([0.7, -0.4]),
         )
-        logits, _ = forward_node(node, np.zeros(4), SolverConfig())
-        np.testing.assert_array_equal(logits, node.b_out)
+        logits, _ = forward(node, np.zeros((1, 4)), SolverConfig())
+        np.testing.assert_array_equal(logits[0], node.b_out)
 
     def test_tolerance_controlled_consistency(self, rng):
         head = init_node_head(0, 6, 3, width=8, scale=1.0)
         x = rng.standard_normal(6)
-        loose, _ = forward_node(head, x, SolverConfig(rtol=1e-5, atol=1e-5))
-        tight, _ = forward_node(head, x, SolverConfig(rtol=1e-9, atol=1e-9))
+        loose, _ = forward(head, x[None], SolverConfig(rtol=1e-5, atol=1e-5))
+        tight, _ = forward(head, x[None], SolverConfig(rtol=1e-9, atol=1e-9))
         assert np.abs(loose - tight).max() <= 1e-3
 
     def test_solver_stats_returned(self, rng):
         head = init_node_head(1, 4, 2, width=4, scale=0.5)
-        _, stats = forward_node(head, rng.standard_normal(4), SolverConfig())
+        _, stats = forward(head, rng.standard_normal((1, 4)), SolverConfig())
         assert stats.n_feval > 0
 
     def test_fixed_method_dispatch(self, rng):
         head = init_node_head(1, 4, 2, width=4, scale=0.5)
         cfg = SolverConfig(method="rk4_fixed", n_steps=32)
-        logits, stats = forward_node(head, rng.standard_normal(4), cfg)
+        logits, stats = forward(head, rng.standard_normal((1, 4)), cfg)
         assert stats.n_feval == 4 * 32
         assert np.all(np.isfinite(logits))
 
     def test_logit_shift_leaves_argmax(self, rng):
         head = init_node_head(3, 5, 4, width=6, scale=0.4)
         x = rng.standard_normal(5)
-        logits, _ = forward_node(head, x, SolverConfig())
+        logits, _ = forward(head, x[None], SolverConfig())
         shifted = logits + 7.3
         assert np.argmax(softmax(logits)) == np.argmax(softmax(shifted))
 
@@ -93,7 +92,7 @@ class TestLossAndGrads:
     def test_perfectly_classified_sample_is_stationary(self):
         # a huge margin drives prob -> 1: loss ~ 0 and all gradients ~ 0
         head = BaselineHead(w_out=np.array([[50.0, 0.0], [-50.0, 0.0]]), b_out=np.zeros(2))
-        loss, grads, _ = loss_and_grads(head, np.array([[1.0, 0.0]]), [0])
+        loss, grads, _, _ = train_step(head, np.array([[1.0, 0.0]]), [0])
         assert loss <= 1e-10
         assert np.abs(grads).max() <= 1e-9
 
@@ -101,8 +100,8 @@ class TestLossAndGrads:
         head = init_node_head(2, 4, 3, width=5, scale=0.7)
         X = rng.standard_normal((5, 4))
         y = rng.integers(0, 3, 5)
-        _, g_disc, _ = loss_and_grads(head, X, y, "discrete", SolverConfig(method="rk4_fixed", n_steps=400))
-        _, g_adj, _ = loss_and_grads(head, X, y, "adjoint", SolverConfig(rtol=1e-9, atol=1e-9))
+        _, g_disc, _, _ = train_step(head, X, y, "discrete", SolverConfig(method="rk4_fixed", n_steps=400))
+        _, g_adj, _, _ = train_step(head, X, y, "adjoint", SolverConfig(rtol=1e-9, atol=1e-9))
         diff = np.abs(g_disc - g_adj)
         scale = np.maximum(np.abs(g_disc), np.abs(g_adj))
         assert np.all((diff <= 1e-8) | (diff <= 1e-3 * scale))
@@ -113,7 +112,7 @@ class TestLossAndGrads:
         X = gen.standard_normal((3, 2))
         y = gen.integers(0, 2, 3)
         cfg = SolverConfig(method="rk4_fixed", n_steps=60)
-        _, grads, _ = loss_and_grads(head, X, y, "discrete", cfg)
+        _, grads, _, _ = train_step(head, X, y, "discrete", cfg)
 
         flat0 = head_to_flat(head)
         step = 1e-5
@@ -131,7 +130,7 @@ class TestLossAndGrads:
         X = rng.standard_normal((6, 3))
         y = rng.integers(0, 2, 6)
         cfg = SolverConfig(method="rk4_fixed", n_steps=12)
-        loss0, grads, _ = loss_and_grads(head, X, y, "discrete", cfg)
+        loss0, grads, _, _ = train_step(head, X, y, "discrete", cfg)
         stepped = head_from_flat(head, head_to_flat(head) - 1e-3 * grads)
         loss1, _, _ = evaluate(stepped, X, y, cfg)
         assert loss1 < loss0
@@ -139,12 +138,52 @@ class TestLossAndGrads:
     def test_empty_batch_is_contract_error(self):
         head = init_baseline_head(0, 3, 2)
         with pytest.raises(ContractError):
-            loss_and_grads(head, np.zeros((0, 3)), np.zeros(0, dtype=int))
+            train_step(head, np.zeros((0, 3)), np.zeros(0, dtype=int))
 
     def test_unknown_method_rejected(self, rng):
         head = init_node_head(0, 3, 2, width=4)
         with pytest.raises(ContractError):
-            loss_and_grads(head, rng.standard_normal((2, 3)), [0, 1], "symbolic")
+            train_step(head, rng.standard_normal((2, 3)), [0, 1], "symbolic")
+
+
+class TestOneRoute:
+    def test_fixed_method_stats_agree_across_entry_points(self, rng):
+        head = init_node_head(1, 4, 3, width=5, scale=0.5)
+        X = rng.standard_normal((6, 4))
+        y = rng.integers(0, 3, 6)
+        cfg = SolverConfig(method="rk4_fixed", n_steps=9)
+        _, s_fwd = forward(head, X, cfg)
+        _, _, s_eval = evaluate(head, X, y, cfg)
+        _, _, s_step, _ = train_step(head, X, y, "discrete", cfg)
+        counts = [(s.n_feval, s.n_accept, s.n_reject) for s in (s_fwd, s_eval, s_step)]
+        assert counts == [(4 * 9 * 6, 9, 0)] * 3
+
+    def test_grad_method_picks_the_solver_method(self, rng):
+        head = init_node_head(1, 4, 3, width=5, scale=0.5)
+        X = rng.standard_normal((3, 4))
+        y = rng.integers(0, 3, 3)
+        dopri = SolverConfig(n_steps=9)
+        fixed = SolverConfig(method="rk4_fixed", n_steps=9)
+        a = train_step(head, X, y, "discrete", dopri)
+        b = train_step(head, X, y, "discrete", fixed)
+        assert a[0] == b[0] and a[2] == b[2]
+        np.testing.assert_array_equal(a[1], b[1])
+
+    def test_baseline_block_is_the_identity(self, rng):
+        head = init_baseline_head(0, 4, 3)
+        X = rng.standard_normal((5, 4))
+        logits, stats = forward(head, X, SolverConfig(method="rk4_fixed"))
+        np.testing.assert_array_equal(logits, X @ head.w_out.T + head.b_out)
+        assert stats == SolveStats()
+
+    def test_batch_checks(self, rng):
+        head = init_node_head(0, 3, 2, width=4)
+        with pytest.raises(ShapeError):
+            evaluate(head, rng.standard_normal((3, 3)), [0, 1])
+        with pytest.raises(ShapeError):
+            train_step(head, rng.standard_normal((2, 4)), [0, 1])
+        with pytest.raises(ContractError):
+            forward(head, np.zeros((0, 3)))
 
 
 class TestFlatPacking:
@@ -158,12 +197,9 @@ class TestFlatPacking:
         flat = head_to_flat(head)
         rebuilt = head_from_flat(head, flat)
         np.testing.assert_array_equal(head_to_flat(rebuilt), flat)
-        x = rng.standard_normal(4)
-        if kind == "node":
-            a, _ = forward_node(head, x, SolverConfig())
-            b, _ = forward_node(rebuilt, x, SolverConfig())
-        else:
-            a, b = forward_baseline(head, x), forward_baseline(rebuilt, x)
+        x = rng.standard_normal((1, 4))
+        a, _ = forward(head, x, SolverConfig())
+        b, _ = forward(rebuilt, x, SolverConfig())
         np.testing.assert_array_equal(a, b)
 
     def test_wrong_length_rejected(self):

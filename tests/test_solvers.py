@@ -10,6 +10,7 @@ from nodehead.solvers import (
     SolverConfig,
     integrate_adaptive,
     rk4_terminal_batch,
+    solve,
     solve_adaptive,
     solve_fixed_batch,
 )
@@ -57,6 +58,8 @@ class TestSolverConfig:
             {"atol": 0.0},
             {"rtol": -1e-3},
             {"method": "euler"},
+            {"rtol": float("nan")},
+            {"atol": float("nan")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -276,6 +279,35 @@ class TestSolveAdaptive:
         ).y[:, -1]
         ours, _ = solve_adaptive(p, h0, 0.0, 1.0, SolverConfig(rtol=1e-8, atol=1e-8))
         np.testing.assert_allclose(ours, expected, atol=1e-6)
+
+
+class TestSolveDispatch:
+    def test_dopri5_batch_is_the_per_row_solves(self, rng):
+        p = init_params(2, 3, 5, scale=1.0)
+        states0 = rng.standard_normal((4, 3))
+        cfg = SolverConfig(rtol=1e-6, atol=1e-6)
+        hT, stats, traj = solve(p, states0, 0.0, 1.0, cfg)
+        assert traj is None
+        summed = SolveStats()
+        for i in range(4):
+            row, s = solve_adaptive(p, states0[i], 0.0, 1.0, cfg)
+            np.testing.assert_array_equal(hT[i], row)
+            summed.merge(s)
+        assert stats == summed
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_rk4_batch_is_one_fixed_solve(self, keep, rng):
+        p = init_params(2, 3, 5, scale=1.0)
+        states0 = rng.standard_normal((4, 3))
+        hT, stats, traj = solve(p, states0, 0.0, 1.0, SolverConfig(method="rk4_fixed", n_steps=7), keep)
+        ref_hT, ref_traj = solve_fixed_batch(p, states0, 0.0, 1.0, 7)
+        np.testing.assert_array_equal(hT, ref_hT)
+        assert (stats.n_feval, stats.n_accept, stats.n_reject) == (4 * 7 * 4, 7, 0)
+        if keep:
+            np.testing.assert_array_equal(traj.states, ref_traj.states)
+            assert stats.retained_floats == ref_traj.n_retained_floats
+        else:
+            assert traj is None and stats.retained_floats == states0.size
 
 
 class TestSolveStats:

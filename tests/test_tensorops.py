@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nodehead.tensorops import softmax
+from nodehead import softmax
 
 
 class TestSoftmax:

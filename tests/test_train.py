@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nodehead.dynamics import init_params
 from nodehead.errors import ContractError, FormatError, NumericError
 from nodehead.model import evaluate, head_to_flat, init_baseline_head
 from nodehead.solvers import SolverConfig
@@ -95,6 +96,19 @@ class TestSgd:
     def test_invalid_config(self):
         with pytest.raises(ContractError):
             SgdConfig(momentum=1.0)
+
+
+class TestNanSettingsRejected:
+    # a check written as `x <= 0` lets NaN through; each must reject it, naming the value
+    @pytest.mark.parametrize("make", [
+        lambda: AdamConfig(lr=float("nan")),
+        lambda: AdamConfig(eps=float("nan")),
+        lambda: SgdConfig(lr=float("nan")),
+        lambda: init_params(0, 3, 4, scale=float("nan")),
+    ], ids=["adam-lr", "adam-eps", "sgd-lr", "init-scale"])
+    def test_nan_is_a_contract_error(self, make):
+        with pytest.raises(ContractError, match="nan"):
+            make()
 
 
 class TestOptimizerConvergence:

@@ -32,8 +32,7 @@ from .errors import (
     StepBudgetError,
 )
 from .model import (
-    BaselineHead,
-    NodeHead,
+    Head,
     evaluate,
     forward,
     head_from_flat,

@@ -2,9 +2,9 @@
 
 Subcommands: ``train`` (one head, one run), ``compare`` (baseline vs NODE
 across seeds with stability statistics), ``gradcheck`` (pairwise gradient
-agreement), ``sweep-tol`` (tolerance/cost trade-off table), ``bench``
-(timing table), ``plot`` (SVG curves from a metrics CSV), and ``rerun``
-(re-execute any run from its manifest).
+agreement), ``sweep-tol`` (tolerance/cost trade-off table), ``plot`` (SVG
+curves from a metrics CSV), and ``rerun`` (re-execute any run from its
+manifest).
 
 Every command resolves its flags, writes a RunManifest into the output
 directory before doing any work, and appends the finish timestamp when done.
@@ -14,6 +14,7 @@ violations.
 """
 
 import argparse
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -37,6 +38,7 @@ from .model import (
     init_node_head,
     load_checkpoint,
     save_checkpoint,
+    solver_config_for,
     train_step,
 )
 from .solvers import SolverConfig
@@ -208,9 +210,8 @@ def _optimizer_config(args):
 
 
 def _solver_config(args, grad_method):
-    method = "rk4_fixed" if grad_method == "discrete" else "dopri5"
-    return SolverConfig(method=method, rtol=args.rtol, atol=args.atol, n_steps=args.n_steps,
-                        max_steps=args.max_steps)
+    config = SolverConfig(rtol=args.rtol, atol=args.atol, n_steps=args.n_steps, max_steps=args.max_steps)
+    return solver_config_for(grad_method, config)
 
 
 def _train_config(args, grad_method, optimizer, solver=None):
@@ -281,6 +282,9 @@ def _stability_csv(report, path, first_end_epoch):
 
 
 def cmd_compare(args):
+    # stability_stats would reject it too, but only after the first run had trained
+    if args.window < 2:
+        raise ContractError(f"--window must be >= 2, got {args.window}")
     _resolve_optimizer(args)
     out, manifest = _start_run(args)
     dataset = _dataset_from_args(args)
@@ -415,6 +419,8 @@ def _fd_loss_grad(head, features, labels, n_steps, step):
 
 
 def cmd_gradcheck(args):
+    if not 0 < args.fd_step < math.inf:
+        raise ContractError(f"--fd-step must be a finite number > 0, got {args.fd_step}")
     out, manifest = _start_run(args)
 
     head = init_node_head(args.seed, args.d, args.classes, width=args.width, scale=args.scale)
@@ -422,10 +428,9 @@ def cmd_gradcheck(args):
     features = rng.standard_normal((args.batch, args.d))
     labels = rng.integers(0, args.classes, size=args.batch)
 
-    fixed_cfg = SolverConfig(method="rk4_fixed", n_steps=args.n_steps)
-    adaptive_cfg = SolverConfig(method="dopri5", rtol=args.rtol, atol=args.atol)
-    _, g_discrete, _, _ = train_step(head, features, labels, "discrete", fixed_cfg)
-    _, g_adjoint, _, _ = train_step(head, features, labels, "adjoint", adaptive_cfg)
+    cfg = SolverConfig(rtol=args.rtol, atol=args.atol, n_steps=args.n_steps)
+    _, g_discrete, _, _ = train_step(head, features, labels, "discrete", cfg)
+    _, g_adjoint, _, _ = train_step(head, features, labels, "adjoint", cfg)
     g_fd = _fd_loss_grad(head, features, labels, args.fd_n_steps, args.fd_step)
 
     table = [
@@ -474,29 +479,6 @@ def cmd_sweep_tol(args):
     return EXIT_OK
 
 
-def cmd_bench(args):
-    out, manifest = _start_run(args)
-    dataset = _dataset_from_args(args)
-
-    configs = [
-        ("baseline", "baseline", "discrete", AdamConfig()),
-        ("node-discrete", "node", "discrete", AdamConfig()),
-        ("node-adjoint", "node", "adjoint", SgdConfig()),
-    ]
-    lines = ["model,epochs,mean_epoch_ms,total_s"]
-    for label, head_kind, grad, opt in configs:
-        tic = time.perf_counter()
-        _, records = train(head_kind, dataset, _train_config(args, grad, opt))
-        total_s = time.perf_counter() - tic
-        mean_epoch_ms = sum(r.wall_ms for r in records) / len(records)
-        lines.append(f"{label},{args.epochs},{mean_epoch_ms:.6g},{total_s:.6g}")
-    table = "\n".join(lines) + "\n"
-    (out / "bench.csv").write_text(table)
-    print(table, end="")
-    finish_manifest(manifest)
-    return EXIT_OK
-
-
 def cmd_plot(args):
     out, manifest = _start_run(args)
     columns = args.columns.split(",") if args.columns else None
@@ -523,12 +505,14 @@ def cmd_rerun(args):
     if command == "rerun":
         raise ContractError("cannot rerun a rerun manifest")
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    declared = commands.choices[command]._option_string_actions if command in commands.choices else None
+    if command not in commands.choices:
+        raise ContractError(f"{args.manifest}: recorded command {command!r} no longer exists")
+    declared = commands.choices[command]._option_string_actions
     argv = [command]
     for key, value in recorded.items():
         if key == "out":
             continue
-        if declared is not None and f"--{key}" not in declared:
+        if f"--{key}" not in declared:
             print(f"nodehead rerun: dropping --{key}, which {command} no longer takes", file=sys.stderr)
             continue
         argv += [f"--{key}", value]
@@ -594,14 +578,6 @@ def build_parser():
     _add_max_steps_flag(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_tol)
-
-    p = sub.add_parser("bench", help="timing table: baseline / node-discrete / node-adjoint")
-    _add_train_flags(p, epochs=3, grad=False)
-    _add_data_flags(p)
-    _add_model_flags(p)
-    _add_solver_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("plot", help="SVG charts from a metrics CSV")
     p.add_argument("--csv", required=True)

@@ -1,23 +1,22 @@
 """Classifier heads over frozen features.
 
-Two heads share an identical final linear layer; they differ only in the
-block that sits in front of it:
+A :class:`Head` is a final linear layer and the block in front of it:
 
-* :class:`NodeHead` - the feature vector is evolved by the learnable ODE
-  field over t in [0, 1] before the linear layer. With zero field
-  parameters the evolution is the identity, so the head degenerates to the
-  baseline exactly.
-* :class:`BaselineHead` - the block is the identity, ``hT = features``.
+* with ``dynamics`` set (the NODE head), the feature vector is evolved by
+  the learnable ODE field over t in [0, 1] before the linear layer. With
+  zero field parameters the evolution is the identity, so the head
+  degenerates to the baseline exactly.
+* with ``dynamics is None`` (the baseline), the block is the identity.
 
-Both heads take one route on (n, d) batches: :func:`forward` runs the block
-and the output layer ``hT @ w_out.T + b_out``, :func:`evaluate` adds the
-loss, and :func:`train_step` adds the gradients, whose output-layer part
-``d_logits.T @ hT`` is the same expression for both heads.
+Every head takes one route on (n, d) batches: :func:`forward` runs the
+block and the output layer ``hT @ w_out.T + b_out``, :func:`evaluate` adds
+the loss, and :func:`train_step` adds the gradients. The gradient route
+fixes the solver method through :func:`solver_config_for`.
 
-Both heads expose one flat trainable-parameter vector (see
-:func:`head_to_flat`) in a fixed order that checkpoints reuse:
-NodeHead packs the dynamics parameters first (their own documented order),
-then w_out row-major, then b_out; BaselineHead packs w_out then b_out.
+A head's trainable parameters form one flat vector (see
+:func:`head_to_flat`) in a fixed order that checkpoints reuse: the dynamics
+parameters first, if any (their own documented order), then w_out
+row-major, then b_out.
 
 Checkpoint file layout (little-endian): magic ``NODC``, u32 version = 1,
 u8 head kind (0 baseline, 1 node), u32 d, u32 width (0 for baseline),
@@ -49,48 +48,23 @@ _KIND_NODE = 1
 
 
 @dataclass
-class NodeHead:
-    """ODE block ahead of a linear classifier; state dim equals feature dim."""
-
-    dynamics: DynamicsParams
-    w_out: np.ndarray
-    b_out: np.ndarray
-
-    def __post_init__(self):
-        self.w_out = np.ascontiguousarray(self.w_out, dtype=np.float64)
-        self.b_out = np.ascontiguousarray(self.b_out, dtype=np.float64)
-        if self.w_out.ndim != 2 or self.w_out.shape[1] != self.dynamics.d:
-            raise ShapeError(
-                f"w_out shape {self.w_out.shape} inconsistent with state dimension {self.dynamics.d}"
-            )
-        if self.b_out.shape != (self.w_out.shape[0],):
-            raise ShapeError(f"b_out shape {self.b_out.shape} inconsistent with w_out {self.w_out.shape}")
-
-    @property
-    def d(self):
-        return self.dynamics.d
-
-    @property
-    def classes(self):
-        return self.w_out.shape[0]
-
-    @property
-    def n_params(self):
-        return self.dynamics.n_params + self.w_out.size + self.b_out.size
-
-
-@dataclass
-class BaselineHead:
-    """Plain fully-connected classifier over the frozen features."""
+class Head:
+    """Linear classifier behind an ODE block (state dim = feature dim), or
+    behind the identity when ``dynamics is None`` (the baseline)."""
 
     w_out: np.ndarray
     b_out: np.ndarray
+    dynamics: DynamicsParams | None = None
 
     def __post_init__(self):
         self.w_out = np.ascontiguousarray(self.w_out, dtype=np.float64)
         self.b_out = np.ascontiguousarray(self.b_out, dtype=np.float64)
         if self.w_out.ndim != 2:
             raise ShapeError(f"w_out must be 2-d, got shape {self.w_out.shape}")
+        if self.dynamics is not None and self.w_out.shape[1] != self.dynamics.d:
+            raise ShapeError(
+                f"w_out shape {self.w_out.shape} inconsistent with state dimension {self.dynamics.d}"
+            )
         if self.b_out.shape != (self.w_out.shape[0],):
             raise ShapeError(f"b_out shape {self.b_out.shape} inconsistent with w_out {self.w_out.shape}")
 
@@ -104,7 +78,8 @@ class BaselineHead:
 
     @property
     def n_params(self):
-        return self.w_out.size + self.b_out.size
+        block = 0 if self.dynamics is None else self.dynamics.n_params
+        return block + self.w_out.size + self.b_out.size
 
 
 def _init_out_layer(seed, d, classes):
@@ -122,17 +97,16 @@ def init_node_head(seed, d, classes, width=64, scale=0.1):
     layers - the comparison harness relies on that."""
     dynamics = init_params(subseed(seed, "dynamics"), d, width, scale)
     w_out, b_out = _init_out_layer(subseed(seed, "out"), d, classes)
-    return NodeHead(dynamics, w_out, b_out)
+    return Head(w_out, b_out, dynamics)
 
 
 def init_baseline_head(seed, d, classes):
-    w_out, b_out = _init_out_layer(subseed(seed, "out"), d, classes)
-    return BaselineHead(w_out, b_out)
+    return Head(*_init_out_layer(subseed(seed, "out"), d, classes))
 
 
 def head_to_flat(head):
     """All trainable parameters as one float64 vector in the documented order."""
-    block = [head.dynamics.flatten()] if isinstance(head, NodeHead) else []
+    block = [] if head.dynamics is None else [head.dynamics.flatten()]
     return np.concatenate(block + [head.w_out.ravel(), head.b_out])
 
 
@@ -145,9 +119,9 @@ def head_from_flat(template, flat):
     p = flat.size - classes * (d + 1)  # the block's parameters come first
     w_out = flat[p : p + classes * d].reshape(classes, d).copy()
     b_out = flat[p + classes * d :].copy()
-    if isinstance(template, NodeHead):
-        return NodeHead(unflatten(flat[:p], d, template.dynamics.width), w_out, b_out)
-    return BaselineHead(w_out, b_out)
+    if template.dynamics is None:
+        return Head(w_out, b_out)
+    return Head(w_out, b_out, unflatten(flat[:p], d, template.dynamics.width))
 
 
 def _check_batch(head, features, labels=None):
@@ -169,7 +143,7 @@ def _check_batch(head, features, labels=None):
 def _evolve(head, features, config, keep_trajectory=False):
     """The head's block over ``T_SPAN``: (hT, SolveStats, Trajectory | None);
     the baseline's is the identity and does no solver work."""
-    if isinstance(head, BaselineHead):
+    if head.dynamics is None:
         return features, SolveStats(), None
     return solve(head.dynamics, features, *T_SPAN, config, keep_trajectory)
 
@@ -178,7 +152,7 @@ def _block_grad(head, hT, d_logits, traj, config, stats):
     """Loss gradient of the block's parameters: none for the baseline's
     identity, the reverse pass over ``traj`` when there is one, otherwise
     the adjoint backward solve row by row (its cost merged into ``stats``)."""
-    if isinstance(head, BaselineHead):
+    if head.dynamics is None:
         return np.empty(0)
     d_hT = d_logits @ head.w_out
     if traj is not None:
@@ -223,6 +197,18 @@ def _loss_and_dlogits(logits, labels):
     return loss, probs, d_logits
 
 
+def solver_config_for(grad_method, config=None):
+    """``config`` (default: ``SolverConfig()``) with the solver method that
+    ``grad_method`` differentiates; ``config`` itself when it already has
+    that method, so a caller that resolves once pays nothing per step."""
+    method = _GRAD_METHODS.get(grad_method)
+    if method is None:
+        raise ContractError(f"unknown grad_method {grad_method!r}")
+    if config is None:
+        return SolverConfig(method=method)
+    return config if config.method == method else replace(config, method=method)
+
+
 def forward(head, features, config=None):
     """Logits of an (n, d) batch, the block then the output layer; returns
     (logits, SolveStats). The NODE block solves by ``config.method``."""
@@ -243,14 +229,8 @@ def train_step(head, features, labels, grad_method="discrete", config=None):
     vector, SolveStats, n_correct); the count lets the training loop report
     running accuracy without a second forward pass.
     """
-    method = _GRAD_METHODS.get(grad_method)
-    if method is None:
-        raise ContractError(f"unknown grad_method {grad_method!r}")
+    config = solver_config_for(grad_method, config)
     features, labels = _check_batch(head, features, labels)
-    if config is None:
-        config = SolverConfig(method=method)
-    elif config.method != method:
-        config = replace(config, method=method)
     hT, stats, traj = _evolve(head, features, config, keep_trajectory=grad_method == "discrete")
     loss, probs, d_logits = _loss_and_dlogits(hT @ head.w_out.T + head.b_out, labels)
     n_correct = int(np.sum(np.argmax(probs, axis=1) == labels))
@@ -270,8 +250,7 @@ def evaluate(head, features, labels, config=None):
 
 def save_checkpoint(head, path):
     """Write ``head`` in the NODC binary layout (see module docstring)."""
-    kind = _KIND_NODE if isinstance(head, NodeHead) else _KIND_BASELINE
-    width = head.dynamics.width if isinstance(head, NodeHead) else 0
+    kind, width = (_KIND_BASELINE, 0) if head.dynamics is None else (_KIND_NODE, head.dynamics.width)
     header = CHECKPOINT_MAGIC + struct.pack(
         "<IBIII", CHECKPOINT_VERSION, kind, head.d, width, head.classes
     )
@@ -281,7 +260,8 @@ def save_checkpoint(head, path):
 
 
 def load_checkpoint(path):
-    """Read a NODC checkpoint back into a NodeHead or BaselineHead."""
+    """Read a NODC checkpoint back into a :class:`Head`, with ``dynamics``
+    set for kind 1 (node) and ``None`` for kind 0 (baseline)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     header_size = 4 + struct.calcsize("<IBIII")
@@ -299,9 +279,5 @@ def load_checkpoint(path):
     expected = n_dynamics + classes * d + classes
     if flat.shape[0] != expected:
         raise FormatError(f"checkpoint length mismatch: {flat.shape[0]} parameters, expected {expected}")
-    out_layer = (np.zeros((classes, d)), np.zeros(classes))
-    if kind == _KIND_NODE:
-        template = NodeHead(unflatten(np.zeros(n_dynamics), d, width), *out_layer)
-    else:
-        template = BaselineHead(*out_layer)
-    return head_from_flat(template, flat)
+    dynamics = unflatten(np.zeros(n_dynamics), d, width) if kind == _KIND_NODE else None
+    return head_from_flat(Head(np.zeros((classes, d)), np.zeros(classes), dynamics), flat)

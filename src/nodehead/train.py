@@ -20,7 +20,8 @@ import numpy as np
 
 from .data import split_train_val
 from .errors import ContractError, FormatError, NumericError, ShapeError
-from .model import evaluate, head_from_flat, head_to_flat, init_baseline_head, init_node_head, train_step
+from .model import evaluate, head_from_flat, head_to_flat, init_baseline_head, init_node_head
+from .model import solver_config_for, train_step
 from .seeding import subseed
 from .solvers import SolverConfig
 
@@ -89,7 +90,9 @@ def sgd_update(params, grads, velocity, cfg):
 
 @dataclass
 class TrainConfig:
-    """Everything one training run depends on, seed included."""
+    """Everything one training run depends on, seed included. ``solver``
+    takes the method ``grad_method`` differentiates, for training steps and
+    validation alike (see :func:`~nodehead.model.solver_config_for`)."""
 
     optimizer: AdamConfig | SgdConfig = field(default_factory=AdamConfig)
     epochs: int = 1
@@ -106,8 +109,7 @@ class TrainConfig:
             raise ContractError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.grad_method not in ("discrete", "adjoint"):
-            raise ContractError(f"unknown grad_method {self.grad_method!r}")
+        self.solver = solver_config_for(self.grad_method, self.solver)
         if not 0 < self.val_fraction < 1:
             raise ContractError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 

@@ -246,9 +246,15 @@ class TestBadFlagsExitThroughTable:
         ("compare", ["--test-data", "other-dim.nodf"], 2, "other-dim.nodf"),
         ("gradcheck", ["--d", "0"], 1, "d=0"),
         ("gradcheck", ["--classes", "0"], 1, "classes=0"),
+        ("gradcheck", ["--fd-step", "0"], 1, "--fd-step"),
+        ("gradcheck", ["--fd-step", "nan"], 1, "--fd-step"),
+        ("gradcheck", ["--fd-step", "inf"], 1, "--fd-step"),
+        ("gradcheck", ["--fd-step", "-0.00001"], 1, "--fd-step"),
+        ("compare", ["--window", "1"], 1, "--window"),
     ], ids=["train-scale-negative", "train-scale-nan", "train-width-0", "train-rtol-nan",
             "train-lr-nan", "train-eps-nan", "compare-test-data-dim", "gradcheck-d-0",
-            "gradcheck-classes-0"])
+            "gradcheck-classes-0", "gradcheck-fd-step-0", "gradcheck-fd-step-nan",
+            "gradcheck-fd-step-inf", "gradcheck-fd-step-negative", "compare-window-1"])
     def test_exit_code_and_one_line(self, command, flags, code, named, feature_file, tmp_path,
                                     capsys):
         gen = np.random.default_rng(1)
@@ -327,34 +333,6 @@ class TestSweepCommand:
         assert any(line.startswith("1e-05,1e-05,") for line in lines)
 
 
-class TestBenchCommand:
-    def test_smoke_rows_ordered_and_positive(self, feature_file, tmp_path):
-        out = tmp_path / "bench"
-        code = main(["bench", "--epochs", "1", "--limit", "24", "--width", "4",
-                     "--n-steps", "4", "--batch-size", "8",
-                     "--data", str(feature_file), "--out", str(out)])
-        assert code == 0
-        lines = (out / "bench.csv").read_text().strip().splitlines()
-        assert [l.split(",")[0] for l in lines] == ["model", "baseline", "node-discrete", "node-adjoint"]
-        for line in lines[1:]:
-            _, epochs, mean_ms, total_s = line.split(",")
-            assert int(epochs) == 1
-            assert float(mean_ms) > 0 and float(total_s) > 0
-
-    def test_total_time_consistent_with_epoch_sum(self, feature_file, tmp_path):
-        # enough epochs that per-epoch work dominates the one-time setup;
-        # the 1.5 ms floor covers OS timer granularity on sub-ms epochs
-        out = tmp_path / "bench2"
-        code = main(["bench", "--epochs", "25", "--limit", "64", "--width", "8",
-                     "--n-steps", "8", "--batch-size", "16",
-                     "--data", str(feature_file), "--out", str(out)])
-        assert code == 0
-        for line in (out / "bench.csv").read_text().strip().splitlines()[1:]:
-            _, epochs, mean_ms, total_s = line.split(",")
-            epoch_sum_s = float(mean_ms) * int(epochs) / 1000.0
-            assert abs(epoch_sum_s - float(total_s)) <= max(0.05 * float(total_s), 1.5e-3)
-
-
 class TestPlotCommand:
     def test_one_row_csv_single_point(self, tmp_path):
         csv = tmp_path / "m.csv"
@@ -404,8 +382,6 @@ class TestManifestContract:
          "--max-rel", "1", "--max-abs", "1"],
         ["sweep-tol", "--tols", "0.123456789,1e-5", "--limit", "8", "--width", "4",
          "--data", "{feats}"],
-        ["bench", "--epochs", "1", "--limit", "16", "--width", "4", "--n-steps", "2",
-         "--batch-size", "8", "--data", "{feats}"],
         ["plot", "--csv", "{csv}", "--columns", "val_loss,train_acc"],
     ], ids=lambda argv: argv[0])
     def test_manifest_round_trips_through_rerun(self, argv, feature_file, tmp_path, monkeypatch):
@@ -453,6 +429,16 @@ class TestManifestContract:
         assert without_wall_ms(redo) == without_wall_ms(fresh)
         _, recorded = read_manifest(tmp_path / "redo" / "manifest.txt")
         assert "n-steps" not in recorded
+
+    def test_rerun_of_a_removed_command_names_it(self, tmp_path, capsys):
+        # a manifest recorded by the timing command, which the CLI no longer has
+        m = tmp_path / "m.txt"
+        m.write_text("command=bench\ntoolkit_version=0.1.0\narg.epochs=3\narg.data=feats.nodf\n"
+                     f"arg.out={tmp_path / 'old'}\n")
+        assert main(["rerun", str(m), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "bench" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_rerun_rejects_rerun_manifest(self, tmp_path):
         m = tmp_path / "m.txt"

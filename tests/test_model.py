@@ -4,8 +4,7 @@ import pytest
 from nodehead.dynamics import init_params
 from nodehead.errors import ContractError, FormatError, ShapeError
 from nodehead.model import (
-    BaselineHead,
-    NodeHead,
+    Head,
     evaluate,
     forward,
     head_from_flat,
@@ -15,6 +14,7 @@ from nodehead.model import (
     load_checkpoint,
     save_checkpoint,
     softmax,
+    solver_config_for,
     train_step,
 )
 from nodehead.solvers import SolveStats, SolverConfig, solve_adaptive, solve_fixed_batch
@@ -23,11 +23,11 @@ from nodehead.solvers import SolveStats, SolverConfig, solve_adaptive, solve_fix
 class TestForwardBaseline:
     def test_identity_weight_passes_features_through(self, rng):
         x = rng.standard_normal(4)
-        head = BaselineHead(w_out=np.eye(4), b_out=np.zeros(4))
+        head = Head(w_out=np.eye(4), b_out=np.zeros(4))
         np.testing.assert_array_equal(forward(head, x[None])[0][0], x)
 
     def test_zero_weight_gives_bias(self, rng):
-        head = BaselineHead(w_out=np.zeros((3, 5)), b_out=np.array([0.1, -0.2, 0.3]))
+        head = Head(w_out=np.zeros((3, 5)), b_out=np.array([0.1, -0.2, 0.3]))
         np.testing.assert_array_equal(forward(head, rng.standard_normal((1, 5)))[0][0], head.b_out)
 
     def test_matches_matmul_oracle(self, rng):
@@ -53,7 +53,7 @@ class TestForwardNode:
             np.testing.assert_allclose(logits_node, logits_base, atol=1e-12)
 
     def test_zero_features_zero_wout_gives_bias(self):
-        node = NodeHead(
+        node = Head(
             dynamics=init_params(0, 4, 5, scale=0.0),
             w_out=np.zeros((2, 4)),
             b_out=np.array([0.7, -0.4]),
@@ -91,7 +91,7 @@ class TestForwardNode:
 class TestLossAndGrads:
     def test_perfectly_classified_sample_is_stationary(self):
         # a huge margin drives prob -> 1: loss ~ 0 and all gradients ~ 0
-        head = BaselineHead(w_out=np.array([[50.0, 0.0], [-50.0, 0.0]]), b_out=np.zeros(2))
+        head = Head(w_out=np.array([[50.0, 0.0], [-50.0, 0.0]]), b_out=np.zeros(2))
         loss, grads, _, _ = train_step(head, np.array([[1.0, 0.0]]), [0])
         assert loss <= 1e-10
         assert np.abs(grads).max() <= 1e-9
@@ -186,6 +186,39 @@ class TestOneRoute:
             forward(head, np.zeros((0, 3)))
 
 
+class TestHead:
+    def test_dimensions_come_from_the_output_layer(self):
+        base = init_baseline_head(0, 5, 3)
+        node = init_node_head(0, 5, 3, width=4)
+        assert (base.d, base.classes, base.n_params) == (5, 3, 18)
+        assert (node.d, node.classes, node.n_params) == (5, 3, 18 + node.dynamics.n_params)
+
+    def test_inconsistent_shapes_rejected(self):
+        with pytest.raises(ShapeError, match="state dimension 4"):
+            Head(np.zeros((2, 3)), np.zeros(2), init_params(0, 4, 5))
+        with pytest.raises(ShapeError, match="2-d"):
+            Head(np.zeros(3), np.zeros(3))
+        with pytest.raises(ShapeError, match="b_out"):
+            Head(np.zeros((2, 3)), np.zeros(3))
+
+    @pytest.mark.parametrize("kind, byte, width", [("baseline", 0, 0), ("node", 1, 6)])
+    def test_checkpoint_kind_follows_the_block(self, kind, byte, width, tmp_path):
+        head = init_node_head(0, 4, 3, width=6) if kind == "node" else init_baseline_head(0, 4, 3)
+        save_checkpoint(head, tmp_path / "h.nodc")
+        blob = (tmp_path / "h.nodc").read_bytes()
+        assert blob[8] == byte  # after the magic and the u32 version
+        assert int.from_bytes(blob[13:17], "little") == width
+        assert (load_checkpoint(tmp_path / "h.nodc").dynamics is None) == (kind == "baseline")
+
+    def test_solver_config_for_maps_once(self):
+        fixed = SolverConfig(method="rk4_fixed", n_steps=9)
+        assert solver_config_for("discrete", fixed) is fixed
+        assert solver_config_for("adjoint", fixed) == SolverConfig(n_steps=9)
+        assert solver_config_for("discrete").method == "rk4_fixed"
+        with pytest.raises(ContractError, match="symbolic"):
+            solver_config_for("symbolic")
+
+
 class TestFlatPacking:
     @pytest.mark.parametrize("kind", ["node", "baseline"])
     def test_round_trip(self, kind, rng):
@@ -219,7 +252,7 @@ class TestCheckpoints:
         path = tmp_path / "head.nodc"
         save_checkpoint(head, path)
         loaded = load_checkpoint(path)
-        assert type(loaded) is type(head)
+        assert (loaded.dynamics is None) == (head.dynamics is None)
         np.testing.assert_array_equal(head_to_flat(loaded), head_to_flat(head))
         # byte-level: saving the loaded head reproduces the file exactly
         save_checkpoint(loaded, tmp_path / "again.nodc")
@@ -269,7 +302,7 @@ class TestCheckpoints:
 class TestEvaluate:
     def test_accuracy_on_separable_data(self, toy_feature_dataset):
         ds = toy_feature_dataset
-        head = BaselineHead(
+        head = Head(
             w_out=np.vstack([-ds.features[ds.labels == 1].mean(axis=0),
                              ds.features[ds.labels == 1].mean(axis=0)]),
             b_out=np.zeros(2),

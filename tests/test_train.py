@@ -221,6 +221,22 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             TrainConfig(grad_method="forward")
 
+    def test_default_config_validates_with_the_training_method(self, toy_feature_dataset):
+        # steps and validation both run fixed-step RK4: 4 evaluations per step and row
+        cfg = TrainConfig(epochs=1, width=8)
+        _, records = train("node", toy_feature_dataset, cfg)
+        assert cfg.solver.method == "rk4_fixed"
+        assert records[0].n_feval == 4 * cfg.solver.n_steps * len(toy_feature_dataset)
+
+    @pytest.mark.parametrize("grad, given, method", [
+        ("discrete", "dopri5", "rk4_fixed"), ("discrete", "rk4_fixed", "rk4_fixed"),
+        ("adjoint", "rk4_fixed", "dopri5"), ("adjoint", "dopri5", "dopri5"),
+    ])
+    def test_solver_method_follows_grad_method(self, grad, given, method):
+        solver = SolverConfig(method=given, rtol=1e-4, n_steps=7)
+        cfg = TrainConfig(grad_method=grad, solver=solver)
+        assert cfg.solver == SolverConfig(method=method, rtol=1e-4, n_steps=7)
+
 
 class TestStabilityStats:
     def test_constant_series_zero_std(self):

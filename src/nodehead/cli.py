@@ -233,7 +233,7 @@ def _load_dataset(path, feature_dim, extractor_seed, limit):
     else:
         images = load_cifar10_bin(path)
         ds = extract_features(FrozenExtractor(extractor_seed, feature_dim), images)
-    if limit and limit > 0:
+    if limit:
         ds = ds.subset(np.arange(min(limit, len(ds))))
     if len(ds) == 0:
         raise DataError(f"{path}: dataset is empty")
@@ -241,6 +241,8 @@ def _load_dataset(path, feature_dim, extractor_seed, limit):
 
 
 def _dataset_from_args(args):
+    if args.limit < 0:
+        raise ContractError(f"--limit must be >= 0 (0 = all rows), got {args.limit}")
     return _load_dataset(args.data, args.feature_dim, args.extractor_seed, args.limit)
 
 
@@ -421,6 +423,10 @@ def _fd_loss_grad(head, features, labels, n_steps, step):
 def cmd_gradcheck(args):
     if not 0 < args.fd_step < math.inf:
         raise ContractError(f"--fd-step must be a finite number > 0, got {args.fd_step}")
+    # a NaN bound would make every comparison false and fall back to the other one
+    for flag, bound in (("--max-rel", args.max_rel), ("--max-abs", args.max_abs)):
+        if not bound >= 0:
+            raise ContractError(f"{flag} must be a number >= 0, got {bound}")
     out, manifest = _start_run(args)
 
     head = init_node_head(args.seed, args.d, args.classes, width=args.width, scale=args.scale)

@@ -261,23 +261,34 @@ def save_checkpoint(head, path):
 
 def load_checkpoint(path):
     """Read a NODC checkpoint back into a :class:`Head`, with ``dynamics``
-    set for kind 1 (node) and ``None`` for kind 0 (baseline)."""
+    set for kind 1 (node) and ``None`` for kind 0 (baseline).
+
+    Raises :class:`FormatError`, naming the file, for a header that
+    describes no usable head: d or classes of 0, a node of width 0, or a
+    baseline with a width."""
     with open(path, "rb") as fh:
         blob = fh.read()
     header_size = 4 + struct.calcsize("<IBIII")
     if len(blob) < header_size:
-        raise FormatError(f"checkpoint truncated: {len(blob)} bytes is shorter than the header")
+        raise FormatError(f"{path}: checkpoint truncated: {len(blob)} bytes is shorter than the header")
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
+        raise FormatError(f"{path}: bad checkpoint magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
     version, kind, d, width, classes = struct.unpack("<IBIII", blob[4:header_size])
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
     if kind not in (_KIND_BASELINE, _KIND_NODE):
-        raise FormatError(f"unknown head kind {kind}")
+        raise FormatError(f"{path}: unknown head kind {kind}")
+    for field, value in (("d", d), ("classes", classes)):
+        if value == 0:
+            raise FormatError(f"{path}: checkpoint header field {field} is 0, expected >= 1")
+    if kind == _KIND_NODE and width == 0:
+        raise FormatError(f"{path}: checkpoint header field width is 0 for a node head, expected >= 1")
+    if kind == _KIND_BASELINE and width != 0:
+        raise FormatError(f"{path}: checkpoint header field width is {width} for a baseline head, expected 0")
     flat = np.frombuffer(blob[header_size:], dtype="<f8").astype(np.float64)
     n_dynamics = width * (d + 1) + width + d * width + d if kind == _KIND_NODE else 0
     expected = n_dynamics + classes * d + classes
     if flat.shape[0] != expected:
-        raise FormatError(f"checkpoint length mismatch: {flat.shape[0]} parameters, expected {expected}")
+        raise FormatError(f"{path}: checkpoint length mismatch: {flat.shape[0]} parameters, expected {expected}")
     dynamics = unflatten(np.zeros(n_dynamics), d, width) if kind == _KIND_NODE else None
     return head_from_flat(Head(np.zeros((classes, d)), np.zeros(classes), dynamics), flat)

@@ -3,19 +3,28 @@
 Two methods cover the two training strategies, and :func:`solve` is the
 one place that picks between them by ``SolverConfig.method``, on an (n, d)
 batch. Both take a field in the sense of :mod:`nodehead.dynamics`
-(``DynamicsParams`` or a closed-form field), build one workspace per solve
-with :func:`~nodehead.dynamics.workspace`, and reach the field only through
-:func:`~nodehead.dynamics.eval_dynamics_batch`:
+(``DynamicsParams`` or a closed-form field) and build one workspace per
+solve with :func:`~nodehead.dynamics.workspace`:
 
 * :func:`solve_fixed_batch` - classic 4-stage RK4 on a uniform grid shared
   by the rows of an (n, d) batch, the routine training and evaluation run.
-  It writes every stage straight into the returned trajectory, so the
-  discrete recursion can be differentiated exactly in reverse (memory
-  grows with the step count), or, with ``keep_trajectory=False``
-  (:func:`rk4_terminal_batch`), keeps only the current step.
+  It owns the grid, the trajectory buffers and the finiteness check of
+  every step, and evaluates each step's stage 0 with
+  :func:`~nodehead.dynamics.eval_dynamics_batch`; the workspace takes the
+  other stages and writes all four stage records straight into the
+  trajectory, so the discrete recursion can be differentiated exactly in
+  reverse (memory grows with the step count), or, with
+  ``keep_trajectory=False`` (:func:`rk4_terminal_batch`), keeps only the
+  current step. For the two-layer field the step runs in the field's
+  hidden space (see :mod:`nodehead.dynamics`): a stage record is the
+  activation ``u = tanh(z)`` rather than the derivative
+  ``k = u @ w2.T + b2``, and a step costs 6 GEMMs instead of 8, which
+  pays while the width stays below about 2 times d.
 * :func:`solve_adaptive` - Dormand-Prince 5(4) embedded pair with
   rtol/atol step control for one state, the tolerance-tunable path: the
-  field runs at n=1, and :func:`solve` loops it over the rows of a batch.
+  field runs at n=1 through
+  :func:`~nodehead.dynamics.eval_dynamics_batch`, and :func:`solve` loops
+  it over the rows of a batch.
   The stepping itself is :func:`integrate_adaptive`, which takes a plain
   ``f(y, t)`` because the adjoint also integrates its augmented system
   with it. Supports backward integration (t1 < t0) for the adjoint pass
@@ -36,11 +45,6 @@ from .dynamics import eval_dynamics_batch, workspace
 # looked up here by the benchmark's span tracer (perfbench/spans.py)
 from .dynamics import eval_dynamics  # noqa: F401
 from .errors import ContractError, NumericError, StepBudgetError
-
-# Classic RK4 weights in tableau form (all stage coefficients are exact
-# binary fractions).
-RK4_B = np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6])
-RK4_C = (0.0, 0.5, 0.5, 1.0)  # stage times; stage j reads h + RK4_C[j] * dt * k[j-1]
 
 # Dormand-Prince 5(4) tableau. Stage 7 is evaluated at the 5th-order
 # solution, so its value seeds stage 1 of the next step (FSAL).
@@ -118,8 +122,11 @@ class Trajectory:
 
     ``states[i]`` is the (n, d) batch at ``times[i]``, so ``states`` has
     shape (n_steps + 1, n, d); ``stages[i]`` holds the four RK4 stage
-    derivatives of the step from ``times[i]`` to ``times[i+1]``, shape
-    (n_steps, 4, n, d).
+    records of the step from ``times[i]`` to ``times[i+1]``, shape
+    (n_steps, 4, n, stage_dim). For the two-layer field a record is the
+    stage's activation ``u = tanh(z)`` (stage_dim = width, derivative
+    ``u @ w2.T + b2``); for a closed-form field it is the stage derivative
+    (stage_dim = d).
     """
 
     times: np.ndarray
@@ -144,10 +151,11 @@ def solve_fixed_batch(field, states0, t0, t1, n_steps, keep_trajectory=True):
 
     Returns (hT, Trajectory). Each row is an independent initial value; the
     uniform grid makes the batched recursion exactly the per-row one, just
-    evaluated together. One workspace serves every stage, and the stage
-    derivatives are written straight into the trajectory buffers. With
-    ``keep_trajectory=False`` only the current step's stages are held and
-    the trajectory is None.
+    evaluated together. This loop owns the grid and the trajectory buffers
+    and evaluates stage 0 of every step; one workspace takes the rest of
+    the step (``rk4_step``) and writes its four stage records straight into
+    the trajectory. With ``keep_trajectory=False`` only the current step's
+    stages are held and the trajectory is None.
     """
     if n_steps < 1:
         raise ContractError(f"n_steps must be >= 1, got {n_steps}")
@@ -157,26 +165,20 @@ def solve_fixed_batch(field, states0, t0, t1, n_steps, keep_trajectory=True):
     work = workspace(field, h0)
     times = t0 + (t1 - t0) * np.arange(n_steps + 1) / n_steps
     times[-1] = t1
-    y = np.empty_like(h0)
     # without the trajectory, two state slots alternate and one stage slot is reused
     kept = n_steps if keep_trajectory else 1
     states = np.empty((kept + 1,) + h0.shape)
-    stages = np.empty((kept, 4) + h0.shape)
+    stages = np.empty((kept, 4, h0.shape[0], work.stage_dim))
     states[0] = h0
+    k0 = np.empty_like(h0)
     for i in range(n_steps):
         t = times[i]
         dt = times[i + 1] - t
         h = states[i % (kept + 1)]
         h_next = states[(i + 1) % (kept + 1)]
-        k = stages[i % kept]
-        eval_dynamics_batch(field, h, t, out=k[0], work=work)
-        for j in (1, 2, 3):
-            np.multiply(k[j - 1], RK4_C[j] * dt, out=y)
-            y += h
-            eval_dynamics_batch(field, y, t + RK4_C[j] * dt, out=k[j], work=work)
-        np.matmul(RK4_B, k.reshape(4, -1), out=h_next.reshape(-1))
-        h_next *= dt
-        h_next += h
+        # stage 0 is the field at the step's own state and time
+        eval_dynamics_batch(field, h, t, out=k0, work=work)
+        work.rk4_step(h, t, dt, k0, stages[i % kept], h_next)
         _require_finite(h_next, t + dt)
     if not keep_trajectory:
         return h_next, None

@@ -53,6 +53,44 @@ def fd_discrete_grads(params, h0, c, n_steps, step=1e-6):
     return d_h0, d_params
 
 
+class TestHiddenSpaceKernel:
+    """The RK4 step of the two-layer field, taken through its activations, against
+    the per-row state-space reference loop and its reverse recursion."""
+
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("d, width", [(5, 3), (3, 5), (4, 16), (1, 4)])
+    def test_forward_and_reverse_match_reference(self, d, width, n, rng):
+        p = init_params(10 * d + width, d, width, scale=1.5)
+        states0, cots = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        hT, traj = solve_fixed_batch(p, states0, 0.3, 1.1, 6)
+        assert traj.stages.shape == (6, 4, n, width)
+        f = lambda h, t: ref.field(p, h, t)
+        for i in range(n):
+            hT_row, times, states_row, stages_row = ref.rk4_solve(f, states0[i], 0.3, 1.1, 6)
+            np.testing.assert_allclose(hT[i], hT_row, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.states[:, i], states_row, rtol=0, atol=1e-12)
+            # each stored activation u rebuilds its stage derivative u @ w2.T + b2
+            np.testing.assert_allclose(traj.stages[:, :, i] @ p.w2.T + p.b2, stages_row,
+                                       rtol=0, atol=1e-12)
+        d_h0, d_params = backprop_rk4_batch(p, traj, cots)
+        want_h0 = np.empty_like(states0)
+        want_params = np.zeros(p.n_params)
+        for i in range(n):
+            _, times, states_row, stages_row = ref.rk4_solve(f, states0[i], 0.3, 1.1, 6)
+            want_h0[i], row_params = ref.rk4_backprop(p, times, states_row, stages_row, cots[i])
+            want_params += row_params
+        np.testing.assert_allclose(d_h0, want_h0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d_params, want_params, rtol=0, atol=1e-12)
+
+    def test_zero_field_keeps_states_bitwise(self, rng):
+        p = init_params(0, 4, 6, scale=0.0)
+        states0 = rng.standard_normal((7, 4))
+        hT, traj = solve_fixed_batch(p, states0, 0.0, 1.0, 5)
+        np.testing.assert_array_equal(hT, states0)
+        for state in traj.states:
+            np.testing.assert_array_equal(state, states0)
+
+
 class TestBackpropThroughSolver:
     def test_zero_cotangent_gives_zero_gradients(self, rng):
         p = init_params(0, 3, 4, scale=0.8)

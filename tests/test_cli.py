@@ -251,10 +251,18 @@ class TestBadFlagsExitThroughTable:
         ("gradcheck", ["--fd-step", "inf"], 1, "--fd-step"),
         ("gradcheck", ["--fd-step", "-0.00001"], 1, "--fd-step"),
         ("compare", ["--window", "1"], 1, "--window"),
+        ("gradcheck", ["--max-rel", "nan"], 1, "--max-rel"),
+        ("gradcheck", ["--max-rel", "-0.1"], 1, "--max-rel"),
+        ("gradcheck", ["--max-abs", "nan"], 1, "--max-abs"),
+        ("gradcheck", ["--max-abs", "-0.000001"], 1, "--max-abs"),
+        ("train", ["--limit", "-5"], 1, "--limit"),
+        ("compare", ["--limit", "-5"], 1, "--limit"),
     ], ids=["train-scale-negative", "train-scale-nan", "train-width-0", "train-rtol-nan",
             "train-lr-nan", "train-eps-nan", "compare-test-data-dim", "gradcheck-d-0",
             "gradcheck-classes-0", "gradcheck-fd-step-0", "gradcheck-fd-step-nan",
-            "gradcheck-fd-step-inf", "gradcheck-fd-step-negative", "compare-window-1"])
+            "gradcheck-fd-step-inf", "gradcheck-fd-step-negative", "compare-window-1",
+            "gradcheck-max-rel-nan", "gradcheck-max-rel-negative", "gradcheck-max-abs-nan",
+            "gradcheck-max-abs-negative", "train-limit-negative", "compare-limit-negative"])
     def test_exit_code_and_one_line(self, command, flags, code, named, feature_file, tmp_path,
                                     capsys):
         gen = np.random.default_rng(1)

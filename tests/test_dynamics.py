@@ -190,19 +190,32 @@ class TestBatchWorkspace:
             assert got is out
             np.testing.assert_array_equal(got, eval_dynamics_batch(p, states, t))
 
-    def test_vjp_with_workspace_sums_parameter_gradients(self, rng):
+    def test_vjp_with_workspace_matches_fresh_call(self, rng):
         p = init_params(8, 3, 7, scale=0.9)
         work = BatchWorkspace(p, 5)
-        out = np.empty((5, 3))
-        flat_sum = np.zeros(p.n_params)
+        out, flat = np.empty((5, 3)), np.empty(p.n_params)
         for t in (0.0, 0.5, 1.0):
             states, cots = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-            d_states, d_flat = vjp_batch(p, states, t, cots, out=out, work=work)
-            assert d_states is out and d_flat is None
+            d_states, d_flat = vjp_batch(p, states, t, cots, out=out, work=work, d_params_out=flat)
+            assert d_states is out and d_flat is flat
             fresh_states, fresh_flat = vjp_batch(p, states, t, cots)
             np.testing.assert_array_equal(d_states, fresh_states)
-            flat_sum += fresh_flat
-        np.testing.assert_allclose(work.d_params(), flat_sum, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(d_flat, fresh_flat)
+
+    def test_each_use_builds_only_its_own_buffers(self, rng):
+        p = init_params(8, 3, 7, scale=0.9)
+        states, cots = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        built = lambda work: {k for k in ("_vjp_buffers", "_hidden", "_step_buffers", "_reverse", "_grads")
+                              if k in vars(work)}
+        work = BatchWorkspace(p, 5)
+        eval_dynamics_batch(p, states, 0.5, work=work)
+        assert built(work) == set()
+        vjp_batch(p, states, 0.5, cots, work=work)
+        assert built(work) == {"_vjp_buffers"}
+        work = BatchWorkspace(p, 5)
+        k0 = eval_dynamics_batch(p, states, 0.0, work=work)
+        work.rk4_step(states, 0.0, 0.1, k0, np.empty((4, 5, 7)), np.empty((5, 3)))
+        assert built(work) == {"_hidden", "_step_buffers"}
 
     def test_value_out_shares_the_activation(self, rng):
         p = init_params(8, 3, 7, scale=0.9)

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -296,6 +299,24 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(FormatError, match=rf"length mismatch: {head.n_params - 2} parameters, "
                                               rf"expected {head.n_params}$"):
+            load_checkpoint(path)
+
+
+    @pytest.mark.parametrize("kind, d, width, classes, field", [
+        (1, 0, 4, 3, "d"),
+        (0, 0, 0, 3, "d"),
+        (1, 5, 4, 0, "classes"),
+        (0, 5, 0, 0, "classes"),
+        (1, 5, 0, 3, "width"),
+        (0, 5, 7, 3, "width"),
+    ], ids=["node-d-0", "baseline-d-0", "node-classes-0", "baseline-classes-0",
+            "node-width-0", "baseline-width-7"])
+    def test_header_without_a_usable_head_names_file_and_field(self, kind, d, width, classes, field,
+                                                                tmp_path):
+        n_params = (width * (d + 1) + width + d * width + d if kind == 1 else 0) + classes * (d + 1)
+        path = tmp_path / "hdr.nodc"
+        path.write_bytes(b"NODC" + struct.pack("<IBIII", 1, kind, d, width, classes) + bytes(8 * n_params))
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: .*field {field} "):
             load_checkpoint(path)
 
 

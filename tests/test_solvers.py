@@ -41,6 +41,12 @@ def rk4_step(field, h, t, dt):
     return h_next[0], traj.stages[0, :, 0]
 
 
+def stage_derivatives(params, traj):
+    """The RK4 stage derivatives k = u @ w2.T + b2 rebuilt from the activations
+    ``u`` that a solve of the two-layer field stores as its stages."""
+    return traj.stages @ params.w2.T + params.b2
+
+
 class TestSolverConfig:
     def test_defaults_match_documented_controller(self):
         cfg = SolverConfig()
@@ -127,7 +133,7 @@ class TestSolveFixed:
         for i in range(5):
             hT, _, _, stages = ref.rk4_solve(lambda h, t: ref.field(p, h, t), states0[i], 0.0, 1.0, 12)
             np.testing.assert_allclose(hT_batch[i], hT, atol=1e-12)
-            np.testing.assert_allclose(traj_batch.stages[:, :, i, :], stages, atol=1e-12)
+            np.testing.assert_allclose(stage_derivatives(p, traj_batch)[:, :, i, :], stages, atol=1e-12)
 
     def test_terminal_batch_matches_full_solve(self, rng):
         p = init_params(5, 4, 6, scale=0.7)
@@ -144,13 +150,13 @@ class TestBatchKernel:
         states0 = rng.standard_normal((n, d))
         hT, traj = solve_fixed_batch(p, states0, 0.0, 1.0, 7)
         assert hT.shape == (n, d)
-        assert traj.states.shape == (8, n, d) and traj.stages.shape == (7, 4, n, d)
+        assert traj.states.shape == (8, n, d) and traj.stages.shape == (7, 4, n, width)
         for i in range(n):
             hT_row, _, states_row, stages_row = ref.rk4_solve(
                 lambda h, t: ref.field(p, h, t), states0[i], 0.0, 1.0, 7)
             np.testing.assert_allclose(hT[i], hT_row, atol=1e-12)
             np.testing.assert_allclose(traj.states[:, i], states_row, atol=1e-12)
-            np.testing.assert_allclose(traj.stages[:, :, i], stages_row, atol=1e-12)
+            np.testing.assert_allclose(stage_derivatives(p, traj)[:, :, i], stages_row, atol=1e-12)
         np.testing.assert_array_equal(rk4_terminal_batch(p, states0, 0.0, 1.0, 7), traj.states[-1])
 
     @pytest.mark.parametrize("keep", [True, False])

@@ -6,15 +6,19 @@ Two strategies with opposite memory profiles, each with one workspace
 * :func:`backprop_rk4_batch` walks a stored fixed-step RK4 trajectory of an
   (n, d) batch from ``solve_fixed_batch`` in reverse, differentiating the
   discrete recursion exactly. It owns the loop over the grid; the
-  workspace reverses each step from the stored state and stage records and
-  sums the parameter gradient over rows, stages and steps. Memory grows
-  with the step count (the trajectory itself). For the two-layer field the
-  reverse step runs in the field's hidden space (see
-  :mod:`nodehead.dynamics`): it walks the stored activations, never
-  recomputes tanh, and costs 10 GEMMs instead of 20; the sums for
-  ``M = w2.T @ w1_h.T`` and ``m`` are mapped onto the parameters once per
-  pass. With the forward solve, that pays while the width stays below
-  about 2.5 times d.
+  workspace carries the cotangent of the forward carry backward, reverses
+  each step from the stored stage records and sums the parameter gradient
+  over rows, stages and steps. Memory grows with the step count (the
+  trajectory itself). For the two-layer field the reverse carry is
+  ``gz = dL/dz`` of the first stage's pre-activation (see
+  :mod:`nodehead.dynamics`): the pass forms ``dL/dhT @ w2`` once, a step
+  costs ``gz @ M.T``, three stage GEMMs and the gradient of
+  ``M = w2.T @ w1_h.T``, and it never recomputes tanh. The initial state
+  and w1, b1 get their gradients once, from ``gz_0``, and the sums for
+  ``M`` and ``m`` are mapped onto the parameters once per pass. With the
+  forward solve a step costs ``12 * n * width^2`` multiply-adds, which
+  pays against the state-space ``28 * n * d * width`` while the width
+  stays below about 2.3 times d.
 * :func:`adjoint_solve` integrates the augmented system [h; a; g] of one
   state backward in time, where a(t) is the adjoint state dL/dh(t) and g
   accumulates the parameter gradient. Each right-hand side evaluation gets
@@ -63,24 +67,22 @@ def backprop_rk4_batch(field, trajectory, d_hT_rows):
     d_params_sum) where the parameter gradient is summed over rows (callers
     scale the cotangents for mean reductions). This loop walks the grid
     backwards; the workspace reverses each step (``rk4_step_vjp``) from the
-    stored state and stage records, so the pass performs no new forward
-    integration, and sums the parameter gradient, so the loop allocates
-    nothing per step.
+    stored stage records, so the pass performs no new forward integration,
+    and sums the parameter gradient over the steps.
     """
     if trajectory.stages is None:
         raise ContractError("trajectory has no retained stages; use solve_fixed_batch to produce it")
     g = np.array(d_hT_rows, dtype=np.float64)
-    if g.shape != trajectory.states.shape[1:]:
-        raise ShapeError(f"cotangent shape {g.shape} does not match batch shape {trajectory.states.shape[1:]}")
+    if g.shape != trajectory.h0.shape:
+        raise ShapeError(f"cotangent shape {g.shape} does not match batch shape {trajectory.h0.shape}")
     work = workspace(field, g)
     if trajectory.stages.shape[-1] != work.stage_dim:
         raise ShapeError(f"trajectory stages of width {trajectory.stages.shape[-1]} were not "
                          f"written by this field (stage width {work.stage_dim})")
-    times = trajectory.times
-    for i in range(len(times) - 2, -1, -1):
-        t = times[i]
-        work.rk4_step_vjp(trajectory.states[i], t, times[i + 1] - t, trajectory.stages[i], g)
-    return g, work.d_params()
+    carry = work.rk4_reverse_begin(g)
+    for i in range(len(trajectory.times) - 2, -1, -1):
+        work.rk4_step_vjp(trajectory, i, carry)
+    return work.rk4_reverse_end(trajectory, g, carry), work.d_params()
 
 
 def adjoint_solve(field, hT, d_hT, t0, t1, config):

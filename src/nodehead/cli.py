@@ -243,6 +243,8 @@ def _load_dataset(path, feature_dim, extractor_seed, limit):
 def _dataset_from_args(args):
     if args.limit < 0:
         raise ContractError(f"--limit must be >= 0 (0 = all rows), got {args.limit}")
+    if args.extractor_seed < 0:
+        raise ContractError(f"--extractor-seed must be >= 0, got {args.extractor_seed}")
     return _load_dataset(args.data, args.feature_dim, args.extractor_seed, args.limit)
 
 
@@ -287,6 +289,11 @@ def cmd_compare(args):
     # stability_stats would reject it too, but only after the first run had trained
     if args.window < 2:
         raise ContractError(f"--window must be >= 2, got {args.window}")
+    if not args.seeds:
+        raise ContractError("--seeds must name at least one seed")
+    repeated = next((seed for i, seed in enumerate(args.seeds) if seed in args.seeds[:i]), None)
+    if repeated is not None:
+        raise ContractError(f"--seeds names seed {repeated} twice; each seed's runs share one directory")
     _resolve_optimizer(args)
     out, manifest = _start_run(args)
     dataset = _dataset_from_args(args)
@@ -423,6 +430,8 @@ def _fd_loss_grad(head, features, labels, n_steps, step):
 def cmd_gradcheck(args):
     if not 0 < args.fd_step < math.inf:
         raise ContractError(f"--fd-step must be a finite number > 0, got {args.fd_step}")
+    if args.seed < 0:
+        raise ContractError(f"--seed must be >= 0, got {args.seed}")
     # a NaN bound would make every comparison false and fall back to the other one
     for flag, bound in (("--max-rel", args.max_rel), ("--max-abs", args.max_abs)):
         if not bound >= 0:
@@ -460,12 +469,15 @@ def cmd_gradcheck(args):
 
 
 def cmd_sweep_tol(args):
+    if not args.tols:
+        raise ContractError("--tols must name at least one tolerance")
+    configs = [SolverConfig(method="dopri5", rtol=tol, atol=tol, max_steps=args.max_steps)
+               for tol in args.tols]
     out, manifest = _start_run(args)
     dataset = _dataset_from_args(args)
 
     lines = ["rtol,atol,n_feval,final_val_acc,wall_ms"]
-    for tol in args.tols:
-        cfg = SolverConfig(method="dopri5", rtol=tol, atol=tol, max_steps=args.max_steps)
+    for tol, cfg in zip(args.tols, configs):
         tic = time.perf_counter()
         if args.mode == "eval":
             head = init_node_head(args.seed, dataset.d, dataset.class_count,

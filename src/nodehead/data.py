@@ -32,6 +32,9 @@ CIFAR_CLASSES = 10
 FEATURE_MAGIC = b"NODF"
 FEATURE_VERSION = 1
 
+# images the extractor widens to float64 at a time
+EXTRACT_BLOCK_ROWS = 256
+
 
 @dataclass
 class ImageSet:
@@ -125,6 +128,8 @@ class FrozenExtractor:
     projection: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ContractError(f"extractor seed must be >= 0, got {self.seed}")
         if not 1 <= self.d <= CIFAR_PIXELS:
             raise ContractError(f"feature dimension must be in [1, {CIFAR_PIXELS}], got {self.d}")
         rng = np.random.default_rng(self.seed)
@@ -140,11 +145,25 @@ def extract_features(extractor, images):
     """Project an ImageSet through the frozen extractor into a Dataset.
 
     features = tanh(projection @ normalized_pixels); entries lie in (-1, 1)
-    and identical (seed, images) pairs give bitwise-identical results.
+    and identical (seed, images) pairs give bitwise-identical results. The
+    images are widened to float64 in blocks of at most ``EXTRACT_BLOCK_ROWS``
+    rows, each written straight into the feature array, so memory stays
+    flat in the image count. The blocks are of near-equal size rather than
+    a full run plus a remainder, because a GEMM of a few rows can take a
+    different BLAS kernel and round differently; this way the features are
+    bitwise those of a one-shot pass.
     """
-    pixels = images.images.astype(np.float64) / 255.0
-    pixels -= pixels.mean(axis=1, keepdims=True)
-    feats = np.tanh(pixels @ extractor.projection.T)
+    n = len(images)
+    feats = np.empty((n, extractor.d))
+    projection_t = extractor.projection.T
+    n_blocks = max(1, -(-n // EXTRACT_BLOCK_ROWS))
+    bounds = [i * n // n_blocks for i in range(n_blocks + 1)]
+    block = np.empty((min(n, EXTRACT_BLOCK_ROWS), CIFAR_PIXELS))
+    for lo, hi in zip(bounds, bounds[1:]):
+        pixels = block[: hi - lo]
+        np.divide(images.images[lo:hi], 255.0, out=pixels)
+        pixels -= pixels.mean(axis=1, keepdims=True)
+        np.tanh(pixels @ projection_t, out=feats[lo:hi])
     return Dataset(features=feats, labels=images.labels.copy())
 
 

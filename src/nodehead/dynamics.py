@@ -24,38 +24,44 @@ solvers build one workspace per solve and pass it to every call.
 
 The workspace also takes the classic RK4 step and its reverse, for the
 fixed-step loops in :mod:`nodehead.solvers` and :mod:`nodehead.adjoint`.
-Stage 0 of a step is the field at the step's own state, which the loop
-evaluates with :func:`eval_dynamics_batch`; the workspace takes the other
-three stages and the step. A closed-form field steps in state space and
-stores the four stage derivatives. The two-layer field steps in its
-hidden space: a stage derivative is ``k = u @ w2.T + b2`` with
-``u = tanh(z)``, so stage j's input ``h + a_j * k_{j-1}`` at time
-``t + a_j`` (``a_j = RK4_C[j] * dt``) reaches the field only through its
-pre-activation
+The loops carry one array from step to step, and the workspace decides
+what it is. A closed-form field steps in state space: its carry is the
+state, and it stores the four stage derivatives. The two-layer field
+carries the pre-activation of its first stage,
 
-    z_j = z_0 + a_j * (u_{j-1} @ M + m),    z_0 = h @ w1_h.T + t * w1_t + b1,
+    z_i = h_i @ w1_h.T + t_i * w1_t + b1        (shape (n, width)),
 
-with w1_h and w1_t the state block and time column of w1,
-``M = w2.T @ w1_h.T`` (width x width) and ``m = b2 @ w1_h.T + w1_t``. The
-step is ``h + dt * (ubar @ w2.T + b2)`` with ``ubar = sum_j RK4_B[j] * u_j``.
-The results are those of the state-space recursion up to rounding.
+with w1_h and w1_t the state block and time column of w1. A stage
+derivative is ``k = u @ w2.T + b2`` with ``u = tanh(z)``, so a state
+``h + v @ w2.T + a * b2`` at time ``t + a`` has the pre-activation
+``z + v @ M + a * m``, where ``M = w2.T @ w1_h.T`` (width x width) and
+``m = b2 @ w1_h.T + w1_t``. With ``a_j = RK4_C[j] * dt`` a step is
 
-* A forward step costs 6 GEMMs instead of 8: two for stage 0's field
-  evaluation, one that sends its derivative k_0 into stage 1 through
-  w1_h, two (n, w)(w, w) products into stages 2 and 3, and one (n, w)(w, d)
-  product out. The trajectory keeps the four activations u_j in place of
-  the four k_j, the same bytes when width = d.
-* A reverse step costs 10 GEMMs instead of 20 and never recomputes tanh,
-  since it walks the stored activations. The gradients of M and m are
-  summed over all steps and mapped onto w1, w2 and b2 once per pass, at
-  O(width^2 * d) cost whatever n is.
-* Forward plus reverse, a step costs 8*n*d*w + 8*n*w^2 multiply-adds
-  instead of 28*n*d*w, so the hidden space pays only while the width w
-  stays below about 2.5*d, and the forward solve alone only below 2*d. At
-  d = 64 on a 2-vCPU host, forward plus reverse measured 15% faster at
-  width 128, 13% faster at 160 and 2% slower at 256; the forward solve
-  alone was even at 128 and 17% slower at 160. Every workload and the CLI
-  default use width = d.
+    u_0 = tanh(z_i),    u_j = tanh(z_i + a_j * (u_{j-1} @ M + m)),
+    ubar_i = sum_j dt * RK4_B[j] * u_j,
+    z_{i+1} = z_i + ubar_i @ M + dt * m,
+
+because the state update ``h_{i+1} = h_i + ubar_i @ w2.T + dt * b2`` is
+such a shift. The state itself is formed once, at the end:
+``hT = h0 + (sum_i ubar_i) @ w2.T + (t1 - t0) * b2``. The results are
+those of the state-space recursion up to rounding.
+
+* A forward step costs four (n, w)(w, w) GEMMs: ``u_0 @ M``, ``u_1 @ M``,
+  ``u_2 @ M`` and ``ubar @ M``. The state-space step costs 8 GEMMs
+  between widths d and w. The trajectory keeps ``h0`` and the four
+  activations per step, not the grid states, which it rebuilds on demand.
+* The reverse pass carries ``gz = dL/dz`` backward. ``G = dL/dhT @ w2``
+  is formed once, and a step costs ``gz @ M.T``, three stage GEMMs and the
+  gradient of M (2 GEMMs, 4 n w^2 multiply-adds). It walks the stored
+  activations and never recomputes tanh. ``dL/dh0 = dL/dhT + gz_0 @ w1_h``;
+  w1 and b1 get their direct gradients once, from ``gz_0`` and ``h0``,
+  and the sums for M and m are mapped onto w1, w2 and b2 once per pass,
+  at O(width^2 * d) cost whatever n is.
+* Forward plus reverse, a step costs ``12 * n * w^2`` multiply-adds,
+  against ``28 * n * d * w`` in state space, so the carry pays while the
+  width stays below about 2.3 * d. The forward solve alone costs
+  ``4 * n * w^2`` against ``8 * n * d * w`` and pays below 2 * d. Every
+  workload and the CLI default use width = d.
 
 Flat parameter order (a stable contract relied on by checkpoints and the
 adjoint's gradient accumulator): w1 row-major, then b1, then w2 row-major,
@@ -192,7 +198,7 @@ class BatchWorkspace:
     What one kind of solve alone uses is built on its first use: the VJP
     buffers by :meth:`vjp`, ``M``, ``m`` and the step buffers by
     :meth:`rk4_step`, the reverse-pass buffers and gradient sums by
-    :meth:`rk4_step_vjp`. A dopri5 or adjoint workspace never forms ``M``.
+    :meth:`rk4_reverse_begin`. A dopri5 or adjoint workspace never forms ``M``.
     """
 
     def __init__(self, params, n):
@@ -256,60 +262,89 @@ class BatchWorkspace:
 
     @cached_property
     def _hidden(self):
-        """``M = w2.T @ w1h_t`` and ``m = b2 @ w1h_t + w1[:, d]``: stage j's
-        input ``h + a_j * (u_{j-1} @ w2.T + b2)`` at time ``t + a_j`` has the
-        pre-activation ``z_0 + a_j * (u_{j-1} @ M + m)``."""
+        """``M = w2.T @ w1h_t`` and ``m = b2 @ w1h_t + w1[:, d]``: a state
+        ``h + v @ w2.T + a * b2`` at time ``t + a`` has the pre-activation
+        ``z + v @ M + a * m``, z being that of (h, t)."""
         return self.w2.T @ self.w1h_t, self.w2b_t[-1] @ self.w1h_t + self.w1t
 
     @cached_property
     def _step_buffers(self):
-        return np.empty_like(self.z), np.empty_like(self.z), np.empty_like(self.z)
+        """``z + (dt / 2) * m``, ``z + dt * m``, ``ubar``, the running sum ``U``,
+        and ``(dt / 2) * M`` and ``dt * M``."""
+        M = self._hidden[0]
+        return (*(np.empty_like(self.z) for _ in range(4)), np.empty_like(M), np.empty_like(M))
 
-    def rk4_step(self, h, t, dt, k0, stages, out):
-        """The rest of an RK4 step of the rows of ``h`` from ``t`` to ``t + dt``,
-        taken in hidden space, once :meth:`eval` at (h, t) has given stage 0's
-        derivative ``k0`` and left ``z_0`` and ``u_0 = tanh(z_0)`` behind.
+    def rk4_begin(self, h0):
+        """The carry of an RK4 solve from ``h0``: the pre-activation ``z_0`` that
+        :meth:`eval` at (h0, t0) left behind. Zeroes the running sum ``U``."""
+        self._step_buffers[3][...] = 0.0
+        return self.z
 
-        Stage 1's pre-activation is ``z_0 + a_1 * (k0 @ w1h_t + w1[:, d])``,
-        and stage j's, for j = 2, 3, is ``z_0 + a_j * (u_{j-1} @ M + m)``
-        with ``a_j = RK4_C[j] * dt``; each activation ``u_j = tanh(z_j)`` is
-        written to ``stages[j]`` (shape (n, width)). ``out`` receives
-        ``h + ubar @ w2.T + dt * b2`` with ``ubar = sum_j dt * RK4_B[j] * u_j``.
+    def rk4_step(self, z, t, dt, stages):
+        """One RK4 step of the carry ``z`` from ``t`` to ``t + dt``, in place.
+
+        Stage j's pre-activation is ``z + a_j * (u_{j-1} @ M + m)`` with
+        ``a_j = RK4_C[j] * dt`` and ``u_0 = tanh(z)``; each activation
+        ``u_j`` is written to ``stages[j]`` (shape (n, width)). With
+        ``ubar = sum_j dt * RK4_B[j] * u_j`` the step's state is
+        ``h + ubar @ w2.T + dt * b2``, so the carry becomes
+        ``z + ubar @ M + dt * m`` and ``U`` collects ``ubar``.
         """
         M, m = self._hidden
-        z_half, z_full, ubar = self._step_buffers
-        width = self.stage_dim
-        z0 = self.z
-        np.copyto(stages[0], self.u)
-        u = np.matmul(k0, self.w1h_t, out=stages[1])
-        u += self.w1t
-        u *= 0.5 * dt
-        u += z0
-        np.tanh(u, out=u)
-        # the shares of z_2 and z_3 that do not depend on u
-        np.add(z0, (0.5 * dt) * m, out=z_half)
-        np.add(z0, dt * m, out=z_full)
-        for j, z in ((2, z_half), (3, z_full)):
-            u = np.matmul(stages[j - 1], M, out=stages[j])
-            u *= RK4_C[j] * dt
-            u += z
+        z_half, z_full, ubar, U, M_half, M_full = self._step_buffers
+        np.tanh(z, out=stages[0])
+        # the shares of the stage pre-activations that do not depend on u
+        np.add(z, (0.5 * dt) * m, out=z_half)
+        np.add(z, dt * m, out=z_full)
+        np.multiply(M, 0.5 * dt, out=M_half)
+        np.multiply(M, dt, out=M_full)
+        for j, zj, Mj in ((1, z_half, M_half), (2, z_half, M_half), (3, z_full, M_full)):
+            u = np.matmul(stages[j - 1], Mj, out=stages[j])
+            u += zj
             np.tanh(u, out=u)
         np.matmul(RK4_B * dt, stages.reshape(4, -1), out=ubar.reshape(-1))
-        np.matmul(ubar, self.w2b_t[:width], out=out)
-        out += dt * self.w2b_t[width]
-        out += h
+        U += ubar
+        np.matmul(ubar, M, out=z)
+        z += z_full
+        return z
+
+    def _state(self, h0, U, span, out=None):
+        """The state ``h0 + U @ w2.T + span * b2`` that a running sum ``U`` reaches."""
+        width = self.stage_dim
+        out = np.matmul(U, self.w2b_t[:width], out=out)
+        out += span * self.w2b_t[width]
+        out += h0
         return out
+
+    def rk4_end(self, h0, z, span):
+        """The state at the end of the solve from ``h0`` over ``span = t1 - t0``."""
+        return self._state(h0, self._step_buffers[3], span)
+
+    def rk4_states(self, h0, times, stages):
+        """The grid states of a solve from ``h0``, rebuilt from its stage
+        records as :meth:`rk4_step` and :meth:`rk4_end` form them, so the last
+        one is bitwise the solve's terminal state."""
+        U, ubar = np.zeros_like(self.z), np.empty_like(self.z)
+        states = np.empty((len(times),) + h0.shape)
+        states[0] = h0
+        for i in range(len(times) - 1):
+            np.matmul(RK4_B * (times[i + 1] - times[i]), stages[i].reshape(4, -1), out=ubar.reshape(-1))
+            U += ubar
+            self._state(h0, U, times[i + 1] - times[0], out=states[i + 1])
+        return states
 
     @cached_property
     def _reverse(self):
         """The reverse pass's operands and buffers: contiguous ``M.T`` and
-        ``w1_h``, because a transposed operand slows the GEMM, then S, G,
-        1 - u^2, scratch, sum_j s_j, ubar, the state gradient and a row of ones."""
+        ``w1_h``, because a transposed operand slows the GEMM, then
+        ``G = dL/dhT @ w2``, dL/dubar, S, 1 - u^2, scratch, ubar,
+        the running sum U, the state gradient and a row of ones."""
         n, width = self.z.shape
         d = self.w2.shape[0]
         e = lambda *shape: np.empty(shape)
-        return (self._hidden[0].T.copy(), self.w1h_t.T.copy(), e(4, n, width), e(n, width),
-                e(4, n, width), e(n, width), e(n, width), e(n, width), e(n, d), np.ones(3 * n))
+        return (self._hidden[0].T.copy(), self.w1h_t.T.copy(), e(n, width), e(n, width),
+                e(4, n, width), e(4, n, width), e(n, width), e(n, width), e(n, width),
+                e(n, d), np.ones(3 * n))
 
     @cached_property
     def _grads(self):
@@ -319,48 +354,73 @@ class BatchWorkspace:
         z = np.zeros
         return z((width, d)), z(width), z(width), z((d, width)), z(d), z((width, width)), z(width)
 
-    def rk4_step_vjp(self, h, t, dt, stages, g):
-        """Pull the cotangent ``g`` of :meth:`rk4_step`'s output back onto its
-        input ``h``, in place, from the stored activations ``stages``, and add
-        the step's parameter gradient to the running sums.
-
-        With ``s_j = dL/dz_j``, the stages chain back as
-        ``s_j = (dt * RK4_B[j] * g @ w2 + a_{j+1} * s_{j+1} @ M.T) * (1 - u_j^2)``;
-        ``h`` gets ``(sum_j s_j) @ w1_h`` on top of ``g``, and ``M`` and ``m``
-        collect ``a_j * u_{j-1}.T @ s_j`` and ``a_j * sum_rows s_j``.
-        """
-        m_t, w1h, S, G, D, tmp, dzh, ubar, dh, ones = self._reverse
-        g_w1h, g_w1t, g_b1, g_w2, g_b2, g_M, g_m = self._grads
-        n, width = G.shape
-        # the output h + ubar @ w2.T + dt * b2
-        np.matmul(RK4_B * dt, stages.reshape(4, -1), out=ubar.reshape(-1))
-        g_w2 += g.T @ ubar
-        g_b2 += dt * (ones[:n] @ g)
+    def rk4_reverse_begin(self, g):
+        """The reverse carry for the cotangent ``g`` of the terminal state:
+        ``gz = dL/dz`` at the last grid point, which is zero, since the
+        terminal state reads only ``U``. Forms the constant ``G = g @ w2``."""
+        _, _, G, _, _, _, _, _, U, _, _ = self._reverse
         np.matmul(g, self.w2, out=G)
+        U[...] = 0.0
+        return np.zeros_like(G)
+
+    def rk4_step_vjp(self, trajectory, i, gz):
+        """Pull the reverse carry ``gz`` back over step ``i`` of ``trajectory``,
+        in place, from its stored activations, and add the step's gradients
+        of ``M`` and ``m`` to the running sums.
+
+        ``dL/dubar = G + gz @ M.T``. With ``s_j = dL/dz_j`` of stage j, the
+        stages chain back as
+        ``s_j = (dt * RK4_B[j] * dL/dubar + a_{j+1} * s_{j+1} @ M.T) * (1 - u_j^2)``,
+        and ``gz`` gains ``sum_j s_j``. ``M`` collects ``ubar.T @ gz`` and
+        ``a_j * u_{j-1}.T @ s_j``, ``m`` collects ``dt * sum_rows gz`` and
+        ``a_j * sum_rows s_j``.
+        """
+        m_t, _, G, H, S, D, tmp, ubar, U, _, ones = self._reverse
+        g_M, g_m = self._grads[5:]
+        n, width = G.shape
+        stages = trajectory.stages[i]
+        t = trajectory.times[i]
+        dt = trajectory.times[i + 1] - t
+        np.matmul(RK4_B * dt, stages.reshape(4, -1), out=ubar.reshape(-1))
+        U += ubar
+        # the carry's own step z + ubar @ M + dt * m, while gz is still dL/dz_{i+1}
+        g_M += ubar.T @ gz
+        g_m += dt * (ones[:n] @ gz)
+        np.matmul(gz, m_t, out=H)
+        H += G
         np.multiply(stages, stages, out=D)
         np.subtract(1.0, D, out=D)
         for j in (3, 2, 1, 0):
             s = S[j]
-            np.multiply(G, RK4_B[j] * dt, out=s)
+            np.multiply(H, RK4_B[j] * dt, out=s)
             if j < 3:
                 # S[j + 1] already holds a_{j+1} * s_{j+1}
                 s += np.matmul(S[j + 1], m_t, out=tmp)
             s *= D[j]
-            if j == 3:
-                dzh[...] = s
-            else:
-                dzh += s
+            gz += s
             if j > 0:
                 s *= RK4_C[j] * dt
-        # every z_j holds z_0 = h @ w1h_t + t * w1[:, d] + b1 once
-        g += np.matmul(dzh, w1h, out=dh)
-        g_w1h += dzh.T @ h
-        row_sum = ones[:n] @ dzh
-        g_b1 += row_sum
-        g_w1t += t * row_sum
         scaled = S[1:].reshape(-1, width)
         g_M += stages[:3].reshape(-1, width).T @ scaled
         g_m += ones @ scaled
+        return gz
+
+    def rk4_reverse_end(self, trajectory, g, gz):
+        """The gradient of the solve's initial state, written into ``g``, and
+        the direct parameter gradients: ``w2`` and ``b2`` through the terminal
+        state ``h0 + U @ w2.T + (t1 - t0) * b2``, ``w1`` and ``b1`` through
+        ``z_0 = h0 @ w1h_t + t0 * w1[:, d] + b1``."""
+        _, w1h, _, _, _, _, _, _, U, dh, ones = self._reverse
+        g_w1h, g_w1t, g_b1, g_w2, g_b2 = self._grads[:5]
+        h0, times = trajectory.h0, trajectory.times
+        n = g.shape[0]
+        g_w2 += g.T @ U
+        g_b2 += (times[-1] - times[0]) * (ones[:n] @ g)
+        g_w1h += gz.T @ h0
+        row_sum = ones[:n] @ gz
+        g_b1 += row_sum
+        g_w1t += times[0] * row_sum
+        g += np.matmul(gz, w1h, out=dh)
         return g
 
     def d_params(self):
@@ -378,7 +438,8 @@ class BatchWorkspace:
 class FieldWorkspace:
     """The workspace of a closed-form field: the calls a :class:`BatchWorkspace`
     answers, served by the field's own ``eval`` and ``vjp``. Its RK4 step
-    runs in state space and stores the four stage derivatives."""
+    runs in state space, carries the state itself and stores the four stage
+    derivatives; its reverse carry is the state's cotangent."""
 
     def __init__(self, field, states):
         self.field = field
@@ -395,16 +456,33 @@ class FieldWorkspace:
             value_out[...] = self.field.eval(states, t)
         return _into(out, d_states), d_params_out
 
-    def rk4_step(self, h, t, dt, k0, stages, out):
-        stages[0] = k0
+    def rk4_begin(self, h0):
+        return np.array(h0, dtype=np.float64)
+
+    def rk4_step(self, h, t, dt, stages):
+        self.eval(h, t, stages[0])
         for j in (1, 2, 3):
             self.eval(h + RK4_C[j] * dt * stages[j - 1], t + RK4_C[j] * dt, stages[j])
-        np.matmul(RK4_B, stages.reshape(4, -1), out=out.reshape(-1))
-        out *= dt
-        out += h
-        return out
+        h += _increment(dt, stages)
+        return h
 
-    def rk4_step_vjp(self, h, t, dt, stages, g):
+    def rk4_end(self, h0, h, span):
+        return h
+
+    def rk4_states(self, h0, times, stages):
+        states = np.empty((len(times),) + h0.shape)
+        states[0] = h0
+        for i in range(len(times) - 1):
+            states[i + 1] = states[i] + _increment(times[i + 1] - times[i], stages[i])
+        return states
+
+    def rk4_reverse_begin(self, g):
+        return g
+
+    def rk4_step_vjp(self, trajectory, i, g):
+        h, stages = trajectory.states[i], trajectory.stages[i]
+        t = trajectory.times[i]
+        dt = trajectory.times[i + 1] - t
         v = [None] * 4
         for j in (3, 2, 1, 0):
             # stage j's cotangent: its weight b_j dt in the step, plus what stage
@@ -419,8 +497,18 @@ class FieldWorkspace:
             g += vj
         return g
 
+    def rk4_reverse_end(self, trajectory, g, carry):
+        return g
+
     def d_params(self):
         return self.g.copy()
+
+
+def _increment(dt, stages):
+    """``dt * sum_j RK4_B[j] * k_j`` over the four stage derivatives ``stages``."""
+    inc = np.matmul(RK4_B, stages.reshape(4, -1)).reshape(stages.shape[1:])
+    inc *= dt
+    return inc
 
 
 def _into(out, value):
@@ -437,10 +525,16 @@ def workspace(field, states, cotangents=None):
     gets a :class:`BatchWorkspace` once ``states`` (and ``cotangents``, when
     given) are checked to be (n, d) batches of its dimension, raising
     :class:`ShapeError` otherwise; any other field is closed-form and gets a
-    :class:`FieldWorkspace`. Either answers ``eval``, ``vjp``, the RK4 step
-    ``rk4_step`` and its reverse ``rk4_step_vjp``; ``stage_dim`` is the width
-    of the stage records ``rk4_step`` writes, and ``d_params`` reads back the
-    parameter gradient the reverse steps summed.
+    :class:`FieldWorkspace`. Either answers ``eval`` and ``vjp``, and the
+    RK4 protocol of the fixed-step loops: ``rk4_begin`` gives the carry
+    once :func:`eval_dynamics_batch` has run at (h0, t0), ``rk4_step``
+    advances it in place and writes the step's stage records (``stage_dim``
+    wide), ``rk4_end`` forms the terminal state and ``rk4_states`` rebuilds
+    the grid states from the records. In reverse, ``rk4_reverse_begin``
+    gives the reverse carry for the terminal cotangent, ``rk4_step_vjp``
+    pulls it back over one step of a trajectory, ``rk4_reverse_end`` gives
+    the initial state's gradient, and ``d_params`` reads back the parameter
+    gradient the reverse steps summed.
     """
     if not isinstance(field, DynamicsParams):
         return FieldWorkspace(field, states)

@@ -8,18 +8,21 @@ solve with :func:`~nodehead.dynamics.workspace`:
 
 * :func:`solve_fixed_batch` - classic 4-stage RK4 on a uniform grid shared
   by the rows of an (n, d) batch, the routine training and evaluation run.
-  It owns the grid, the trajectory buffers and the finiteness check of
-  every step, and evaluates each step's stage 0 with
-  :func:`~nodehead.dynamics.eval_dynamics_batch`; the workspace takes the
-  other stages and writes all four stage records straight into the
-  trajectory, so the discrete recursion can be differentiated exactly in
-  reverse (memory grows with the step count), or, with
+  It owns the grid, the stage buffers and the finiteness check of every
+  step. The field at (h0, t0), evaluated once per solve with
+  :func:`~nodehead.dynamics.eval_dynamics_batch`, starts the workspace's
+  carry; the workspace steps it and writes all four stage records straight
+  into the trajectory, so the discrete recursion can be differentiated
+  exactly in reverse (memory grows with the step count), or, with
   ``keep_trajectory=False`` (:func:`rk4_terminal_batch`), keeps only the
-  current step. For the two-layer field the step runs in the field's
-  hidden space (see :mod:`nodehead.dynamics`): a stage record is the
-  activation ``u = tanh(z)`` rather than the derivative
-  ``k = u @ w2.T + b2``, and a step costs 6 GEMMs instead of 8, which
-  pays while the width stays below about 2 times d.
+  current step. For the two-layer field the carry is the first stage's
+  pre-activation ``z = h @ w1_h.T + t * w1_t + b1`` (see
+  :mod:`nodehead.dynamics`): ``z_{i+1} = z_i + ubar_i @ M + dt * m``, so a
+  step costs four (n, width)(width, width) GEMMs instead of 8 state-space
+  ones, which pays while the width stays below 2 times d. A stage record
+  is the activation ``u = tanh(z)`` rather than the derivative
+  ``k = u @ w2.T + b2``, the state is formed once at the end, and the
+  trajectory keeps ``h0`` and the activations, not the grid states.
 * :func:`solve_adaptive` - Dormand-Prince 5(4) embedded pair with
   rtol/atol step control for one state, the tolerance-tunable path: the
   field runs at n=1 through
@@ -38,6 +41,7 @@ most 1, and the next step is
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,8 +91,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("rk4_fixed", "dopri5"):
             raise ContractError(f"unknown solver method {self.method!r}")
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ContractError(f"tolerances must be positive, got rtol={self.rtol}, atol={self.atol}")
+        if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
+            raise ContractError(f"tolerances must be finite and positive, got rtol={self.rtol}, atol={self.atol}")
         if self.n_steps < 1:
             raise ContractError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.max_steps < 1:
@@ -120,25 +124,29 @@ class SolveStats:
 class Trajectory:
     """Grid solution of a fixed-step batch solve with per-step RK stages.
 
-    ``states[i]`` is the (n, d) batch at ``times[i]``, so ``states`` has
-    shape (n_steps + 1, n, d); ``stages[i]`` holds the four RK4 stage
-    records of the step from ``times[i]`` to ``times[i+1]``, shape
-    (n_steps, 4, n, stage_dim). For the two-layer field a record is the
-    stage's activation ``u = tanh(z)`` (stage_dim = width, derivative
-    ``u @ w2.T + b2``); for a closed-form field it is the stage derivative
-    (stage_dim = d).
+    ``times`` is the grid, ``h0`` the (n, d) initial batch, and
+    ``stages[i]`` holds the four RK4 stage records of the step from
+    ``times[i]`` to ``times[i+1]``, shape (n_steps, 4, n, stage_dim). For
+    the two-layer field a record is the stage's activation ``u = tanh(z)``
+    (stage_dim = width, derivative ``u @ w2.T + b2``); for a closed-form
+    field it is the stage derivative (stage_dim = d). That is all the
+    reverse pass reads. ``states``, the (n_steps + 1, n, d) grid batches, is
+    rebuilt from them by the field's workspace on first access; its last
+    entry is bitwise the solve's terminal state.
     """
 
     times: np.ndarray
-    states: np.ndarray
+    h0: np.ndarray
     stages: np.ndarray | None = None
+    field: object = None
+
+    @cached_property
+    def states(self):
+        return workspace(self.field, self.h0).rk4_states(self.h0, self.times, self.stages)
 
     @property
     def n_retained_floats(self):
-        total = self.states.size
-        if self.stages is not None:
-            total += self.stages.size
-        return total
+        return self.h0.size + self.stages.size
 
 
 def _require_finite(y, t):
@@ -151,11 +159,17 @@ def solve_fixed_batch(field, states0, t0, t1, n_steps, keep_trajectory=True):
 
     Returns (hT, Trajectory). Each row is an independent initial value; the
     uniform grid makes the batched recursion exactly the per-row one, just
-    evaluated together. This loop owns the grid and the trajectory buffers
-    and evaluates stage 0 of every step; one workspace takes the rest of
-    the step (``rk4_step``) and writes its four stage records straight into
-    the trajectory. With ``keep_trajectory=False`` only the current step's
-    stages are held and the trajectory is None.
+    evaluated together. This loop owns the grid and the stage buffers. The
+    field at (h0, t0), evaluated with
+    :func:`~nodehead.dynamics.eval_dynamics_batch`, starts the workspace's
+    carry (``rk4_begin``); the workspace steps the carry (``rk4_step``),
+    writing the four stage records straight into the trajectory, and forms
+    the terminal state from it (``rk4_end``). The carry is checked to be
+    finite after every step. A non-finite terminal state is located on the
+    grid by rebuilding the states, so the :class:`NumericError` names the
+    first grid time whose state is non-finite. With
+    ``keep_trajectory=False`` only the current step's stages are held and
+    the trajectory is None.
     """
     if n_steps < 1:
         raise ContractError(f"n_steps must be >= 1, got {n_steps}")
@@ -165,24 +179,26 @@ def solve_fixed_batch(field, states0, t0, t1, n_steps, keep_trajectory=True):
     work = workspace(field, h0)
     times = t0 + (t1 - t0) * np.arange(n_steps + 1) / n_steps
     times[-1] = t1
-    # without the trajectory, two state slots alternate and one stage slot is reused
+    # without the trajectory one stage slot is reused
     kept = n_steps if keep_trajectory else 1
-    states = np.empty((kept + 1,) + h0.shape)
     stages = np.empty((kept, 4, h0.shape[0], work.stage_dim))
-    states[0] = h0
-    k0 = np.empty_like(h0)
+    # the field at (h0, t0) starts the carry; its value is not needed
+    eval_dynamics_batch(field, h0, t0, out=np.empty_like(h0), work=work)
+    carry = work.rk4_begin(h0)
     for i in range(n_steps):
         t = times[i]
-        dt = times[i + 1] - t
-        h = states[i % (kept + 1)]
-        h_next = states[(i + 1) % (kept + 1)]
-        # stage 0 is the field at the step's own state and time
-        eval_dynamics_batch(field, h, t, out=k0, work=work)
-        work.rk4_step(h, t, dt, k0, stages[i % kept], h_next)
-        _require_finite(h_next, t + dt)
-    if not keep_trajectory:
-        return h_next, None
-    return h_next, Trajectory(times=times, states=states, stages=stages)
+        work.rk4_step(carry, t, times[i + 1] - t, stages[i % kept])
+        _require_finite(carry, times[i + 1])
+    hT = work.rk4_end(h0, carry, t1 - t0)
+    traj = Trajectory(times, h0=h0.copy(), stages=stages, field=field) if keep_trajectory else None
+    if not np.all(np.isfinite(hT)):
+        # name the first non-finite grid state; without a trajectory to rebuild
+        # the states from, a solve that keeps one fails the same way here
+        if traj is None:
+            solve_fixed_batch(field, h0, t0, t1, n_steps)
+        for t, h in zip(times, traj.states):
+            _require_finite(h, t)
+    return hT, traj
 
 
 def rk4_terminal_batch(field, states0, t0, t1, n_steps):

@@ -82,6 +82,31 @@ class TestHiddenSpaceKernel:
         np.testing.assert_allclose(d_h0, want_h0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(d_params, want_params, rtol=0, atol=1e-12)
 
+    def test_long_solve_and_reverse_match_reference(self, rng):
+        # the gradcheck default: 500 steps, d = 4, width = 8; the carried
+        # pre-activation must not drift from the state-space recursion
+        p = init_params(7, 4, 8, scale=1.5)
+        states0, cots = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        hT, traj = solve_fixed_batch(p, states0, 0.0, 1.0, 500)
+        np.testing.assert_array_equal(traj.states[-1], hT)
+        d_h0, d_params = backprop_rk4_batch(p, traj, cots)
+        f = lambda h, t: ref.field(p, h, t)
+        want_params = np.zeros(p.n_params)
+        for i in range(3):
+            hT_row, times, states_row, stages_row = ref.rk4_solve(f, states0[i], 0.0, 1.0, 500)
+            np.testing.assert_allclose(hT[i], hT_row, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(traj.states[:, i], states_row, rtol=0, atol=1e-10)
+            want_h0, row_params = ref.rk4_backprop(p, times, states_row, stages_row, cots[i])
+            np.testing.assert_allclose(d_h0[i], want_h0, rtol=0, atol=1e-10)
+            want_params += row_params
+        np.testing.assert_allclose(d_params, want_params, rtol=0, atol=1e-10)
+
+    def test_retains_the_initial_batch_and_the_activations(self, rng):
+        p = init_params(3, 4, 6, scale=1.0)
+        _, traj = solve_fixed_batch(p, rng.standard_normal((5, 4)), 0.0, 1.0, 9)
+        assert traj.stages.shape == (9, 4, 5, 6)
+        assert traj.n_retained_floats == traj.h0.size + traj.stages.size == 5 * 4 + 9 * 4 * 5 * 6
+
     def test_zero_field_keeps_states_bitwise(self, rng):
         p = init_params(0, 4, 6, scale=0.0)
         states0 = rng.standard_normal((7, 4))
@@ -122,7 +147,7 @@ class TestBackpropThroughSolver:
 
     def test_missing_stages_is_contract_error(self, rng):
         p = init_params(0, 2, 3)
-        traj = Trajectory(times=np.array([0.0, 1.0]), states=rng.standard_normal((2, 1, 2)), stages=None)
+        traj = Trajectory(times=np.array([0.0, 1.0]), h0=rng.standard_normal((1, 2)), stages=None)
         with pytest.raises(ContractError):
             backprop_rk4_batch(p, traj, np.zeros((1, 2)))
 

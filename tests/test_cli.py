@@ -145,6 +145,20 @@ class TestTrainCommand:
         assert head.d == 8 and head.classes == 10
 
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--head", "node", "--epochs", "1", "--width", "4"],
+        ["compare", "--seeds", "0", "--epochs", "1", "--width", "4"],
+    ], ids=["train", "compare"])
+    def test_negative_extractor_seed_on_cifar_input_exits_one(self, argv, tmp_path, capsys):
+        corpus = make_class_corpus(tmp_path / "imgs.bin", 20, seed=3, classes=10)
+        out = tmp_path / "run"
+        assert main(argv + ["--feature-dim", "8", "--extractor-seed", "-1", "--data", str(corpus),
+                            "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--extractor-seed" in err[0]
+        assert not (out / "metrics.csv").exists() and not (out / "seed0").exists()
+
+
 class TestCompareCommand:
     def test_single_seed_short_run_flags_insufficient_window(self, feature_file, tmp_path):
         out = tmp_path / "cmp"
@@ -257,12 +271,29 @@ class TestBadFlagsExitThroughTable:
         ("gradcheck", ["--max-abs", "-0.000001"], 1, "--max-abs"),
         ("train", ["--limit", "-5"], 1, "--limit"),
         ("compare", ["--limit", "-5"], 1, "--limit"),
+        ("gradcheck", ["--seed", "-1"], 1, "--seed"),
+        ("train", ["--extractor-seed", "-1"], 1, "--extractor-seed"),
+        ("compare", ["--extractor-seed", "-1"], 1, "--extractor-seed"),
+        ("sweep-tol", ["--extractor-seed", "-1"], 1, "--extractor-seed"),
+        ("compare", ["--seeds", ""], 1, "--seeds"),
+        ("compare", ["--seeds", ","], 1, "--seeds"),
+        ("compare", ["--seeds", "0,0"], 1, "seed 0"),
+        ("compare", ["--seeds", "3,1,3"], 1, "seed 3"),
+        ("sweep-tol", ["--tols", ""], 1, "--tols"),
+        ("sweep-tol", ["--tols", "1e-3,inf"], 1, "rtol=inf"),
+        ("train", ["--grad", "adjoint", "--rtol", "inf", "--atol", "inf"], 1, "rtol=inf"),
+        ("train", ["--grad", "adjoint", "--atol", "inf"], 1, "atol=inf"),
     ], ids=["train-scale-negative", "train-scale-nan", "train-width-0", "train-rtol-nan",
             "train-lr-nan", "train-eps-nan", "compare-test-data-dim", "gradcheck-d-0",
             "gradcheck-classes-0", "gradcheck-fd-step-0", "gradcheck-fd-step-nan",
             "gradcheck-fd-step-inf", "gradcheck-fd-step-negative", "compare-window-1",
             "gradcheck-max-rel-nan", "gradcheck-max-rel-negative", "gradcheck-max-abs-nan",
-            "gradcheck-max-abs-negative", "train-limit-negative", "compare-limit-negative"])
+            "gradcheck-max-abs-negative", "train-limit-negative", "compare-limit-negative",
+            "gradcheck-seed-negative", "train-extractor-seed-negative",
+            "compare-extractor-seed-negative", "sweep-tol-extractor-seed-negative",
+            "compare-seeds-empty", "compare-seeds-comma", "compare-seeds-repeated",
+            "compare-seeds-repeated-apart", "sweep-tol-tols-empty", "sweep-tol-tols-inf",
+            "train-tolerances-inf", "train-atol-inf"])
     def test_exit_code_and_one_line(self, command, flags, code, named, feature_file, tmp_path,
                                     capsys):
         gen = np.random.default_rng(1)
@@ -275,6 +306,7 @@ class TestBadFlagsExitThroughTable:
             "compare": ["compare", "--seeds", "0", "--epochs", "1", "--width", "4",
                         "--data", str(feature_file)],
             "gradcheck": ["gradcheck"],
+            "sweep-tol": ["sweep-tol", "--tols", "1e-3", "--width", "4", "--data", str(feature_file)],
         }[command]
         out = tmp_path / "out"
         assert main(argv + flags + ["--out", str(out)]) == code

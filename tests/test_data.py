@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import tracemalloc
+
 from conftest import make_cifar_blob
 from nodehead.data import (
+    EXTRACT_BLOCK_ROWS,
     Dataset,
     FrozenExtractor,
     ImageSet,
@@ -100,6 +103,32 @@ class TestFrozenExtractor:
         ex = FrozenExtractor(seed=0, d=4)
         with pytest.raises(ValueError):
             ex.projection[0, 0] = 1.0
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractError, match="seed"):
+            FrozenExtractor(seed=-1, d=4)
+
+    @pytest.mark.parametrize("n, d", [(1, 64), (257, 64), (700, 64), (515, 16), (1029, 8)])
+    def test_blocked_extraction_matches_one_shot_bitwise(self, n, d, rng):
+        assert n % EXTRACT_BLOCK_ROWS != 0
+        images = ImageSet(rng.integers(0, 256, (n, 3072), dtype=np.uint8), rng.integers(0, 10, n))
+        ex = FrozenExtractor(seed=5, d=d)
+        pixels = images.images.astype(np.float64) / 255.0
+        pixels -= pixels.mean(axis=1, keepdims=True)
+        np.testing.assert_array_equal(extract_features(ex, images).features,
+                                      np.tanh(pixels @ ex.projection.T))
+
+    def test_extraction_memory_stays_flat_in_image_count(self, rng):
+        # a one-shot float64 copy of 2000 images alone is 49 MB
+        images = ImageSet(rng.integers(0, 256, (2000, 3072), dtype=np.uint8), rng.integers(0, 10, 2000))
+        ex = FrozenExtractor(seed=0, d=64)
+        tracemalloc.start()
+        try:
+            extract_features(ex, images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestFeatureFile:

@@ -213,8 +213,8 @@ class TestBatchWorkspace:
         vjp_batch(p, states, 0.5, cots, work=work)
         assert built(work) == {"_vjp_buffers"}
         work = BatchWorkspace(p, 5)
-        k0 = eval_dynamics_batch(p, states, 0.0, work=work)
-        work.rk4_step(states, 0.0, 0.1, k0, np.empty((4, 5, 7)), np.empty((5, 3)))
+        eval_dynamics_batch(p, states, 0.0, work=work)
+        work.rk4_step(work.rk4_begin(states), 0.0, 0.1, np.empty((4, 5, 7)))
         assert built(work) == {"_hidden", "_step_buffers"}
 
     def test_value_out_shares_the_activation(self, rng):

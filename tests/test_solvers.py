@@ -169,6 +169,21 @@ class TestBatchKernel:
             solve_fixed_batch(p, np.zeros((2, d)), 0.0, 4.0, 8, keep_trajectory=keep)
         assert exc.value.where == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("keep", [True, False])
+    @pytest.mark.parametrize("where", ["h0", "w1"])
+    def test_nan_input_raises_after_the_first_step(self, where, keep, rng):
+        p = init_params(4, 3, 5, scale=0.8)
+        states0 = rng.standard_normal((4, 3))
+        if where == "h0":
+            states0[2, 1] = np.nan
+        else:
+            w1 = p.w1.copy()
+            w1[3, 0] = np.nan
+            p = DynamicsParams(w1, p.b1, p.w2, p.b2)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
+            solve_fixed_batch(p, states0, 0.3, 1.1, 4, keep_trajectory=keep)
+        assert exc.value.where == pytest.approx(0.5)
+
     def test_outputs_not_aliased_and_inputs_untouched(self, rng):
         p = init_params(4, 3, 5, scale=0.8)
         states0 = rng.standard_normal((4, 3))

@@ -14,6 +14,7 @@ violations.
 """
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -223,8 +224,15 @@ def _train_config(args, grad_method, optimizer, solver=None):
     )
 
 
-def _load_dataset(path, feature_dim, extractor_seed, limit):
-    """Sniff the file kind by magic: NODF features, otherwise CIFAR binary."""
+def _lazy_extractor(args):
+    """The command's frozen extractor, built on the first call and reused
+    after it; a command whose inputs are all NODF files never builds one."""
+    return functools.cache(lambda: FrozenExtractor(args.extractor_seed, args.feature_dim))
+
+
+def _load_dataset(path, extractor, limit):
+    """Sniff the file kind by magic: NODF features, otherwise CIFAR binary
+    through ``extractor()``."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -232,7 +240,7 @@ def _load_dataset(path, feature_dim, extractor_seed, limit):
         ds = load_feature_file(path)
     else:
         images = load_cifar10_bin(path)
-        ds = extract_features(FrozenExtractor(extractor_seed, feature_dim), images)
+        ds = extract_features(extractor(), images)
     if limit:
         ds = ds.subset(np.arange(min(limit, len(ds))))
     if len(ds) == 0:
@@ -240,12 +248,12 @@ def _load_dataset(path, feature_dim, extractor_seed, limit):
     return ds
 
 
-def _dataset_from_args(args):
+def _dataset_from_args(args, extractor):
     if args.limit < 0:
         raise ContractError(f"--limit must be >= 0 (0 = all rows), got {args.limit}")
     if args.extractor_seed < 0:
         raise ContractError(f"--extractor-seed must be >= 0, got {args.extractor_seed}")
-    return _load_dataset(args.data, args.feature_dim, args.extractor_seed, args.limit)
+    return _load_dataset(args.data, extractor, args.limit)
 
 
 def _run(func, args, *rest):
@@ -265,7 +273,7 @@ def cmd_train(args, dataset=None):
     _resolve_optimizer(args)
     out, manifest = _start_run(args)
     if dataset is None:
-        dataset = _dataset_from_args(args)
+        dataset = _dataset_from_args(args, _lazy_extractor(args))
     head, records = train(args.head, dataset, _train_config(args, args.grad, _optimizer_config(args)))
     write_metrics_csv(records, out / "metrics.csv")
     save_checkpoint(head, out / "head.nodc")
@@ -295,11 +303,13 @@ def cmd_compare(args):
     if repeated is not None:
         raise ContractError(f"--seeds names seed {repeated} twice; each seed's runs share one directory")
     _resolve_optimizer(args)
+    _optimizer_config(args)  # a bad optimizer setting would otherwise fail every run
     out, manifest = _start_run(args)
-    dataset = _dataset_from_args(args)
+    extractor = _lazy_extractor(args)
+    dataset = _dataset_from_args(args, extractor)
     test_ds = None
     if args.test_data:
-        test_ds = _load_dataset(args.test_data, args.feature_dim, args.extractor_seed, 0)
+        test_ds = _load_dataset(args.test_data, extractor, 0)
         if test_ds.d != dataset.d:
             raise DataError(f"{args.test_data}: feature dimension {test_ds.d}, but --data has {dataset.d}")
 
@@ -474,7 +484,7 @@ def cmd_sweep_tol(args):
     configs = [SolverConfig(method="dopri5", rtol=tol, atol=tol, max_steps=args.max_steps)
                for tol in args.tols]
     out, manifest = _start_run(args)
-    dataset = _dataset_from_args(args)
+    dataset = _dataset_from_args(args, _lazy_extractor(args))
 
     lines = ["rtol,atol,n_feval,final_val_acc,wall_ms"]
     for tol, cfg in zip(args.tols, configs):

@@ -13,6 +13,19 @@ block and the output layer ``hT @ w_out.T + b_out``, :func:`evaluate` adds
 the loss, and :func:`train_step` adds the gradients. The gradient route
 fixes the solver method through :func:`solver_config_for`.
 
+The output layer runs class-major: the logits are formed as
+``Z = w_out @ hT.T + b_out[:, None]``, of shape (classes, n), and one tail
+turns ``Z`` in place into the loss, the correct count and, for
+:func:`train_step` only, the logit gradient ``dZ``. Its per-sample
+reductions (the softmax shift and normalizer) then run across contiguous
+class rows instead of along a last axis a few classes wide: at n = 1000 and
+10 classes, ``max`` takes 3-5 us that way against 44-57 us along the last
+axis of the (n, classes) array, and ``sum`` 3-5 us against 24-29 us (one
+process, best of 9). On the baseline head those reductions were most of an
+:func:`evaluate`. The layout stays inside this module: :func:`forward`
+returns (n, classes) logits (a transposed view), and the block's reverse
+pass gets a row-major (n, d) cotangent ``dZ.T @ w_out``.
+
 A head's trainable parameters form one flat vector (see
 :func:`head_to_flat`) in a fixed order that checkpoints reuse: the dynamics
 parameters first, if any (their own documented order), then w_out
@@ -148,13 +161,14 @@ def _evolve(head, features, config, keep_trajectory=False):
     return solve(head.dynamics, features, *T_SPAN, config, keep_trajectory)
 
 
-def _block_grad(head, hT, d_logits, traj, config, stats):
-    """Loss gradient of the block's parameters: none for the baseline's
-    identity, the reverse pass over ``traj`` when there is one, otherwise
-    the adjoint backward solve row by row (its cost merged into ``stats``)."""
+def _block_grad(head, hT, dZ, traj, config, stats):
+    """Loss gradient of the block's parameters, given the class-major logit
+    gradient ``dZ``: none for the baseline's identity, the reverse pass over
+    ``traj`` when there is one, otherwise the adjoint backward solve row by
+    row (its cost merged into ``stats``)."""
     if head.dynamics is None:
         return np.empty(0)
-    d_hT = d_logits @ head.w_out
+    d_hT = dZ.T @ head.w_out
     if traj is not None:
         return backprop_rk4_batch(head.dynamics, traj, d_hT)[1]
     d_dyn = np.zeros(head.dynamics.n_params)
@@ -177,24 +191,40 @@ def softmax(logits):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _loss_and_dlogits(logits, labels):
-    """Mean cross-entropy and its exact logit gradient for one batch.
+def _logits(head, hT):
+    """Class-major logits ``w_out @ hT.T + b_out``, shape (classes, n)."""
+    Z = head.w_out @ hT.T
+    Z += head.b_out[:, None]
+    return Z
 
-    The EPS_LOG floor inside the loss makes the analytic gradient
+
+def _tail(Z, labels, with_grad):
+    """Mean cross-entropy and correct count of the class-major logits ``Z``,
+    and with ``with_grad`` their exact gradient ``dZ``; returns
+    (loss, n_correct, dZ or None). ``Z`` is overwritten, and ``dZ`` is
+    formed in its buffer.
+
+    The prediction is the first maximal class, as with ``np.argmax``. The
+    EPS_LOG floor inside the loss makes the analytic gradient
     coef * (p - onehot) with coef = p_label / (p_label + eps), scaled by 1/n;
     keeping the factor makes finite differences of the implemented loss agree
     to machine-level accuracy.
     """
-    n = logits.shape[0]
-    probs = softmax(logits)
-    rows = np.arange(n)
-    p_label = probs[rows, labels]
+    n = Z.shape[1]
+    cols = np.arange(n)
+    n_correct = int(np.count_nonzero(Z.argmax(axis=0) == labels))
+    Z -= np.maximum.reduce(Z, axis=0)
+    np.exp(Z, out=Z)
+    Z /= np.add.reduce(Z, axis=0)
+    p_label = Z[labels, cols]
     q = p_label + EPS_LOG
     loss = float(np.mean(-np.log(q)))
+    if not with_grad:
+        return loss, n_correct, None
     coef = (p_label / q) / n
-    d_logits = probs * coef[:, None]
-    d_logits[rows, labels] -= coef
-    return loss, probs, d_logits
+    Z *= coef
+    Z[labels, cols] -= coef
+    return loss, n_correct, Z
 
 
 def solver_config_for(grad_method, config=None):
@@ -214,7 +244,7 @@ def forward(head, features, config=None):
     (logits, SolveStats). The NODE block solves by ``config.method``."""
     features = _check_batch(head, features)
     hT, stats, _ = _evolve(head, features, SolverConfig() if config is None else config)
-    return hT @ head.w_out.T + head.b_out, stats
+    return _logits(head, hT).T, stats
 
 
 def train_step(head, features, labels, grad_method="discrete", config=None):
@@ -232,20 +262,24 @@ def train_step(head, features, labels, grad_method="discrete", config=None):
     config = solver_config_for(grad_method, config)
     features, labels = _check_batch(head, features, labels)
     hT, stats, traj = _evolve(head, features, config, keep_trajectory=grad_method == "discrete")
-    loss, probs, d_logits = _loss_and_dlogits(hT @ head.w_out.T + head.b_out, labels)
-    n_correct = int(np.sum(np.argmax(probs, axis=1) == labels))
-    d_block = _block_grad(head, hT, d_logits, traj, config, stats)
-    grads = np.concatenate([d_block, (d_logits.T @ hT).ravel(), d_logits.sum(axis=0)])
+    loss, n_correct, dZ = _tail(_logits(head, hT), labels, with_grad=True)
+    # the three parts land in head_to_flat order: block, w_out, b_out
+    classes = head.classes
+    grads = np.empty(head.n_params)
+    p = grads.size - classes * (head.d + 1)
+    grads[:p] = _block_grad(head, hT, dZ, traj, config, stats)
+    np.matmul(dZ, hT, out=grads[p:-classes].reshape(classes, head.d))
+    np.add.reduce(dZ, axis=1, out=grads[-classes:])
     return loss, grads, stats, n_correct
 
 
 def evaluate(head, features, labels, config=None):
-    """Mean loss and accuracy: :func:`forward`, then the loss; returns
-    (loss, accuracy, SolveStats)."""
+    """Mean loss and accuracy: the route of :func:`forward`, then the loss
+    without its gradient; returns (loss, accuracy, SolveStats)."""
     features, labels = _check_batch(head, features, labels)
-    logits, stats = forward(head, features, config)
-    loss, probs, _ = _loss_and_dlogits(logits, labels)
-    return loss, float(np.mean(np.argmax(probs, axis=1) == labels)), stats
+    hT, stats, _ = _evolve(head, features, SolverConfig() if config is None else config)
+    loss, n_correct, _ = _tail(_logits(head, hT), labels, with_grad=False)
+    return loss, n_correct / labels.size, stats
 
 
 def save_checkpoint(head, path):

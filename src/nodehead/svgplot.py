@@ -6,12 +6,19 @@ the canvas.
 """
 
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .train import METRICS_HEADER, read_metrics_csv
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 72, 24, 48, 56
+
+
+def escape(text):
+    """``text`` with ``&``, ``<`` and ``>`` replaced by XML entities, as
+    ``xml.sax.saxutils.escape`` does by default; importing that module would
+    pull in ``urllib.request`` and with it an HTTP client, tens of ms at
+    every start."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _scale(values, lo_px, hi_px):

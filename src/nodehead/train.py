@@ -38,12 +38,13 @@ class AdamConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not self.lr >= 0:
-            raise ContractError(f"lr must be >= 0, got {self.lr}")
+        # an infinite eps freezes every parameter; an infinite lr sends them all to inf
+        if not 0 <= self.lr < math.inf:
+            raise ContractError(f"lr must be a finite number >= 0, got {self.lr}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ContractError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if not self.eps > 0:
-            raise ContractError(f"eps must be > 0, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ContractError(f"eps must be a finite number > 0, got {self.eps}")
 
 
 @dataclass
@@ -54,8 +55,8 @@ class SgdConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
-        if not self.lr >= 0:
-            raise ContractError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ContractError(f"lr must be a finite number >= 0, got {self.lr}")
         if not 0 <= self.momentum < 1:
             raise ContractError(f"momentum must lie in [0, 1), got {self.momentum}")
 
@@ -152,6 +153,9 @@ def train(head_kind, dataset, cfg):
     raises :class:`NumericError` naming the epoch and batch, before the
     optimizer step could spread it into the parameters; a non-finite
     validation loss raises it naming the epoch, before the record is kept.
+    A solver failure (:class:`NumericError` or :class:`StepBudgetError`) is
+    raised again as its own type, with its ``where``, its message prefixed
+    by the epoch and batch or by the validation's epoch.
     """
     if head_kind not in ("node", "baseline"):
         raise ContractError(f"unknown head kind {head_kind!r}")
@@ -182,22 +186,26 @@ def train(head_kind, dataset, cfg):
         loss_sum = 0.0
         n_correct = 0
         n_feval = 0
-        for start in range(0, n_train, cfg.batch_size):
+        for batch, start in enumerate(range(0, n_train, cfg.batch_size), start=1):
             idx = perm[start : start + cfg.batch_size]
-            loss, grads, stats, correct = train_step(
-                head, train_ds.features[idx], train_ds.labels[idx], cfg.grad_method, cfg.solver
-            )
+            try:
+                loss, grads, stats, correct = train_step(
+                    head, train_ds.features[idx], train_ds.labels[idx], cfg.grad_method, cfg.solver
+                )
+            except NumericError as exc:
+                raise _prefixed(f"at epoch {epoch}, batch {batch} of {n_batches}", exc) from exc
             if not (math.isfinite(loss) and np.isfinite(grads).all()):
                 what = "gradient" if math.isfinite(loss) else "loss"
-                raise NumericError(
-                    f"non-finite {what} at epoch {epoch}, batch {start // cfg.batch_size + 1} of {n_batches}"
-                )
+                raise NumericError(f"non-finite {what} at epoch {epoch}, batch {batch} of {n_batches}")
             flat, opt_state = step_fn(flat, grads, opt_state, cfg.optimizer)
             head = head_from_flat(head, flat)
             loss_sum += loss * idx.size
             n_correct += correct
             n_feval += stats.n_feval
-        val_loss, val_acc, val_stats = evaluate(head, val_ds.features, val_ds.labels, cfg.solver)
+        try:
+            val_loss, val_acc, val_stats = evaluate(head, val_ds.features, val_ds.labels, cfg.solver)
+        except NumericError as exc:
+            raise _prefixed(f"during validation at epoch {epoch}", exc) from exc
         if not math.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
         n_feval += val_stats.n_feval
@@ -213,6 +221,12 @@ def train(head_kind, dataset, cfg):
             )
         )
     return head, records
+
+
+def _prefixed(place, exc):
+    """A solver failure ``exc`` again, of its own type and ``where``, its
+    message prefixed by ``place``."""
+    return type(exc)(f"{place}: {exc}", where=exc.where)
 
 
 def stability_stats(metrics, window):

@@ -6,7 +6,8 @@ and sharing no code with the package:
 * the field f(h, t) = w2 @ tanh(w1 @ [h; t] + b1) + b2 and its two
   vector-Jacobian products;
 * a per-row classic RK4 loop that keeps every state and stage;
-* the per-row reverse recursion through that loop.
+* the per-row reverse recursion through that loop;
+* a row-major softmax cross-entropy, one sample at a time.
 
 It also holds :class:`LinearField`, a closed-form field in the package's
 batch field protocol.
@@ -78,6 +79,26 @@ def rk4_backprop(params, times, states, stages, d_hT):
             d_params += vjp_params(params, *inputs[j], c)
         g = g + v[0] + v[1] + v[2] + v[3]
     return g, d_params
+
+
+def softmax_cross_entropy(logits, labels, eps):
+    """Mean of -log(p_label + eps) over the rows of (n, classes) ``logits``,
+    its logit gradient and the number of rows whose first maximal logit is
+    the label; returns (loss, d_logits, n_correct)."""
+    n = logits.shape[0]
+    losses = np.empty(n)
+    d_logits = np.empty_like(logits)
+    n_correct = 0
+    for i, (z, y) in enumerate(zip(logits, labels)):
+        e = np.exp(z - z.max())
+        p = e / e.sum()
+        q = p[y] + eps
+        losses[i] = -np.log(q)
+        coef = p[y] / q / n  # d/dz of -log(p_y + eps), averaged over the rows
+        d_logits[i] = coef * p
+        d_logits[i, y] -= coef
+        n_correct += int(np.argmax(z) == y)
+    return losses.mean(), d_logits, n_correct
 
 
 class LinearField:

@@ -121,6 +121,19 @@ class TestTrainCommand:
         assert code == 3
         assert "non-finite validation loss at epoch 1" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_solver_failure_exits_three_naming_epoch_and_batch(self, feature_file, tmp_path,
+                                                               capsys):
+        # the first SGD step at lr=1e300 makes the field overflow in the second batch's solve
+        code = main(["train", "--head", "node", "--optimizer", "sgd", "--lr", "1e300",
+                     "--epochs", "1", "--batch-size", "16", "--width", "4", "--n-steps", "4",
+                     "--data", str(feature_file), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "nodehead train: at epoch 1, batch 2 of 5: solver state became non-finite at t=")
+
     def test_empty_data_file_exits_two(self, tmp_path):
         empty = tmp_path / "empty.bin"
         empty.write_bytes(b"")
@@ -213,6 +226,23 @@ class TestCompareCommand:
         b = (tmp_path / "redo" / "metrics.csv").read_text()
         assert mask_wall_ms(a) == mask_wall_ms(b)
 
+    @pytest.mark.parametrize("layout, builds", [("cifar", 1), ("nodf", 0)])
+    def test_builds_at_most_one_extractor(self, layout, builds, feature_file, tmp_path,
+                                          monkeypatch):
+        real = cli.FrozenExtractor
+        built = []
+        monkeypatch.setattr(cli, "FrozenExtractor", lambda *a: built.append(a) or real(*a))
+        data = feature_file
+        if layout == "cifar":
+            data = make_class_corpus(tmp_path / "imgs.bin", 40, seed=3, classes=10)
+            test = make_class_corpus(tmp_path / "test.bin", 20, seed=4, classes=10)
+        else:
+            test = feature_file
+        out = tmp_path / "cmp6"
+        assert main(["compare", "--seeds", "0", "--epochs", "1", "--window", "2", "--width", "4",
+                     "--n-steps", "2", "--feature-dim", "6", "--data", str(data),
+                     "--test-data", str(test), "--out", str(out)]) == 0
+        assert built == [(0, 6)] * builds
 
     def test_corrupt_data_exits_two_naming_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
@@ -283,6 +313,11 @@ class TestBadFlagsExitThroughTable:
         ("sweep-tol", ["--tols", "1e-3,inf"], 1, "rtol=inf"),
         ("train", ["--grad", "adjoint", "--rtol", "inf", "--atol", "inf"], 1, "rtol=inf"),
         ("train", ["--grad", "adjoint", "--atol", "inf"], 1, "atol=inf"),
+        ("train", ["--lr", "inf"], 1, "lr must be a finite number >= 0, got inf"),
+        ("train", ["--optimizer", "sgd", "--lr", "inf"], 1, "lr must be a finite number >= 0, got inf"),
+        ("train", ["--eps", "inf"], 1, "eps must be a finite number > 0, got inf"),
+        ("compare", ["--lr", "inf"], 1, "lr must be a finite number >= 0, got inf"),
+        ("compare", ["--eps", "inf"], 1, "eps must be a finite number > 0, got inf"),
     ], ids=["train-scale-negative", "train-scale-nan", "train-width-0", "train-rtol-nan",
             "train-lr-nan", "train-eps-nan", "compare-test-data-dim", "gradcheck-d-0",
             "gradcheck-classes-0", "gradcheck-fd-step-0", "gradcheck-fd-step-nan",
@@ -293,7 +328,8 @@ class TestBadFlagsExitThroughTable:
             "compare-extractor-seed-negative", "sweep-tol-extractor-seed-negative",
             "compare-seeds-empty", "compare-seeds-comma", "compare-seeds-repeated",
             "compare-seeds-repeated-apart", "sweep-tol-tols-empty", "sweep-tol-tols-inf",
-            "train-tolerances-inf", "train-atol-inf"])
+            "train-tolerances-inf", "train-atol-inf", "train-lr-inf", "train-sgd-lr-inf",
+            "train-eps-inf", "compare-lr-inf", "compare-eps-inf"])
     def test_exit_code_and_one_line(self, command, flags, code, named, feature_file, tmp_path,
                                     capsys):
         gen = np.random.default_rng(1)

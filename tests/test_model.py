@@ -4,10 +4,14 @@ import struct
 import numpy as np
 import pytest
 
+import reference as ref
+from nodehead.adjoint import backprop_rk4_batch
 from nodehead.dynamics import init_params
 from nodehead.errors import ContractError, FormatError, ShapeError
 from nodehead.model import (
+    EPS_LOG,
     Head,
+    _tail,
     evaluate,
     forward,
     head_from_flat,
@@ -20,7 +24,7 @@ from nodehead.model import (
     solver_config_for,
     train_step,
 )
-from nodehead.solvers import SolveStats, SolverConfig, solve_adaptive, solve_fixed_batch
+from nodehead.solvers import SolveStats, SolverConfig, solve, solve_adaptive, solve_fixed_batch
 
 
 class TestForwardBaseline:
@@ -147,6 +151,52 @@ class TestLossAndGrads:
         head = init_node_head(0, 3, 2, width=4)
         with pytest.raises(ContractError):
             train_step(head, rng.standard_normal((2, 3)), [0, 1], "symbolic")
+
+
+class TestClassMajorTail:
+    @staticmethod
+    def logits_and_labels(n, classes, rng):
+        """Random logits and labels, with a row of tied logits first and a row
+        of alternating +-1e308 logits last; both rows are labelled 0, the
+        first of their maximal classes."""
+        logits = 3.0 * rng.standard_normal((n, classes))
+        labels = rng.integers(0, classes, n)
+        logits[0] = 0.7
+        logits[-1] = np.where(np.arange(classes) % 2 == 0, 1e308, -1e308)
+        labels[[0, -1]] = 0
+        return logits, labels
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("classes", [1, 2, 10])
+    @pytest.mark.parametrize("n", [1, 64, 1000])
+    def test_matches_the_row_major_reference(self, n, classes, rng):
+        logits, labels = self.logits_and_labels(n, classes, rng)
+        want_loss, want_grad, want_correct = ref.softmax_cross_entropy(logits, labels, EPS_LOG)
+        loss, n_correct, dZ = _tail(logits.T.copy(), labels, with_grad=True)
+        assert loss == pytest.approx(want_loss, rel=1e-14, abs=0.0)
+        assert n_correct == want_correct
+        np.testing.assert_allclose(dZ.T, want_grad, rtol=0.0, atol=1e-15)
+        assert _tail(logits.T.copy(), labels, with_grad=False) == (loss, n_correct, None)
+
+    @pytest.mark.parametrize("kind", ["baseline", "node"])
+    def test_flat_gradient_matches_the_row_major_concatenation(self, kind, rng):
+        head = init_node_head(2, 5, 4, width=6, scale=0.6) if kind == "node" else init_baseline_head(2, 5, 4)
+        X = rng.standard_normal((64, 5))
+        y = rng.integers(0, 4, 64)
+        cfg = SolverConfig(method="rk4_fixed", n_steps=5)
+        loss, grads, _, n_correct = train_step(head, X, y, "discrete", cfg)
+
+        block = []
+        hT = X
+        if kind == "node":
+            hT, _, traj = solve(head.dynamics, X, 0.0, 1.0, cfg, keep_trajectory=True)
+        want_loss, d_logits, want_correct = ref.softmax_cross_entropy(
+            hT @ head.w_out.T + head.b_out, y, EPS_LOG)
+        if kind == "node":
+            block = [backprop_rk4_batch(head.dynamics, traj, d_logits @ head.w_out)[1]]
+        want = np.concatenate(block + [(d_logits.T @ hT).ravel(), d_logits.sum(axis=0)])
+        assert (loss, n_correct) == (pytest.approx(want_loss, rel=1e-14), want_correct)
+        np.testing.assert_allclose(grads, want, rtol=1e-12, atol=1e-16)
 
 
 class TestOneRoute:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nodehead.svgplot as svgplot
 from nodehead.svgplot import line_chart, plot_metrics_csv
 from nodehead.train import MetricsRecord, write_metrics_csv
 
@@ -43,6 +48,16 @@ class TestLineChart:
         svg = line_chart([0, 1], [0, 1], title="a < b & c")
         ET.fromstring(svg)  # would raise on raw '<' or '&'
         assert "a &lt; b &amp; c" in svg
+
+    def test_escape_gives_the_bytes_of_saxutils_escape(self, monkeypatch):
+        from xml.sax.saxutils import escape as sax_escape
+
+        text = "&<>\"' a&amp;b <c>"
+        kwargs = dict(title=f"title {text}", x_label=f"x {text}", y_label=f"y {text}")
+        assert svgplot.escape(text) == sax_escape(text)
+        svg = line_chart([0, 1, 2], [0.5, 0.25, 1.0], **kwargs)
+        monkeypatch.setattr(svgplot, "escape", sax_escape)
+        assert svg.encode() == line_chart([0, 1, 2], [0.5, 0.25, 1.0], **kwargs).encode()
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -85,3 +100,16 @@ class TestPlotMetricsCsv:
     def test_unknown_column_rejected(self, metrics_csv, tmp_path):
         with pytest.raises(ValueError, match="bogus"):
             plot_metrics_csv(metrics_csv, tmp_path / "x", ["bogus"])
+
+
+def test_importing_the_cli_loads_no_web_client():
+    # xml.sax.saxutils imports urllib.request, and with it http.client, ssl and email
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, nodehead.cli; "
+            "print(sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nodehead.dynamics import init_params
-from nodehead.errors import ContractError, FormatError, NumericError
+from nodehead.errors import ContractError, FormatError, NumericError, StepBudgetError
 from nodehead.model import evaluate, head_to_flat, init_baseline_head
 from nodehead.solvers import SolverConfig
 from nodehead.train import (
@@ -206,6 +206,25 @@ class TestTrainLoop:
         cfg = TrainConfig(optimizer=AdamConfig(lr=1e308), epochs=1, batch_size=128)
         with pytest.raises(NumericError, match="non-finite validation loss at epoch 1"):
             train("baseline", toy_feature_dataset, cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind, cfg, where", [
+        # the first SGD step at lr=1e300 makes the field overflow in the next solve
+        (NumericError, dict(optimizer=SgdConfig(lr=1e300)), "at epoch 1, batch 2 of 5: "),
+        (NumericError, dict(optimizer=SgdConfig(lr=1e300), batch_size=128),
+         "during validation at epoch 1: "),
+        (StepBudgetError, dict(grad_method="adjoint", init_scale=1.0,
+                               solver=SolverConfig(max_steps=2)), "at epoch 1, batch 1 of 5: "),
+    ], ids=["step", "validation", "step-budget"])
+    def test_solver_failure_names_epoch_and_batch(self, kind, cfg, where, toy_feature_dataset):
+        cfg = TrainConfig(**{"epochs": 2, "batch_size": 16, "val_fraction": 0.2, "width": 4, **cfg})
+        with pytest.raises(kind) as info:
+            train("node", toy_feature_dataset, cfg)
+        cause = info.value.__cause__
+        assert type(info.value) is type(cause) is kind
+        assert str(info.value) == where + str(cause)
+        assert info.value.where == cause.where is not None
 
     def test_unknown_head_kind(self, toy_feature_dataset):
         with pytest.raises(ContractError):

@@ -47,12 +47,15 @@ such a shift. The state itself is formed once, at the end:
 those of the state-space recursion up to rounding.
 
 * A forward step costs four (n, w)(w, w) GEMMs: ``u_0 @ M``, ``u_1 @ M``,
-  ``u_2 @ M`` and ``ubar @ M``. The state-space step costs 8 GEMMs
-  between widths d and w. The trajectory keeps ``h0`` and the four
-  activations per step, not the grid states, which it rebuilds on demand.
+  ``u_2 @ M`` and ``ubar @ M``; the last step skips ``ubar @ M``, since
+  the terminal state reads only the sum of the ``ubar_i``. The state-space
+  step costs 8 GEMMs between widths d and w. The trajectory keeps ``h0``
+  and the four activations per step, not the grid states, which it
+  rebuilds on demand.
 * The reverse pass carries ``gz = dL/dz`` backward. ``G = dL/dhT @ w2``
   is formed once, and a step costs ``gz @ M.T``, three stage GEMMs and the
-  gradient of M (2 GEMMs, 4 n w^2 multiply-adds). It walks the stored
+  gradient of M (2 GEMMs, 4 n w^2 multiply-adds); the first step starts
+  from ``gz = 0`` and skips the products with it. It walks the stored
   activations and never recomputes tanh. ``dL/dh0 = dL/dhT + gz_0 @ w1_h``;
   w1 and b1 get their direct gradients once, from ``gz_0`` and ``h0``,
   and the sums for M and m are mapped onto w1, w2 and b2 once per pass,
@@ -280,7 +283,7 @@ class BatchWorkspace:
         self._step_buffers[3][...] = 0.0
         return self.z
 
-    def rk4_step(self, z, t, dt, stages):
+    def rk4_step(self, z, t, dt, stages, last=False):
         """One RK4 step of the carry ``z`` from ``t`` to ``t + dt``, in place.
 
         Stage j's pre-activation is ``z + a_j * (u_{j-1} @ M + m)`` with
@@ -288,7 +291,9 @@ class BatchWorkspace:
         ``u_j`` is written to ``stages[j]`` (shape (n, width)). With
         ``ubar = sum_j dt * RK4_B[j] * u_j`` the step's state is
         ``h + ubar @ w2.T + dt * b2``, so the carry becomes
-        ``z + ubar @ M + dt * m`` and ``U`` collects ``ubar``.
+        ``z + ubar @ M + dt * m`` and ``U`` collects ``ubar``. On the
+        solve's ``last`` step nothing reads the carry again, so it is left
+        as it was.
         """
         M, m = self._hidden
         z_half, z_full, ubar, U, M_half, M_full = self._step_buffers
@@ -304,8 +309,9 @@ class BatchWorkspace:
             np.tanh(u, out=u)
         np.matmul(RK4_B * dt, stages.reshape(4, -1), out=ubar.reshape(-1))
         U += ubar
-        np.matmul(ubar, M, out=z)
-        z += z_full
+        if not last:
+            np.matmul(ubar, M, out=z)
+            z += z_full
         return z
 
     def _state(self, h0, U, span, out=None):
@@ -373,7 +379,9 @@ class BatchWorkspace:
         ``s_j = (dt * RK4_B[j] * dL/dubar + a_{j+1} * s_{j+1} @ M.T) * (1 - u_j^2)``,
         and ``gz`` gains ``sum_j s_j``. ``M`` collects ``ubar.T @ gz`` and
         ``a_j * u_{j-1}.T @ s_j``, ``m`` collects ``dt * sum_rows gz`` and
-        ``a_j * sum_rows s_j``.
+        ``a_j * sum_rows s_j``. On the last step, where the pass starts, ``gz``
+        is still the zero carry of :meth:`rk4_reverse_begin`, so its three
+        products are skipped and ``dL/dubar = G``.
         """
         m_t, _, G, H, S, D, tmp, ubar, U, _, ones = self._reverse
         g_M, g_m = self._grads[5:]
@@ -383,11 +391,14 @@ class BatchWorkspace:
         dt = trajectory.times[i + 1] - t
         np.matmul(RK4_B * dt, stages.reshape(4, -1), out=ubar.reshape(-1))
         U += ubar
-        # the carry's own step z + ubar @ M + dt * m, while gz is still dL/dz_{i+1}
-        g_M += ubar.T @ gz
-        g_m += dt * (ones[:n] @ gz)
-        np.matmul(gz, m_t, out=H)
-        H += G
+        if i == len(trajectory.times) - 2:
+            H[...] = G
+        else:
+            # the carry's own step z + ubar @ M + dt * m, while gz is still dL/dz_{i+1}
+            g_M += ubar.T @ gz
+            g_m += dt * (ones[:n] @ gz)
+            np.matmul(gz, m_t, out=H)
+            H += G
         np.multiply(stages, stages, out=D)
         np.subtract(1.0, D, out=D)
         for j in (3, 2, 1, 0):
@@ -459,7 +470,7 @@ class FieldWorkspace:
     def rk4_begin(self, h0):
         return np.array(h0, dtype=np.float64)
 
-    def rk4_step(self, h, t, dt, stages):
+    def rk4_step(self, h, t, dt, stages, last=False):
         self.eval(h, t, stages[0])
         for j in (1, 2, 3):
             self.eval(h + RK4_C[j] * dt * stages[j - 1], t + RK4_C[j] * dt, stages[j])

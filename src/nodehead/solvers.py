@@ -187,7 +187,7 @@ def solve_fixed_batch(field, states0, t0, t1, n_steps, keep_trajectory=True):
     carry = work.rk4_begin(h0)
     for i in range(n_steps):
         t = times[i]
-        work.rk4_step(carry, t, times[i + 1] - t, stages[i % kept])
+        work.rk4_step(carry, t, times[i + 1] - t, stages[i % kept], last=i == n_steps - 1)
         _require_finite(carry, times[i + 1])
     hT = work.rk4_end(h0, carry, t1 - t0)
     traj = Trajectory(times, h0=h0.copy(), stages=stages, field=field) if keep_trajectory else None

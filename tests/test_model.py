@@ -1,11 +1,14 @@
+import importlib
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import reference as ref
 from nodehead.adjoint import backprop_rk4_batch
+from nodehead.data import Dataset
 from nodehead.dynamics import init_params
 from nodehead.errors import ContractError, FormatError, ShapeError
 from nodehead.model import (
@@ -25,6 +28,7 @@ from nodehead.model import (
     train_step,
 )
 from nodehead.solvers import SolveStats, SolverConfig, solve, solve_adaptive, solve_fixed_batch
+from nodehead.train import TrainConfig, train
 
 
 class TestForwardBaseline:
@@ -198,6 +202,76 @@ class TestClassMajorTail:
         assert (loss, n_correct) == (pytest.approx(want_loss, rel=1e-14), want_correct)
         np.testing.assert_allclose(grads, want, rtol=1e-12, atol=1e-16)
 
+    @staticmethod
+    def assert_tail_matches_reference(logits, labels):
+        """Both tail routes against the row-major reference; NaN matches NaN."""
+        want_loss, want_grad, want_correct = ref.softmax_cross_entropy(logits, labels, EPS_LOG)
+        loss, n_correct, dZ = _tail(logits.T.copy(), labels, with_grad=True)
+        np.testing.assert_array_equal(loss, want_loss)
+        assert n_correct == want_correct
+        np.testing.assert_allclose(dZ.T, want_grad, rtol=0.0, atol=1e-15)
+        eval_loss, eval_correct, _ = _tail(logits.T.copy(), labels, with_grad=False)
+        np.testing.assert_array_equal(eval_loss, loss)
+        assert eval_correct == n_correct
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("row, label, correct", [
+        ([0.5, 2.0, 2.0, -1.0], 1, 1),  # a tie: the first maximal class wins
+        ([0.5, 2.0, 2.0, -1.0], 2, 0),
+        ([1.5, 1.5, 1.5, 1.5], 0, 1),  # all equal
+        ([1.5, 1.5, 1.5, 1.5], 3, 0),
+        ([0.0, 1.0, np.nan, 3.0], 2, 1),  # argmax picks the first NaN
+        ([0.0, 1.0, np.nan, 3.0], 3, 0),
+        ([0.0, np.inf, 1.0, np.inf], 1, 1),
+        ([0.0, np.inf, 1.0, np.inf], 3, 0),
+        ([-np.inf, 0.0, 1.0, -np.inf], 2, 1),
+        ([-np.inf, -np.inf, -np.inf, -np.inf], 0, 1),
+    ])
+    def test_fallback_columns_keep_the_first_maximal_class(self, row, label, correct, rng):
+        """One special column among ordinary ones, counted as np.argmax counts it."""
+        logits = rng.standard_normal((8, 4))
+        labels = logits.argmax(axis=1)
+        logits[5], labels[5] = row, label
+        assert ref.softmax_cross_entropy(logits, labels, EPS_LOG)[2] == 7 + correct
+        self.assert_tail_matches_reference(logits, labels)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_column_beside_a_tie_is_counted_on_the_raw_logits(self, rng):
+        """A NaN column has no zero after the shift and a tied one has two, so
+        the zero count alone reads one zero per column."""
+        logits = rng.standard_normal((6, 3))
+        labels = logits.argmax(axis=1)
+        logits[1], labels[1] = [0.0, np.nan, 1.0], 1
+        logits[4], labels[4] = [2.0, 2.0, 0.0], 0
+        assert ref.softmax_cross_entropy(logits, labels, EPS_LOG)[2] == 6
+        self.assert_tail_matches_reference(logits, labels)
+
+    @pytest.mark.parametrize("kind", ["baseline", "node"])
+    def test_evaluate_and_train_step_losses_are_bitwise_equal(self, kind, rng):
+        """Over many batches, since a one-ulp change in a label probability
+        seldom survives the log and the sum of one batch."""
+        head = init_node_head(4, 6, 5, width=7, scale=0.5) if kind == "node" else init_baseline_head(4, 6, 5)
+        cfg = SolverConfig(method="rk4_fixed", n_steps=6)
+        for _ in range(40):
+            X = rng.standard_normal((300, 6))
+            y = rng.integers(0, 5, 300)
+            loss, acc, _ = evaluate(head, X, y, cfg)
+            step_loss, _, _, n_correct = train_step(head, X, y, "discrete", cfg)
+            assert loss.hex() == step_loss.hex()
+            assert acc == n_correct / 300
+
+    @pytest.mark.parametrize("kind", ["baseline", "node"])
+    @pytest.mark.parametrize("entry", ["evaluate", "train_step"])
+    def test_labels_outside_the_classes_are_rejected(self, kind, entry, rng):
+        classes = 3
+        head = init_node_head(0, 4, classes, width=5) if kind == "node" else init_baseline_head(0, 4, classes)
+        run = evaluate if entry == "evaluate" else train_step
+        X = rng.standard_normal((4, 4))
+        for bad in (-1, classes):
+            with pytest.raises(ContractError, match=rf"record 2 has label {bad} outside \[0, 3\)"):
+                run(head, X, [0, 1, bad, bad])
+        run(head, X, [0, classes - 1, 0, classes - 1])
+
 
 class TestOneRoute:
     def test_fixed_method_stats_agree_across_entry_points(self, rng):
@@ -287,6 +361,28 @@ class TestFlatPacking:
         a, _ = forward(head, x, SolverConfig())
         b, _ = forward(rebuilt, x, SolverConfig())
         np.testing.assert_array_equal(a, b)
+
+    def test_rebuilt_output_layer_shares_the_flat_vector(self, monkeypatch):
+        head = init_baseline_head(1, 4, 3)
+        flat = head_to_flat(head) + 0.25
+        rebuilt = head_from_flat(head, flat)
+        assert np.shares_memory(rebuilt.w_out, flat) and np.shares_memory(rebuilt.b_out, flat)
+
+        rng = np.random.default_rng(3)
+        ds = Dataset(rng.standard_normal((90, 4)), rng.integers(0, 3, 90), 3)
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=2)
+        viewed, viewed_records = train("baseline", ds, cfg)
+
+        def copied(template, flat):
+            h = head_from_flat(template, flat)
+            return Head(h.w_out.copy(), h.b_out.copy(), h.dynamics)
+
+        # the package re-exports train() over its module
+        monkeypatch.setattr(importlib.import_module("nodehead.train"), "head_from_flat", copied)
+        copied_head, copied_records = train("baseline", ds, cfg)
+        assert head_to_flat(viewed).tobytes() == head_to_flat(copied_head).tobytes()
+        strip = lambda records: [replace(r, wall_ms=0.0) for r in records]
+        assert strip(viewed_records) == strip(copied_records)
 
     def test_wrong_length_rejected(self):
         head = init_baseline_head(0, 3, 2)

@@ -18,6 +18,7 @@ File formats (little-endian throughout):
   float64 on load.
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -38,13 +39,18 @@ EXTRACT_BLOCK_ROWS = 256
 
 @dataclass
 class ImageSet:
-    """Raw byte images in CIFAR layout plus their class labels."""
+    """Raw byte images in CIFAR layout plus their class labels.
 
-    images: np.ndarray  # (n, 3072) uint8
+    ``images`` is kept as given when it already is uint8, so it may be a
+    row-strided view: :func:`load_cifar10_bin` returns the pixel columns of
+    the records it read, without copying them out.
+    """
+
+    images: np.ndarray  # (n, 3072) uint8, rows possibly strided
     labels: np.ndarray  # (n,) int64 in [0, 9]
 
     def __post_init__(self):
-        self.images = np.ascontiguousarray(self.images, dtype=np.uint8)
+        self.images = np.asarray(self.images, dtype=np.uint8)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.images.ndim != 2 or self.images.shape[1] != CIFAR_PIXELS:
             raise FormatError(f"images must be (n, {CIFAR_PIXELS}), got {self.images.shape}")
@@ -93,24 +99,30 @@ class Dataset:
 def load_cifar10_bin(path):
     """Parse one CIFAR-10 binary batch file into an ImageSet.
 
-    The file length must be a multiple of the 3073-byte record size; a
-    truncated file raises :class:`FormatError` naming the offending byte
-    offset, a label byte above 9 raises :class:`DataError`.
+    The file is read once, straight into one (n, 3073) uint8 array, and the
+    ImageSet's images are its row-strided view ``records[:, 1:]``, so the
+    load holds the file's bytes once. The file length must be a multiple of
+    the 3073-byte record size; a truncated file raises :class:`FormatError`
+    naming the offending byte offset, as does a file whose length changes
+    while it is read. A label byte above 9 raises :class:`DataError`.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) % CIFAR_RECORD_BYTES != 0:
-        offset = len(blob) - (len(blob) % CIFAR_RECORD_BYTES)
-        raise FormatError(
-            f"{path}: truncated record at byte offset {offset} "
-            f"(file length {len(blob)} is not a multiple of {CIFAR_RECORD_BYTES})"
-        )
-    records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+        size = os.fstat(fh.fileno()).st_size
+        if size % CIFAR_RECORD_BYTES != 0:
+            offset = size - (size % CIFAR_RECORD_BYTES)
+            raise FormatError(
+                f"{path}: truncated record at byte offset {offset} "
+                f"(file length {size} is not a multiple of {CIFAR_RECORD_BYTES})"
+            )
+        records = np.empty((size // CIFAR_RECORD_BYTES, CIFAR_RECORD_BYTES), dtype=np.uint8)
+        got = fh.readinto(records)
+        if got != size or fh.read(1):
+            raise FormatError(f"{path}: file length changed while it was read ({size} bytes when opened)")
     labels = records[:, 0].astype(np.int64)
     if labels.size and labels.max() >= CIFAR_CLASSES:
         bad = int(np.argmax(labels >= CIFAR_CLASSES))
         raise DataError(f"{path}: record {bad} has label byte {labels[bad]} > 9")
-    return ImageSet(images=records[:, 1:].copy(), labels=labels)
+    return ImageSet(images=records[:, 1:], labels=labels)
 
 
 @dataclass
@@ -151,7 +163,9 @@ def extract_features(extractor, images):
     flat in the image count. The blocks are of near-equal size rather than
     a full run plus a remainder, because a GEMM of a few rows can take a
     different BLAS kernel and round differently; this way the features are
-    bitwise those of a one-shot pass.
+    bitwise those of a one-shot pass. The blocks are widened from the image
+    rows where they lie, so a row-strided ``images.images`` gives the same
+    features as a contiguous copy.
     """
     n = len(images)
     feats = np.empty((n, extractor.d))

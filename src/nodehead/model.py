@@ -160,7 +160,8 @@ def head_from_flat(template, flat):
 
 def _check_batch(head, features, labels=None):
     """The batch checks of every entry point; returns float64 (n, d) features
-    and, when given, int64 labels, each in [0, classes)."""
+    and, when given, int64 labels, each a whole number in [0, classes).
+    Integer labels skip the whole-number test."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[0] == 0:
         raise ContractError("empty batch")
@@ -168,13 +169,20 @@ def _check_batch(head, features, labels=None):
         raise ShapeError(f"feature shape {features.shape} does not match head dimension {head.d}")
     if labels is None:
         return features
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = np.asarray(labels).ravel()
+    if labels.dtype.kind == "f":
+        fractional = labels != np.trunc(labels)  # NaN is unequal to itself
+        if fractional.any():
+            i = int(np.argmax(fractional))
+            raise ContractError(f"record {i} has label {labels[i]}, which is not a whole number")
+    else:
+        labels = labels.astype(np.int64, copy=False)
     if features.shape[0] != labels.shape[0]:
         raise ShapeError(f"{features.shape[0]} feature rows vs {labels.shape[0]} labels")
     if labels.min() < 0 or labels.max() >= head.classes:
         i = int(np.argmax((labels < 0) | (labels >= head.classes)))
         raise ContractError(f"record {i} has label {labels[i]} outside [0, {head.classes})")
-    return features, labels
+    return features, labels.astype(np.int64, copy=False)
 
 
 def _evolve(head, features, config, keep_trajectory=False):

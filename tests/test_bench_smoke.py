@@ -7,7 +7,9 @@ adjoint reference check, which no other test exercises. One short traced
 pass against the recorded reference series. A traced run patches every
 tracer site, so either run also fails if a site no longer resolves. One
 short untraced ``baseline-train`` run checks the linear head's output tail
-and the optimizer loop against that workload's reference series.
+and the optimizer loop against that workload's reference series. One short
+untraced ``compare`` run checks the CLI's CIFAR ingest (``--data`` with
+``--test-data``) against the recorded verdict and table.
 """
 
 import json
@@ -42,4 +44,9 @@ def test_traced_discrete_train_run_passes_its_checks():
 
 def test_untraced_baseline_train_run_passes_its_checks():
     last, stdout = bench_run("baseline-train", trace=0)
+    assert last["correct"] is True and last["failed"] == 0, stdout[-2000:]
+
+
+def test_untraced_compare_run_passes_its_checks():
+    last, stdout = bench_run("compare", trace=0)
     assert last["correct"] is True and last["failed"] == 0, stdout[-2000:]

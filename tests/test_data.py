@@ -1,10 +1,13 @@
+import os
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-import tracemalloc
-
 from conftest import make_cifar_blob
 from nodehead.data import (
+    CIFAR_RECORD_BYTES,
     EXTRACT_BLOCK_ROWS,
     Dataset,
     FrozenExtractor,
@@ -20,12 +23,17 @@ from nodehead.errors import ContractError, DataError, FormatError
 
 class TestCifarLoader:
     def test_two_record_fixture(self, tmp_path):
+        blob = make_cifar_blob([3, 7])
         path = tmp_path / "two.bin"
-        path.write_bytes(make_cifar_blob([3, 7]))
+        path.write_bytes(blob)
         images = load_cifar10_bin(path)
         assert len(images) == 2
         np.testing.assert_array_equal(images.labels, [3, 7])
         assert images.images.shape == (2, 3072)
+        # the images are the pixel columns of the records read, not a copy
+        assert images.images.strides == (CIFAR_RECORD_BYTES, 1)
+        records = np.frombuffer(blob, dtype=np.uint8).reshape(2, CIFAR_RECORD_BYTES)
+        np.testing.assert_array_equal(images.images, records[:, 1:])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.bin"
@@ -59,6 +67,45 @@ class TestCifarLoader:
         path = tmp_path / "data_batch_1.bin"
         path.write_bytes(make_cifar_blob(labels, rng=gen))
         assert len(load_cifar10_bin(path)) == 10_000
+
+    def test_load_holds_the_file_once(self, tmp_path):
+        # the bytes read and a copy of the pixels would be 2x the file
+        path = tmp_path / "batch.bin"
+        path.write_bytes(make_cifar_blob(np.arange(1000) % 10))
+        tracemalloc.start()
+        try:
+            load_cifar10_bin(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * path.stat().st_size
+
+    @pytest.mark.parametrize("shift", [CIFAR_RECORD_BYTES, -CIFAR_RECORD_BYTES])
+    def test_file_whose_length_changes_while_read_is_rejected(self, shift, tmp_path, monkeypatch):
+        # the size taken when the file is opened is off by one record, as if
+        # the file shrank (a short read) or grew before the read
+        path = tmp_path / "moving.bin"
+        path.write_bytes(make_cifar_blob([1, 2]))
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + shift))
+        with pytest.raises(FormatError, match="length changed while it was read"):
+            load_cifar10_bin(path)
+
+
+class TestImageSet:
+    def test_uint8_rows_are_kept_as_a_strided_view(self, rng):
+        records = rng.integers(0, 256, (5, CIFAR_RECORD_BYTES), dtype=np.uint8)
+        images = ImageSet(records[:, 1:], records[:, 0] % 10)
+        assert np.shares_memory(images.images, records)
+        assert images.images.strides == (CIFAR_RECORD_BYTES, 1)
+
+    def test_extraction_of_a_strided_view_matches_a_contiguous_copy_bitwise(self, rng):
+        records = rng.integers(0, 256, (EXTRACT_BLOCK_ROWS + 44, CIFAR_RECORD_BYTES), dtype=np.uint8)
+        labels = records[:, 0] % 10
+        ex = FrozenExtractor(seed=4, d=32)
+        view = extract_features(ex, ImageSet(records[:, 1:], labels)).features
+        copy = extract_features(ex, ImageSet(np.ascontiguousarray(records[:, 1:]), labels)).features
+        assert view.tobytes() == copy.tobytes()
 
 
 class TestFrozenExtractor:

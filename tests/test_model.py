@@ -272,6 +272,16 @@ class TestClassMajorTail:
                 run(head, X, [0, 1, bad, bad])
         run(head, X, [0, classes - 1, 0, classes - 1])
 
+    @pytest.mark.parametrize("kind", ["baseline", "node"])
+    @pytest.mark.parametrize("entry", ["evaluate", "train_step"])
+    def test_labels_that_are_not_whole_numbers_are_rejected(self, kind, entry, rng):
+        head = init_node_head(0, 4, 3, width=5) if kind == "node" else init_baseline_head(0, 4, 3)
+        run = evaluate if entry == "evaluate" else train_step
+        X = rng.standard_normal((2, 4))
+        with pytest.raises(ContractError, match="record 0 has label 0.5, which is not a whole number"):
+            run(head, X, [0.5, 1.9])
+        assert run(head, X, [0.0, 1.0])[0] == run(head, X, [0, 1])[0]
+
 
 class TestOneRoute:
     def test_fixed_method_stats_agree_across_entry_points(self, rng):

@@ -8,17 +8,10 @@ Two strategies with opposite memory profiles, each with one workspace
   discrete recursion exactly. It owns the loop over the grid; the
   workspace carries the cotangent of the forward carry backward, reverses
   each step from the stored stage records and sums the parameter gradient
-  over rows, stages and steps. Memory grows with the step count (the
-  trajectory itself). For the two-layer field the reverse carry is
-  ``gz = dL/dz`` of the first stage's pre-activation (see
-  :mod:`nodehead.dynamics`): the pass forms ``dL/dhT @ w2`` once, a step
-  costs ``gz @ M.T``, three stage GEMMs and the gradient of
-  ``M = w2.T @ w1_h.T``, and it never recomputes tanh. The initial state
-  and w1, b1 get their gradients once, from ``gz_0``, and the sums for
-  ``M`` and ``m`` are mapped onto the parameters once per pass. With the
-  forward solve a step costs ``12 * n * width^2`` multiply-adds, which
-  pays against the state-space ``28 * n * d * width`` while the width
-  stays below about 2.3 times d.
+  over rows, stages and steps; its ``rk4_reverse_end`` returns the pass's
+  result. Memory grows with the step count (the trajectory itself). For
+  the two-layer field the reverse carry is the cotangent of the first
+  stage's pre-activation; :mod:`nodehead.dynamics` derives it and its cost.
 * :func:`adjoint_solve` integrates the augmented system [h; a; g] of one
   state backward in time, where a(t) is the adjoint state dL/dh(t) and g
   accumulates the parameter gradient. Each right-hand side evaluation gets
@@ -82,7 +75,7 @@ def backprop_rk4_batch(field, trajectory, d_hT_rows):
     carry = work.rk4_reverse_begin(g)
     for i in range(len(trajectory.times) - 2, -1, -1):
         work.rk4_step_vjp(trajectory, i, carry)
-    return work.rk4_reverse_end(trajectory, g, carry), work.d_params()
+    return work.rk4_reverse_end(trajectory, g, carry)
 
 
 def adjoint_solve(field, hT, d_hT, t0, t1, config):

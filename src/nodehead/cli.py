@@ -97,7 +97,7 @@ def write_manifest(path, args):
         key = name.replace("_", "-")
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         if "\n" in text:
-            raise ValueError(f"manifest value for {key} contains a newline")
+            raise ContractError(f"manifest value for {key} contains a newline")
         lines.append(f"arg.{key}={text}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -271,10 +271,11 @@ def _run(func, args, *rest):
 def cmd_train(args, dataset=None):
     """Train one head; ``dataset`` stands in for loading ``--data`` when given."""
     _resolve_optimizer(args)
+    config = _train_config(args, args.grad, _optimizer_config(args))
     out, manifest = _start_run(args)
     if dataset is None:
         dataset = _dataset_from_args(args, _lazy_extractor(args))
-    head, records = train(args.head, dataset, _train_config(args, args.grad, _optimizer_config(args)))
+    head, records = train(args.head, dataset, config)
     write_metrics_csv(records, out / "metrics.csv")
     save_checkpoint(head, out / "head.nodc")
     finish_manifest(manifest)
@@ -303,7 +304,15 @@ def cmd_compare(args):
     if repeated is not None:
         raise ContractError(f"--seeds names seed {repeated} twice; each seed's runs share one directory")
     _resolve_optimizer(args)
-    _optimizer_config(args)  # a bad optimizer setting would otherwise fail every run
+    # a run's flags: train's defaults, overridden by every flag compare shares with train
+    train_parser = _Parser(prog="nodehead train")
+    _add_train_command_flags(train_parser)
+    defaults = {a.dest: a.default for a in train_parser._actions if a.default is not argparse.SUPPRESS}
+    shared = {name: getattr(args, name) for name in defaults if hasattr(args, name)}
+    run_flags = {**defaults, **shared, "command": "train"}
+    # the runs differ only in head and seed, so a bad configuration fails here, before any run
+    first = argparse.Namespace(**run_flags)
+    _train_config(first, args.grad, _optimizer_config(first))
     out, manifest = _start_run(args)
     extractor = _lazy_extractor(args)
     dataset = _dataset_from_args(args, extractor)
@@ -313,18 +322,12 @@ def cmd_compare(args):
         if test_ds.d != dataset.d:
             raise DataError(f"{args.test_data}: feature dimension {test_ds.d}, but --data has {dataset.d}")
 
-    # a run's flags: train's defaults, overridden by every flag compare shares with train
-    train_parser = _Parser(prog="nodehead train")
-    _add_train_command_flags(train_parser)
-    defaults = {a.dest: a.default for a in train_parser._actions if a.default is not argparse.SUPPRESS}
-    shared = {name: getattr(args, name) for name in defaults if hasattr(args, name)}
     rows = []
     failures = []
     for seed in args.seeds:
         for head_kind in _HEADS:
             run_dir = out / f"seed{seed}" / head_kind
-            run = argparse.Namespace(**{**defaults, **shared, "command": "train", "head": head_kind,
-                                        "seed": seed, "out": str(run_dir)})
+            run = argparse.Namespace(**{**run_flags, "head": head_kind, "seed": seed, "out": str(run_dir)})
             code = _run(cmd_train, run, dataset)
             row = {"seed": seed, "head": head_kind, "flag": "ok"}
             if code != EXIT_OK:

@@ -32,6 +32,7 @@ CIFAR_CLASSES = 10
 
 FEATURE_MAGIC = b"NODF"
 FEATURE_VERSION = 1
+_FEATURE_HEADER = struct.Struct("<IIIB")
 
 # images the extractor widens to float64 at a time
 EXTRACT_BLOCK_ROWS = 256
@@ -184,7 +185,7 @@ def extract_features(extractor, images):
 def save_feature_file(dataset, path):
     """Write a Dataset in the NODF layout (float32 storage precision)."""
     n, d = dataset.features.shape
-    header = FEATURE_MAGIC + struct.pack("<IIIB", FEATURE_VERSION, n, d, 1)
+    header = FEATURE_MAGIC + _FEATURE_HEADER.pack(FEATURE_VERSION, n, d, 1)
     body = dataset.features.astype("<f4").tobytes()
     label_bytes = dataset.labels.astype(np.uint8).tobytes()
     with open(path, "wb") as fh:
@@ -200,12 +201,12 @@ def load_feature_file(path):
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    header_size = 4 + struct.calcsize("<IIIB")
+    header_size = 4 + _FEATURE_HEADER.size
     if len(blob) < header_size:
         raise FormatError(f"{path}: shorter than the {header_size}-byte header")
     if blob[:4] != FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {FEATURE_MAGIC!r}")
-    version, n, d, has_labels = struct.unpack("<IIIB", blob[4:header_size])
+    version, n, d, has_labels = _FEATURE_HEADER.unpack_from(blob, 4)
     if version != FEATURE_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if has_labels not in (0, 1):

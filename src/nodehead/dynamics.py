@@ -68,7 +68,8 @@ those of the state-space recursion up to rounding.
 
 Flat parameter order (a stable contract relied on by checkpoints and the
 adjoint's gradient accumulator): w1 row-major, then b1, then w2 row-major,
-then b2.
+then b2. :func:`param_count` gives its length, and every reader and writer
+of a flat vector takes the four blocks from one splitter.
 """
 
 from dataclasses import dataclass
@@ -121,30 +122,37 @@ class DynamicsParams:
 
     @property
     def n_params(self):
-        return self.w1.size + self.b1.size + self.w2.size + self.b2.size
+        return param_count(self.d, self.width)
 
     def flatten(self):
-        """Concatenate (w1, b1, w2, b2) row-major into one float64 vector."""
-        return np.concatenate(
-            [self.w1.ravel(), self.b1, self.w2.ravel(), self.b2]
-        )
+        """(w1, b1, w2, b2) as one float64 vector in the documented order."""
+        flat = np.empty(self.n_params)
+        for view, arr in zip(_param_views(flat, self.d, self.width), (self.w1, self.b1, self.w2, self.b2)):
+            view[...] = arr
+        return flat
+
+
+def param_count(d, width):
+    """The length of the flat parameter vector of a field of dimension ``d`` and hidden ``width``."""
+    return width * (d + 1) + width + d * width + d
+
+
+def _param_views(flat, d, width):
+    """(w1, b1, w2, b2) as views of the flat vector ``flat``, in the documented order."""
+    i_b1 = width * (d + 1)
+    i_w2 = i_b1 + width
+    i_b2 = i_w2 + d * width
+    return (flat[:i_b1].reshape(width, d + 1), flat[i_b1:i_w2],
+            flat[i_w2:i_b2].reshape(d, width), flat[i_b2 : i_b2 + d])
 
 
 def unflatten(flat, d, width):
     """Rebuild DynamicsParams from a flat vector in the documented order."""
     flat = np.asarray(flat, dtype=np.float64)
-    expected = width * (d + 1) + width + d * width + d
+    expected = param_count(d, width)
     if flat.shape != (expected,):
         raise ShapeError(f"flat parameter vector has shape {flat.shape}, expected ({expected},)")
-    i = 0
-    w1 = flat[i : i + width * (d + 1)].reshape(width, d + 1).copy()
-    i += width * (d + 1)
-    b1 = flat[i : i + width].copy()
-    i += width
-    w2 = flat[i : i + d * width].reshape(d, width).copy()
-    i += d * width
-    b2 = flat[i : i + d].copy()
-    return DynamicsParams(w1, b1, w2, b2)
+    return DynamicsParams(*(view.copy() for view in _param_views(flat, d, width)))
 
 
 def init_params(seed, d, width, scale=0.1):
@@ -200,8 +208,9 @@ class BatchWorkspace:
 
     What one kind of solve alone uses is built on its first use: the VJP
     buffers by :meth:`vjp`, ``M``, ``m`` and the step buffers by
-    :meth:`rk4_step`, the reverse-pass buffers and gradient sums by
-    :meth:`rk4_reverse_begin`. A dopri5 or adjoint workspace never forms ``M``.
+    :meth:`rk4_step`, the reverse-pass buffers by :meth:`rk4_reverse_begin`
+    and the gradient sums of ``M`` and ``m`` by :meth:`rk4_step_vjp`. A
+    dopri5 or adjoint workspace never forms ``M``.
     """
 
     def __init__(self, params, n):
@@ -254,13 +263,13 @@ class BatchWorkspace:
         s *= self.z
         d_states = np.matmul(s, self.w1h_t.T, out=out)
         d, width = self.w2.shape
-        n_w1 = width * (d + 1)
+        g_w1, g_b1, g_w2, g_b2 = _param_views(d_params_out, d, width)
         x[:, :d] = states
         x[:, d] = t
-        np.dot(s.T, x, out=d_params_out[:n_w1].reshape(width, d + 1))
-        np.dot(ones, s, out=d_params_out[n_w1 : n_w1 + width])
-        np.dot(cotangents.T, self.u, out=d_params_out[n_w1 + width : -d].reshape(d, width))
-        np.dot(ones, cotangents, out=d_params_out[-d:])
+        np.dot(s.T, x, out=g_w1)
+        np.dot(ones, s, out=g_b1)
+        np.dot(cotangents.T, self.u, out=g_w2)
+        np.dot(ones, cotangents, out=g_b2)
         return d_states, d_params_out
 
     @cached_property
@@ -354,11 +363,9 @@ class BatchWorkspace:
 
     @cached_property
     def _grads(self):
-        """Running sums of the reverse pass: the gradients of w1_h, of w1's
-        time column, b1, w2, b2, and then of M and m."""
-        d, width = self.w2.shape
-        z = np.zeros
-        return z((width, d)), z(width), z(width), z((d, width)), z(d), z((width, width)), z(width)
+        """Running sums of the reverse pass: the gradients of M and m."""
+        width = self.stage_dim
+        return np.zeros((width, width)), np.zeros(width)
 
     def rk4_reverse_begin(self, g):
         """The reverse carry for the cotangent ``g`` of the terminal state:
@@ -384,7 +391,7 @@ class BatchWorkspace:
         products are skipped and ``dL/dubar = G``.
         """
         m_t, _, G, H, S, D, tmp, ubar, U, _, ones = self._reverse
-        g_M, g_m = self._grads[5:]
+        g_M, g_m = self._grads
         n, width = G.shape
         stages = trajectory.stages[i]
         t = trajectory.times[i]
@@ -417,33 +424,28 @@ class BatchWorkspace:
         return gz
 
     def rk4_reverse_end(self, trajectory, g, gz):
-        """The gradient of the solve's initial state, written into ``g``, and
-        the direct parameter gradients: ``w2`` and ``b2`` through the terminal
-        state ``h0 + U @ w2.T + (t1 - t0) * b2``, ``w1`` and ``b1`` through
-        ``z_0 = h0 @ w1h_t + t0 * w1[:, d] + b1``."""
+        """The pass's result (dL/dh0, dL/dθ): the initial state's gradient,
+        written into ``g``, and the parameter gradient, flat in the documented
+        order. ``w2`` and ``b2`` get theirs through the terminal state
+        ``h0 + U @ w2.T + (t1 - t0) * b2``, ``w1`` and ``b1`` through
+        ``z_0 = h0 @ w1h_t + t0 * w1[:, d] + b1``, and the sums for M and m
+        are mapped onto w1, w2 and b2."""
         _, w1h, _, _, _, _, _, _, U, dh, ones = self._reverse
-        g_w1h, g_w1t, g_b1, g_w2, g_b2 = self._grads[:5]
+        g_M, g_m = self._grads
         h0, times = trajectory.h0, trajectory.times
-        n = g.shape[0]
-        g_w2 += g.T @ U
-        g_b2 += (times[-1] - times[0]) * (ones[:n] @ g)
-        g_w1h += gz.T @ h0
-        row_sum = ones[:n] @ gz
-        g_b1 += row_sum
-        g_w1t += times[0] * row_sum
+        n, d = g.shape
+        d_flat = np.empty(param_count(d, self.stage_dim))
+        g_w1, g_b1, g_w2, g_b2 = _param_views(d_flat, d, self.stage_dim)
+        g_w1h = gz.T @ h0
+        g_w1h += g_M.T @ self.w2.T
+        g_w1h += np.outer(g_m, self.w2b_t[-1])
+        g_w1[:, :d] = g_w1h
+        np.matmul(ones[:n], gz, out=g_b1)
+        np.add(times[0] * g_b1, g_m, out=g_w1[:, d])
+        np.add(g.T @ U, self.w1h_t @ g_M.T, out=g_w2)
+        np.add((times[-1] - times[0]) * (ones[:n] @ g), self.w1h_t @ g_m, out=g_b2)
         g += np.matmul(gz, w1h, out=dh)
-        return g
-
-    def d_params(self):
-        """The reverse pass's summed parameter gradient, flat in the documented
-        order: the direct sums, plus those of M and m mapped onto w1, w2 and
-        b2 once per pass."""
-        g_w1h, g_w1t, g_b1, g_w2, g_b2, g_M, g_m = self._grads
-        g_w1h = g_w1h + g_M.T @ self.w2.T + np.outer(g_m, self.w2b_t[-1])
-        g_w1 = np.concatenate([g_w1h, (g_w1t + g_m)[:, None]], axis=1)
-        g_w2 = g_w2 + self.w1h_t @ g_M.T
-        g_b2 = g_b2 + self.w1h_t @ g_m
-        return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+        return g, d_flat
 
 
 class FieldWorkspace:
@@ -455,7 +457,6 @@ class FieldWorkspace:
     def __init__(self, field, states):
         self.field = field
         self.stage_dim = np.shape(states)[-1]
-        self.g = np.zeros(field.n_params)
 
     def eval(self, states, t, out=None):
         return _into(out, self.field.eval(states, t))
@@ -488,6 +489,7 @@ class FieldWorkspace:
         return states
 
     def rk4_reverse_begin(self, g):
+        self.grad_sum = np.zeros(self.field.n_params)
         return g
 
     def rk4_step_vjp(self, trajectory, i, g):
@@ -503,16 +505,13 @@ class FieldWorkspace:
                 c += RK4_C[j + 1] * dt * v[j + 1]
             y = h if j == 0 else h + RK4_C[j] * dt * stages[j - 1]
             v[j], d_flat = self.field.vjp(y, t + RK4_C[j] * dt, c)
-            self.g += d_flat
+            self.grad_sum += d_flat
         for vj in v:
             g += vj
         return g
 
     def rk4_reverse_end(self, trajectory, g, carry):
-        return g
-
-    def d_params(self):
-        return self.g.copy()
+        return g, self.grad_sum
 
 
 def _increment(dt, stages):
@@ -543,9 +542,9 @@ def workspace(field, states, cotangents=None):
     wide), ``rk4_end`` forms the terminal state and ``rk4_states`` rebuilds
     the grid states from the records. In reverse, ``rk4_reverse_begin``
     gives the reverse carry for the terminal cotangent, ``rk4_step_vjp``
-    pulls it back over one step of a trajectory, ``rk4_reverse_end`` gives
-    the initial state's gradient, and ``d_params`` reads back the parameter
-    gradient the reverse steps summed.
+    pulls it back over one step of a trajectory and sums its parameter
+    gradient, and ``rk4_reverse_end`` gives the pass's result: the initial
+    state's gradient and the flat parameter gradient.
     """
     if not isinstance(field, DynamicsParams):
         return FieldWorkspace(field, states)

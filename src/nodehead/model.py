@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adjoint import adjoint_solve, backprop_rk4_batch
-from .dynamics import DynamicsParams, init_params, unflatten
+from .dynamics import DynamicsParams, init_params, param_count, unflatten
 from .errors import ContractError, FormatError, ShapeError
 from .seeding import subseed
 from .solvers import SolveStats, SolverConfig, solve
@@ -73,6 +73,7 @@ _GRAD_METHODS = {"discrete": "rk4_fixed", "adjoint": "dopri5"}
 
 CHECKPOINT_MAGIC = b"NODC"
 CHECKPOINT_VERSION = 1
+_CHECKPOINT_HEADER = struct.Struct("<IBIII")
 _KIND_BASELINE = 0
 _KIND_NODE = 1
 
@@ -339,9 +340,7 @@ def evaluate(head, features, labels, config=None):
 def save_checkpoint(head, path):
     """Write ``head`` in the NODC binary layout (see module docstring)."""
     kind, width = (_KIND_BASELINE, 0) if head.dynamics is None else (_KIND_NODE, head.dynamics.width)
-    header = CHECKPOINT_MAGIC + struct.pack(
-        "<IBIII", CHECKPOINT_VERSION, kind, head.d, width, head.classes
-    )
+    header = CHECKPOINT_MAGIC + _CHECKPOINT_HEADER.pack(CHECKPOINT_VERSION, kind, head.d, width, head.classes)
     payload = head_to_flat(head).astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(header + payload)
@@ -356,12 +355,12 @@ def load_checkpoint(path):
     baseline with a width."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    header_size = 4 + struct.calcsize("<IBIII")
+    header_size = 4 + _CHECKPOINT_HEADER.size
     if len(blob) < header_size:
         raise FormatError(f"{path}: checkpoint truncated: {len(blob)} bytes is shorter than the header")
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    version, kind, d, width, classes = struct.unpack("<IBIII", blob[4:header_size])
+    version, kind, d, width, classes = _CHECKPOINT_HEADER.unpack_from(blob, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     if kind not in (_KIND_BASELINE, _KIND_NODE):
@@ -374,7 +373,8 @@ def load_checkpoint(path):
     if kind == _KIND_BASELINE and width != 0:
         raise FormatError(f"{path}: checkpoint header field width is {width} for a baseline head, expected 0")
     flat = np.frombuffer(blob[header_size:], dtype="<f8").astype(np.float64)
-    n_dynamics = width * (d + 1) + width + d * width + d if kind == _KIND_NODE else 0
+    # counted before anything sized by the header is allocated
+    n_dynamics = param_count(d, width) if kind == _KIND_NODE else 0
     expected = n_dynamics + classes * d + classes
     if flat.shape[0] != expected:
         raise FormatError(f"{path}: checkpoint length mismatch: {flat.shape[0]} parameters, expected {expected}")

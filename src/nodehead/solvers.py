@@ -16,13 +16,9 @@ solve with :func:`~nodehead.dynamics.workspace`:
   exactly in reverse (memory grows with the step count), or, with
   ``keep_trajectory=False`` (:func:`rk4_terminal_batch`), keeps only the
   current step. For the two-layer field the carry is the first stage's
-  pre-activation ``z = h @ w1_h.T + t * w1_t + b1`` (see
-  :mod:`nodehead.dynamics`): ``z_{i+1} = z_i + ubar_i @ M + dt * m``, so a
-  step costs four (n, width)(width, width) GEMMs instead of 8 state-space
-  ones, which pays while the width stays below 2 times d. A stage record
-  is the activation ``u = tanh(z)`` rather than the derivative
-  ``k = u @ w2.T + b2``, the state is formed once at the end, and the
-  trajectory keeps ``h0`` and the activations, not the grid states.
+  pre-activation and a stage record its activation, so the trajectory
+  keeps ``h0`` and the activations, not the grid states;
+  :mod:`nodehead.dynamics` derives the recursion and its cost.
 * :func:`solve_adaptive` - Dormand-Prince 5(4) embedded pair with
   rtol/atol step control for one state, the tolerance-tunable path: the
   field runs at n=1 through
@@ -127,9 +123,9 @@ class Trajectory:
     ``times`` is the grid, ``h0`` the (n, d) initial batch, and
     ``stages[i]`` holds the four RK4 stage records of the step from
     ``times[i]`` to ``times[i+1]``, shape (n_steps, 4, n, stage_dim). For
-    the two-layer field a record is the stage's activation ``u = tanh(z)``
-    (stage_dim = width, derivative ``u @ w2.T + b2``); for a closed-form
-    field it is the stage derivative (stage_dim = d). That is all the
+    the two-layer field a record is the stage's activation (stage_dim =
+    width; see :mod:`nodehead.dynamics`); for a closed-form field it is
+    the stage derivative (stage_dim = d). That is all the
     reverse pass reads. ``states``, the (n_steps + 1, n, d) grid batches, is
     rebuilt from them by the field's workspace on first access; its last
     entry is bitwise the solve's terminal state.
@@ -244,8 +240,8 @@ def integrate_adaptive(f, y0, t0, t1, config):
             yi = y + dt * sum(DOPRI5_A[i][j] * k[j] for j in range(i))
             k[i] = np.asarray(f(yi, t + DOPRI5_C[i] * dt), dtype=np.float64)
         stats.n_feval += 6
-        # stage 7 sits at the 5th-order solution: y5 is the last yi above
-        y5 = y + dt * sum(DOPRI5_A[6][j] * k[j] for j in range(6))
+        # stage 7 sits at the 5th-order solution: its input is y5
+        y5 = yi
         err_vec = dt * sum(DOPRI5_ERR[i] * k[i] for i in range(7))
         _require_finite(y5, t + dt)
         scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y5))

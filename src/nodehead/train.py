@@ -6,15 +6,15 @@ through named sub-seeds. Per-epoch telemetry lands in
 :class:`MetricsRecord`; :func:`stability_stats` turns a metrics series into
 the rolling-variability numbers the head comparison is judged on.
 
-Metrics CSV layout (stable contract): header
-``epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval``, one row per
-epoch, floats at 6 significant digits, newline-terminated.
+Metrics CSV layout (stable contract): a header naming the fields of
+:class:`MetricsRecord` in order, then one row per epoch, int fields as
+integers and float fields at 6 significant digits, newline-terminated.
 """
 
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from .model import evaluate, head_from_flat, head_to_flat, init_baseline_head, i
 from .model import solver_config_for, train_step
 from .seeding import subseed
 from .solvers import SolverConfig
-
-METRICS_HEADER = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc", "wall_ms", "n_feval")
 
 
 @dataclass
@@ -113,6 +111,10 @@ class TrainConfig:
         self.solver = solver_config_for(self.grad_method, self.solver)
         if not 0 < self.val_fraction < 1:
             raise ContractError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        if self.width < 1:
+            raise ContractError(f"width must be >= 1, got width={self.width}")
+        if not 0 <= self.init_scale < math.inf:
+            raise ContractError(f"init_scale must be finite and >= 0, got {self.init_scale}")
 
 
 @dataclass
@@ -126,6 +128,11 @@ class MetricsRecord:
     val_acc: float
     wall_ms: float
     n_feval: int
+
+
+# one column per field; its type, int or float, also parses the column's cells
+_METRICS_FIELDS = fields(MetricsRecord)
+METRICS_HEADER = tuple(f.name for f in _METRICS_FIELDS)
 
 
 @dataclass
@@ -249,27 +256,12 @@ def stability_stats(metrics, window):
     )
 
 
-def _fmt(x):
-    return f"{x:.6g}"
-
-
 def write_metrics_csv(records, path):
     """Write the metrics series in the documented CSV layout."""
     lines = [",".join(METRICS_HEADER)]
     for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.epoch),
-                    _fmt(r.train_loss),
-                    _fmt(r.train_acc),
-                    _fmt(r.val_loss),
-                    _fmt(r.val_acc),
-                    _fmt(r.wall_ms),
-                    str(r.n_feval),
-                ]
-            )
-        )
+        values = [(f.type, getattr(r, f.name)) for f in _METRICS_FIELDS]
+        lines.append(",".join(str(v) if kind is int else f"{v:.6g}" for kind, v in values))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -287,17 +279,7 @@ def read_metrics_csv(path):
         if len(row) != len(METRICS_HEADER):
             raise FormatError(f"{path}: line {lineno}: expected {len(METRICS_HEADER)} fields, got {len(row)}")
         try:
-            records.append(
-                MetricsRecord(
-                    epoch=int(row[0]),
-                    train_loss=float(row[1]),
-                    train_acc=float(row[2]),
-                    val_loss=float(row[3]),
-                    val_acc=float(row[4]),
-                    wall_ms=float(row[5]),
-                    n_feval=int(row[6]),
-                )
-            )
+            records.append(MetricsRecord(*(f.type(cell) for f, cell in zip(_METRICS_FIELDS, row))))
         except ValueError as exc:
             raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     return records

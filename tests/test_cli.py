@@ -318,6 +318,13 @@ class TestBadFlagsExitThroughTable:
         ("train", ["--eps", "inf"], 1, "eps must be a finite number > 0, got inf"),
         ("compare", ["--lr", "inf"], 1, "lr must be a finite number >= 0, got inf"),
         ("compare", ["--eps", "inf"], 1, "eps must be a finite number > 0, got inf"),
+        ("compare", ["--epochs", "0"], 1, "epochs"),
+        ("compare", ["--batch-size", "0"], 1, "batch_size"),
+        ("compare", ["--n-steps", "0"], 1, "n_steps"),
+        ("compare", ["--val-fraction", "1.5"], 1, "val_fraction"),
+        ("compare", ["--width", "0"], 1, "width=0"),
+        ("compare", ["--scale", "nan"], 1, "scale"),
+        ("train", ["--data", "a\nb"], 1, "newline"),
     ], ids=["train-scale-negative", "train-scale-nan", "train-width-0", "train-rtol-nan",
             "train-lr-nan", "train-eps-nan", "compare-test-data-dim", "gradcheck-d-0",
             "gradcheck-classes-0", "gradcheck-fd-step-0", "gradcheck-fd-step-nan",
@@ -329,7 +336,9 @@ class TestBadFlagsExitThroughTable:
             "compare-seeds-empty", "compare-seeds-comma", "compare-seeds-repeated",
             "compare-seeds-repeated-apart", "sweep-tol-tols-empty", "sweep-tol-tols-inf",
             "train-tolerances-inf", "train-atol-inf", "train-lr-inf", "train-sgd-lr-inf",
-            "train-eps-inf", "compare-lr-inf", "compare-eps-inf"])
+            "train-eps-inf", "compare-lr-inf", "compare-eps-inf", "compare-epochs-0",
+            "compare-batch-size-0", "compare-n-steps-0", "compare-val-fraction-1.5",
+            "compare-width-0", "compare-scale-nan", "train-data-newline"])
     def test_exit_code_and_one_line(self, command, flags, code, named, feature_file, tmp_path,
                                     capsys):
         gen = np.random.default_rng(1)

@@ -457,6 +457,13 @@ class TestCheckpoints:
                                               rf"expected {head.n_params}$"):
             load_checkpoint(path)
 
+    def test_huge_header_is_counted_before_anything_is_allocated(self, tmp_path):
+        # d = width = 2**20 describe about 2.2e12 parameters, 17.6 TB of float64
+        path = tmp_path / "huge.nodc"
+        path.write_bytes(b"NODC" + struct.pack("<IBIII", 1, 1, 2**20, 2**20, 10) + bytes(8 * 3))
+        with pytest.raises(FormatError, match="length mismatch: 3 parameters, expected 2199036887050$"):
+            load_checkpoint(path)
+
 
     @pytest.mark.parametrize("kind, d, width, classes, field", [
         (1, 0, 4, 3, "d"),

@@ -7,60 +7,14 @@ the continuous adjoint method with constant memory. The package also ships
 the adaptive Dormand-Prince solver whose tolerances trade accuracy for
 cost, plus a harness that compares the NODE head against a plain
 fully-connected baseline on training stability.
+
+The API lives in the modules (``nodehead.model``, ``nodehead.solvers``,
+``nodehead.train``, ...). The package itself exports only ``SolverConfig``,
+``forward``, ``init_node_head`` and ``train_step``, the names the demos
+import; a name joins them only when a documented caller needs it.
 """
 
 __version__ = "0.1.0"
 
-from .adjoint import GradientResult, adjoint_solve
-from .data import (
-    Dataset,
-    FrozenExtractor,
-    ImageSet,
-    extract_features,
-    load_cifar10_bin,
-    load_feature_file,
-    save_feature_file,
-    split_train_val,
-)
-from .dynamics import DynamicsParams, eval_dynamics, init_params, unflatten, vjp_params, vjp_state
-from .errors import (
-    ContractError,
-    DataError,
-    FormatError,
-    NumericError,
-    ShapeError,
-    StepBudgetError,
-)
-from .model import (
-    Head,
-    evaluate,
-    forward,
-    head_from_flat,
-    head_to_flat,
-    init_baseline_head,
-    init_node_head,
-    load_checkpoint,
-    save_checkpoint,
-    softmax,
-    train_step,
-)
-from .solvers import (
-    SolveStats,
-    SolverConfig,
-    Trajectory,
-    integrate_adaptive,
-    solve_adaptive,
-)
-from .train import (
-    AdamConfig,
-    MetricsRecord,
-    SgdConfig,
-    StabilityReport,
-    TrainConfig,
-    adam_update,
-    read_metrics_csv,
-    sgd_update,
-    stability_stats,
-    train,
-    write_metrics_csv,
-)
+from .model import forward, init_node_head, train_step
+from .solvers import SolverConfig

@@ -65,6 +65,10 @@ _EXIT_CODES = {FormatError: EXIT_DATA, DataError: EXIT_DATA, OSError: EXIT_DATA,
 
 _HEADS = ("baseline", "node")
 
+# comparison.csv's columns, in order; each of compare's rows is a dict keyed by them
+_COMPARISON_COLUMNS = ("seed", "head", "final_train_acc", "final_val_acc", "test_acc",
+                       "mean_rolling_std_val_loss", "max_epoch_jump", "total_wall_s", "flag")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the package's exit-code contract (usage errors exit 1)."""
@@ -85,6 +89,8 @@ def write_manifest(path, args):
     """Record every parsed flag of ``args`` before the run starts.
 
     Unset (None) flags are left out; list values are joined with commas.
+    The directory of ``path`` is created only once every value is known to
+    fit on its line.
     """
     lines = [
         f"command={args.command}",
@@ -99,13 +105,14 @@ def write_manifest(path, args):
         if "\n" in text:
             raise ContractError(f"manifest value for {key} contains a newline")
         lines.append(f"arg.{key}={text}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _start_run(args):
-    """Create the ``--out`` directory and write its manifest; returns (out, manifest path)."""
+    """Write the manifest, creating the ``--out`` directory; returns (out, manifest path)."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = out / "manifest.txt"
     write_manifest(manifest, args)
     return out, manifest
@@ -140,17 +147,19 @@ def read_manifest(path):
 #
 # The parser is the one list of flags: manifests record the parsed namespace,
 # and each ``compare`` run is a namespace of train's defaults plus compare's
-# values. Subcommands that share a flag declare it through the same helper,
-# with their own default.
+# values. Each flag has one add_argument call: subcommands that share it go
+# through the same helper, passing their own default.
 
-def _add_train_flags(p, epochs, val_fraction=0.1, grad=True, seed=True):
+def _add_seed_flag(p):
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_train_flags(p, epochs, val_fraction=0.1, grad=True):
     if grad:
         p.add_argument("--grad", choices=("discrete", "adjoint"), default="discrete")
     p.add_argument("--epochs", type=int, default=epochs)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--val-fraction", type=float, default=val_fraction)
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
 
 
 def _add_data_flags(p):
@@ -160,16 +169,15 @@ def _add_data_flags(p):
     p.add_argument("--limit", type=int, default=0, help="keep only the first N rows (0 = all)")
 
 
-def _add_model_flags(p):
-    p.add_argument("--width", type=int, default=64, help="hidden width of the dynamics MLP")
-    p.add_argument("--scale", type=float, default=0.1, help="init scale of the dynamics MLP")
+def _add_model_flags(p, width=64, scale=0.1):
+    p.add_argument("--width", type=int, default=width, help="hidden width of the dynamics MLP")
+    p.add_argument("--scale", type=float, default=scale, help="init scale of the dynamics MLP")
 
 
-def _add_solver_flags(p):
-    p.add_argument("--rtol", type=float, default=1e-5)
-    p.add_argument("--atol", type=float, default=1e-5)
-    p.add_argument("--n-steps", type=int, default=16, help="fixed-step count for the discrete method")
-    _add_max_steps_flag(p)
+def _add_solver_flags(p, tol=1e-5, n_steps=16):
+    p.add_argument("--rtol", type=float, default=tol)
+    p.add_argument("--atol", type=float, default=tol)
+    p.add_argument("--n-steps", type=int, default=n_steps, help="fixed-step count for the discrete method")
 
 
 def _add_max_steps_flag(p):
@@ -186,14 +194,13 @@ def _add_optimizer_flags(p):
     p.add_argument("--momentum", type=float, default=0.9)
 
 
-def _add_train_command_flags(p):
-    p.add_argument("--head", choices=_HEADS, required=True)
-    _add_train_flags(p, epochs=10)
+def _add_run_flags(p):
+    """The flags of a training run besides its head, schedule and seed (train, compare)."""
     _add_data_flags(p)
     _add_model_flags(p)
     _add_solver_flags(p)
+    _add_max_steps_flag(p)
     _add_optimizer_flags(p)
-    p.add_argument("--out", required=True)
 
 
 def _resolve_optimizer(args):
@@ -305,9 +312,8 @@ def cmd_compare(args):
         raise ContractError(f"--seeds names seed {repeated} twice; each seed's runs share one directory")
     _resolve_optimizer(args)
     # a run's flags: train's defaults, overridden by every flag compare shares with train
-    train_parser = _Parser(prog="nodehead train")
-    _add_train_command_flags(train_parser)
-    defaults = {a.dest: a.default for a in train_parser._actions if a.default is not argparse.SUPPRESS}
+    defaults = {a.dest: a.default for a in _commands()["train"]._actions
+                if a.default is not argparse.SUPPRESS}
     shared = {name: getattr(args, name) for name in defaults if hasattr(args, name)}
     run_flags = {**defaults, **shared, "command": "train"}
     # the runs differ only in head and seed, so a bad configuration fails here, before any run
@@ -348,35 +354,24 @@ def cmd_compare(args):
                 row["test_acc"] = test_acc
             if len(records) >= args.window:
                 report = stability_stats(records, args.window)
-                row["mean_std_val_loss"] = report.mean_rolling_std_val_loss
+                row["mean_rolling_std_val_loss"] = report.mean_rolling_std_val_loss
                 row["max_epoch_jump"] = report.max_epoch_to_epoch_jump
                 _stability_csv(report, run_dir / "stability.csv", first_end_epoch=args.window)
             else:
                 row["flag"] = "insufficient-window"
             rows.append(row)
 
-    node_wins = 0
-    decided = 0
-    for seed in args.seeds:
-        by_head = {r["head"]: r for r in rows if r["seed"] == seed}
-        base, node = by_head.get("baseline", {}), by_head.get("node", {})
-        if "mean_std_val_loss" in base and "mean_std_val_loss" in node:
-            decided += 1
-            if node["mean_std_val_loss"] < base["mean_std_val_loss"]:
-                node_wins += 1
+    # a seed is decided when both of its runs have a stability report
+    stds = {(r["seed"], r["head"]): r.get("mean_rolling_std_val_loss") for r in rows}
+    decided = [seed for seed in args.seeds if None not in (stds[seed, "baseline"], stds[seed, "node"])]
+    node_wins = sum(stds[seed, "node"] < stds[seed, "baseline"] for seed in decided)
 
     def _cell(row, key, fmt="{:.6g}"):
-        return fmt.format(row[key]) if key in row else ""
+        value = row.get(key, "")
+        return fmt.format(value) if isinstance(value, float) else str(value)
 
-    csv_lines = ["seed,head,final_train_acc,final_val_acc,test_acc,"
-                 "mean_rolling_std_val_loss,max_epoch_jump,total_wall_s,flag"]
-    for r in rows:
-        csv_lines.append(",".join([
-            str(r["seed"]), r["head"],
-            _cell(r, "final_train_acc"), _cell(r, "final_val_acc"), _cell(r, "test_acc"),
-            _cell(r, "mean_std_val_loss"), _cell(r, "max_epoch_jump"),
-            _cell(r, "total_wall_s"), r["flag"],
-        ]))
+    csv_lines = [",".join(_COMPARISON_COLUMNS)]
+    csv_lines += [",".join(_cell(r, key) for key in _COMPARISON_COLUMNS) for r in rows]
     (out / "comparison.csv").write_text("\n".join(csv_lines) + "\n")
 
     col = "{:<6}{:<10}{:>12}{:>12}{:>10}{:>22}{:>14}  {}"
@@ -390,11 +385,11 @@ def cmd_compare(args):
         summary.append(col.format(
             r["seed"], r["head"],
             _cell(r, "final_train_acc", "{:.4f}"), _cell(r, "final_val_acc", "{:.4f}"),
-            _cell(r, "test_acc", "{:.4f}"), _cell(r, "mean_std_val_loss", "{:.6g}"),
+            _cell(r, "test_acc", "{:.4f}"), _cell(r, "mean_rolling_std_val_loss"),
             _cell(r, "total_wall_s", "{:.2f}"), r["flag"],
         ))
     verdict = (
-        f"node head has lower mean rolling std(val loss) in {node_wins} of {decided} decided seeds"
+        f"node head has lower mean rolling std(val loss) in {node_wins} of {len(decided)} decided seeds"
         if decided else
         "stability winner undecided: no seed produced a full rolling window for both heads"
     )
@@ -535,10 +530,10 @@ def cmd_rerun(args):
     command, recorded = read_manifest(args.manifest)
     if command == "rerun":
         raise ContractError("cannot rerun a rerun manifest")
-    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    if command not in commands.choices:
+    commands = _commands()
+    if command not in commands:
         raise ContractError(f"{args.manifest}: recorded command {command!r} no longer exists")
-    declared = commands.choices[command]._option_string_actions
+    declared = commands[command]._option_string_actions
     argv = [command]
     for key, value in recorded.items():
         if key == "out":
@@ -568,60 +563,62 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train one head and write metrics + checkpoint")
-    _add_train_command_flags(p)
+    p.add_argument("--head", choices=_HEADS, required=True)
+    _add_train_flags(p, epochs=10)
+    _add_seed_flag(p)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare", help="baseline vs node across seeds with stability reports")
     p.add_argument("--seeds", type=_comma_ints, required=True, help="comma-separated seed list")
-    _add_train_flags(p, epochs=60, val_fraction=1 / 6, seed=False)
+    _add_train_flags(p, epochs=60, val_fraction=1 / 6)
     p.add_argument("--window", type=int, default=10)
     p.add_argument("--test-data", default=None)
-    _add_data_flags(p)
-    _add_model_flags(p)
-    _add_solver_flags(p)
-    _add_optimizer_flags(p)
-    p.add_argument("--out", required=True)
+    _add_run_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gradcheck", help="pairwise finite-difference/discrete/adjoint agreement")
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    _add_model_flags(p, width=8, scale=0.5)
+    _add_seed_flag(p)
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--batch", type=int, default=3)
-    p.add_argument("--scale", type=float, default=0.5)
-    p.add_argument("--rtol", type=float, default=1e-8)
-    p.add_argument("--atol", type=float, default=1e-8)
-    p.add_argument("--n-steps", type=int, default=500)
+    _add_solver_flags(p, tol=1e-8, n_steps=500)
     p.add_argument("--fd-n-steps", type=int, default=100)
     p.add_argument("--fd-step", type=float, default=1e-5)
     p.add_argument("--max-rel", type=float, default=1e-3)
     p.add_argument("--max-abs", type=float, default=1e-6)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("sweep-tol", help="tolerance vs cost/accuracy trade-off table")
     p.add_argument("--tols", type=_comma_floats, required=True)
     p.add_argument("--mode", choices=("eval", "train"), default="eval")
     _add_train_flags(p, epochs=5, grad=False)
+    _add_seed_flag(p)
     _add_data_flags(p)
     _add_model_flags(p)
     _add_max_steps_flag(p)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_tol)
 
     p = sub.add_parser("plot", help="SVG charts from a metrics CSV")
     p.add_argument("--csv", required=True)
     p.add_argument("--columns", default=None, help="comma-separated metric columns (default: all)")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("rerun", help="re-execute a recorded run into a new directory")
     p.add_argument("manifest")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rerun)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True,
+                       help="output directory; its manifest.txt is written before any work")
     return parser
+
+
+def _commands():
+    """The subcommand parsers of ``build_parser()``, by name."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
 
 
 def main(argv=None):

@@ -1,4 +1,7 @@
+import argparse
+import ast
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,7 +214,9 @@ class TestCompareCommand:
                 assert (run / "manifest.txt").exists()
                 assert (run / "head.nodc").exists()
         header = (out / "comparison.csv").read_text().splitlines()[0]
-        assert header.split(",")[4] == "test_acc"
+        # a contract: the benchmark finds total_wall_s by its name
+        assert header == ("seed,head,final_train_acc,final_val_acc,test_acc,"
+                          "mean_rolling_std_val_loss,max_epoch_jump,total_wall_s,flag")
         row = (out / "comparison.csv").read_text().splitlines()[1].split(",")
         assert row[4] != ""  # test accuracy filled in
 
@@ -358,6 +363,41 @@ class TestBadFlagsExitThroughTable:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"nodehead {command}: ") and named in err[0]
         assert not (out / "seed0").exists()  # compare stops before any run starts
+
+
+class TestFlagDeclarations:
+    """Each flag is declared once, so subcommands that share it share its type and help."""
+
+    @staticmethod
+    def subcommands():
+        parser = cli.build_parser()
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_each_option_string_has_one_add_argument_call(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        declared = [arg.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"
+                    for arg in node.args if isinstance(arg, ast.Constant)]
+        assert "--out" in declared
+        assert sorted(declared) == sorted(set(declared))
+
+    def test_a_shared_flag_has_one_type_and_help(self):
+        uses = {}
+        for command, parser in self.subcommands().items():
+            for action in parser._actions:
+                for option in action.option_strings:
+                    uses.setdefault(option, []).append((command, action.type, action.help))
+        shared = {option: seen for option, seen in uses.items() if len(seen) > 1}
+        assert {"--out", "--seed", "--width", "--scale", "--rtol", "--n-steps"} <= set(shared)
+        for option, seen in shared.items():
+            assert len({(kind, text) for _, kind, text in seen}) == 1, (option, seen)
+
+    def test_gradcheck_defaults(self):
+        args = cli.build_parser().parse_args(["gradcheck", "--out", "o"])
+        assert (args.d, args.width, args.scale, args.seed, args.classes, args.batch) == (4, 8, 0.5, 0, 3, 3)
+        assert (args.rtol, args.atol, args.n_steps) == (1e-8, 1e-8, 500)
+        assert (args.fd_n_steps, args.fd_step, args.max_rel, args.max_abs) == (100, 1e-5, 1e-3, 1e-6)
+        assert "--max-steps" not in self.subcommands()["gradcheck"]._option_string_actions
 
 
 class TestGradcheckCommand:
@@ -514,6 +554,12 @@ class TestManifestContract:
         assert without_wall_ms(redo) == without_wall_ms(fresh)
         _, recorded = read_manifest(tmp_path / "redo" / "manifest.txt")
         assert "n-steps" not in recorded
+
+    def test_rejected_manifest_creates_no_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--head", "node", "--data", "a\nb", "--out", str(out)]) == 1
+        assert "newline" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_of_a_removed_command_names_it(self, tmp_path, capsys):
         # a manifest recorded by the timing command, which the CLI no longer has

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nodehead import softmax
+from nodehead.model import softmax
 
 
 class TestSoftmax:

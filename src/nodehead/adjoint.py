@@ -14,11 +14,13 @@ Two strategies with opposite memory profiles, each with one workspace
   stage's pre-activation; :mod:`nodehead.dynamics` derives it and its cost.
 * :func:`adjoint_solve` integrates the augmented system [h; a; g] of one
   state backward in time, where a(t) is the adjoint state dL/dh(t) and g
-  accumulates the parameter gradient. Each right-hand side evaluation gets
-  f, -a.T df/dh and -a.T df/dparams from one n=1
-  :func:`~nodehead.dynamics.vjp_batch` call. Retained memory is one
-  augmented vector of size 2d + p no matter how many steps the solver
-  takes.
+  accumulates the parameter gradient. The augmented vector is a 1-row
+  batch of the batch-first adaptive solver
+  (:func:`~nodehead.solvers.integrate_adaptive`), and each right-hand side
+  evaluation gets f, -a.T df/dh and -a.T df/dparams from one n=1
+  :func:`~nodehead.dynamics.vjp_batch` call at that row's time. Retained
+  memory is one augmented vector of size 2d + p no matter how many steps
+  the solver takes. :mod:`nodehead.model` runs it once per row of a batch.
 
 Both give (dL/dh0, dL/dparams) up to solver accuracy, with dL/dparams
 flattened in the dynamics module's documented order.
@@ -98,14 +100,14 @@ def adjoint_solve(field, hT, d_hT, t0, t1, config):
     def aug_rhs(y, t):
         # the cotangent -a turns both VJPs into the adjoint's right-hand sides
         dy = np.empty_like(y)
-        np.negative(y[d : 2 * d], out=neg_a[0])
-        vjp_batch(field, y[None, :d], t, neg_a, out=dy[None, d : 2 * d], work=work,
-                  d_params_out=dy[2 * d :], value_out=dy[None, :d])
+        np.negative(y[:, d : 2 * d], out=neg_a)
+        vjp_batch(field, y[:, :d], t, neg_a, out=dy[:, d : 2 * d], work=work,
+                  d_params_out=dy[0, 2 * d :], value_out=dy[:, :d])
         return dy
 
-    y1 = np.concatenate([hT, d_hT, np.zeros(field.n_params)])
+    y1 = np.concatenate([hT, d_hT, np.zeros(field.n_params)])[None]
     try:
-        y0, stats = integrate_adaptive(aug_rhs, y1, t1, t0, config)
+        (y0,), stats = integrate_adaptive(aug_rhs, y1, t1, t0, config)
     except NumericError as exc:
         raise type(exc)(f"adjoint backward pass failed: {exc}", where=exc.where) from exc
     return GradientResult(

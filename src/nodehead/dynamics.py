@@ -9,8 +9,10 @@ Appending t as one extra input coordinate is the simplest way to give f an
 explicit time dependence; tanh keeps the field Lipschitz so explicit solvers
 behave well.
 
-Every routine works on a batch of states of shape (n, d) with one shared
-time: :func:`eval_dynamics_batch` evaluates the field and :func:`vjp_batch`
+Every routine works on a batch of states of shape (n, d) and a time that
+is either one scalar for every row or a column of per-row times (shape
+(n, 1)), the scalar being its broadcast case: :func:`eval_dynamics_batch`
+evaluates the field and :func:`vjp_batch`
 returns the two vector-Jacobian products the adjoint consumes
 (a.T @ df/dh per row, a.T @ df/dparams summed over rows), both analytic.
 The single-state :func:`eval_dynamics`, :func:`vjp_state` and
@@ -228,16 +230,19 @@ class BatchWorkspace:
         self.u = self.u1[:, :width]
 
     def activate(self, states, t):
-        """Compute ``u = tanh(z)`` for the stage input (states, t)."""
-        np.multiply(self.w1t, t, out=self.tb)
-        self.tb += self.b1
-        np.matmul(states, self.w1h_t, out=self.z)
-        self.z += self.tb
-        np.tanh(self.z, out=self.u)
+        """Compute ``u = tanh(z)`` for the stage input (states, t), in the
+        leading rows of the buffers when ``states`` has fewer rows than the
+        workspace. ``t`` is one time for every row or a column of per-row times."""
+        k = len(states)
+        tb = np.multiply(self.w1t, t, out=self.tb if np.ndim(t) == 0 else None)
+        tb += self.b1
+        np.matmul(states, self.w1h_t, out=self.z[:k])
+        self.z[:k] += tb
+        np.tanh(self.z[:k], out=self.u[:k])
 
     def eval(self, states, t, out=None):
         self.activate(states, t)
-        return np.matmul(self.u1, self.w2b_t, out=out)
+        return np.matmul(self.u1[:len(states)], self.w2b_t, out=out)
 
     @cached_property
     def _vjp_buffers(self):
@@ -265,7 +270,7 @@ class BatchWorkspace:
         d, width = self.w2.shape
         g_w1, g_b1, g_w2, g_b2 = _param_views(d_params_out, d, width)
         x[:, :d] = states
-        x[:, d] = t
+        x[:, d:] = t
         np.dot(s.T, x, out=g_w1)
         np.dot(ones, s, out=g_b1)
         np.dot(cotangents.T, self.u, out=g_w2)
@@ -559,9 +564,10 @@ def workspace(field, states, cotangents=None):
 
 
 def eval_dynamics_batch(field, states, t, out=None, work=None):
-    """Row-wise field evaluation for a batch of states with shared time t.
+    """Row-wise field evaluation for a batch of states at time t.
 
-    ``states`` has shape (n, d); the result matches. Solvers pass the
+    ``states`` has shape (n, d); the result matches. ``t`` is one time for
+    every row or a column of per-row times, shape (n, 1). Solvers pass the
     :func:`workspace` they built for this batch shape as ``work`` and the
     destination as ``out``, so repeated calls allocate nothing.
     """

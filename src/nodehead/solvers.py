@@ -19,20 +19,22 @@ solve with :func:`~nodehead.dynamics.workspace`:
   pre-activation and a stage record its activation, so the trajectory
   keeps ``h0`` and the activations, not the grid states;
   :mod:`nodehead.dynamics` derives the recursion and its cost.
-* :func:`solve_adaptive` - Dormand-Prince 5(4) embedded pair with
-  rtol/atol step control for one state, the tolerance-tunable path: the
-  field runs at n=1 through
-  :func:`~nodehead.dynamics.eval_dynamics_batch`, and :func:`solve` loops
-  it over the rows of a batch.
-  The stepping itself is :func:`integrate_adaptive`, which takes a plain
-  ``f(y, t)`` because the adjoint also integrates its augmented system
-  with it. Supports backward integration (t1 < t0) for the adjoint pass
-  and retains nothing beyond the current state.
+* :func:`integrate_adaptive` - the Dormand-Prince 5(4) embedded pair
+  with rtol/atol step control, the tolerance-tunable path. It steps an
+  (n, m) batch in which every row keeps its own time, step size,
+  accept/reject decision and step budget, and each stage is one field call
+  over the rows still integrating, with their times as a column. It takes
+  a plain ``f(y, t)`` because the adjoint also integrates its augmented
+  system with it, as a 1-row batch; :func:`solve` runs it on the field
+  through :func:`~nodehead.dynamics.eval_dynamics_batch`, and
+  :func:`solve_adaptive` is that solve's n=1 case. Supports backward
+  integration (t1 < t0) for the adjoint pass and retains nothing beyond
+  the current batch.
 
-Step control: the first step is (t1 - t0) / 10, the per-component error
-scale is ``s_i = atol + rtol * max(|y_i|, |y'_i|)`` over the current and
-proposed states, a step is accepted when the RMS of ``e_i / s_i`` is at
-most 1, and the next step is
+Step control, per row: the first step is (t1 - t0) / 10, the
+per-component error scale is ``s_i = atol + rtol * max(|y_i|, |y'_i|)``
+over the row's current and proposed states, a step is accepted when the
+RMS of ``e_i / s_i`` over the row is at most 1, and the next step is
 ``dt * clamp(SAFETY * err**(-1/5), MIN_FACTOR, MAX_FACTOR)``.
 """
 
@@ -44,7 +46,7 @@ import numpy as np
 from .dynamics import eval_dynamics_batch, workspace
 # looked up here by the benchmark's span tracer (perfbench/spans.py)
 from .dynamics import eval_dynamics  # noqa: F401
-from .errors import ContractError, NumericError, StepBudgetError
+from .errors import ContractError, NumericError, ShapeError, StepBudgetError
 
 # Dormand-Prince 5(4) tableau. Stage 7 is evaluated at the 5th-order
 # solution, so its value seeds stage 1 of the next step (FSAL).
@@ -100,8 +102,8 @@ class SolveStats:
     """Cost counters for one solve.
 
     ``retained_floats`` is the size of the solution buffer the solver carries
-    across step boundaries - one state vector for the adaptive method,
-    the full trajectory for the fixed one.
+    across step boundaries - the (n, m) batch for the adaptive method, the
+    full trajectory for the fixed one.
     """
 
     n_feval: int = 0
@@ -207,69 +209,83 @@ def rk4_terminal_batch(field, states0, t0, t1, n_steps):
 
 
 def integrate_adaptive(f, y0, t0, t1, config):
-    """Dormand-Prince 5(4) solve of dy/dt = f(y, t) from t0 to exactly t1.
+    """Dormand-Prince 5(4) solve of dy/dt = f(y, t) for each row of ``y0``
+    (shape (n, m)) from t0 to exactly t1; returns (yT, SolveStats).
 
-    Integration direction follows sign(t1 - t0). Raises
-    :class:`StepBudgetError` when ``config.max_steps`` attempted steps do not
-    reach t1 and :class:`NumericError` when the state goes non-finite. The
-    returned stats count every derivative evaluation; with FSAL reuse each
-    attempted step costs six fresh evaluations after the initial one.
+    ``f`` takes a batch of rows and their times as a column (shape (k, 1))
+    and returns the rows' derivatives. Each row has its own time, step
+    size, accept/reject decision and budget of ``config.max_steps``
+    attempted steps, so its result and counts are those of its solve
+    alone, up to the rounding of a field that mixes rows (a GEMM); a stage
+    is one call of ``f`` over the rows still integrating. Integration
+    direction follows sign(t1 - t0). Raises :class:`StepBudgetError` when a
+    row's budget does not reach t1 and :class:`NumericError` when a row's
+    state goes non-finite, ``where`` being that row's time. The stats sum
+    over rows: a row's derivative evaluation counts once, and with FSAL
+    reuse each attempted step costs six fresh evaluations after the
+    initial one.
     """
     if t1 == t0:
         raise ContractError("adaptive solve requires t1 != t0")
-    y = np.asarray(y0, dtype=np.float64).copy()
-    stats = SolveStats(retained_floats=y.size)
-    direction = 1.0 if t1 > t0 else -1.0
-    dt = (t1 - t0) / 10.0
-    t = t0
-    k = [None] * 7
-    k[0] = np.asarray(f(y, t), dtype=np.float64)
-    stats.n_feval += 1
+    y = np.array(y0, dtype=np.float64)
+    if y.ndim != 2:
+        raise ShapeError(f"adaptive solve takes an (n, m) batch of rows, got shape {y.shape}")
+    out = np.empty_like(y)
+    stats = SolveStats(n_feval=len(y), retained_floats=y.size)
+    forward = t1 > t0
+    # the time and step of each row still integrating, and its index in y0; every
+    # such row has attempted each step so far, so ``attempts`` counts per row
+    t = np.full((len(y), 1), float(t0))
+    dt = np.full_like(t, (t1 - t0) / 10.0)
+    rows = np.arange(len(y))
     attempts = 0
-    while (t1 - t) * direction > 0:
+    k = [np.asarray(f(y, t), dtype=np.float64)] + [None] * 6
+    while rows.size:
         if attempts >= config.max_steps:
-            raise StepBudgetError(
-                f"step budget {config.max_steps} exhausted at t={t} before reaching {t1}",
-                where=t,
-            )
+            raise StepBudgetError(f"step budget {config.max_steps} exhausted at t={t[0, 0]} before reaching {t1}",
+                                  where=float(t[0, 0]))
         attempts += 1
-        last = (t + dt - t1) * direction >= 0
-        if last:
-            dt = t1 - t
+        last = t + dt >= t1 if forward else t + dt <= t1
+        np.copyto(dt, t1 - t, where=last)
+        stage_t = t + DOPRI5_C[:, None, None] * dt
         for i in range(1, 7):
             yi = y + dt * sum(DOPRI5_A[i][j] * k[j] for j in range(i))
-            k[i] = np.asarray(f(yi, t + DOPRI5_C[i] * dt), dtype=np.float64)
-        stats.n_feval += 6
+            k[i] = np.asarray(f(yi, stage_t[i]), dtype=np.float64)
+        stats.n_feval += 6 * rows.size
         # stage 7 sits at the 5th-order solution: its input is y5
         y5 = yi
         err_vec = dt * sum(DOPRI5_ERR[i] * k[i] for i in range(7))
-        _require_finite(y5, t + dt)
+        if not np.isfinite(y5).all():
+            where = float(stage_t[6, np.argmin(np.isfinite(y5).all(axis=1)), 0])
+            raise NumericError(f"solver state became non-finite at t={where}", where=where)
         scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if err <= 1.0:
-            t = t1 if last else t + dt
-            y = y5
-            k[0] = k[6]
-            stats.n_accept += 1
-        else:
-            stats.n_reject += 1
-        if err == 0.0:
-            factor = MAX_FACTOR
-        else:
-            factor = min(max(SAFETY * err ** -0.2, MIN_FACTOR), MAX_FACTOR)
-        dt = dt * factor
-    return y, stats
+        # the RMS over each row, summed as np.mean sums
+        err = np.sqrt(np.add.reduce((err_vec / scale) ** 2, axis=1, keepdims=True) / y.shape[1])
+        ok = err <= 1.0
+        n_ok = int(np.count_nonzero(ok))
+        stats.n_accept += n_ok
+        stats.n_reject += rows.size - n_ok
+        # a row that accepts its last step has reached t1 and leaves the batch below
+        t = np.where(ok, stage_t[6], t)
+        y, k[0] = (y5, k[6]) if n_ok == rows.size else (np.where(ok, y5, y), np.where(ok, k[6], k[0]))
+        # the step ratio SAFETY * err**(-1/5), clamped, with Python's scalar power:
+        # numpy's vectorized power rounds some values differently, and the scalar
+        # one keeps each row's steps those of the scalar controller
+        dt *= np.array([[min(max(SAFETY * e ** -0.2, MIN_FACTOR), MAX_FACTOR) if e else MAX_FACTOR]
+                        for e in err[:, 0].tolist()])
+        done = (ok & last)[:, 0]
+        if np.count_nonzero(done):
+            out[rows[done]] = y[done]
+            rows, y, k[0], t, dt = (a[~done] for a in (rows, y, k[0], t, dt))
+    return out, stats
 
 
 def solve_adaptive(field, h0, t0, t1, config):
     """Adaptive solve of one state ``h0`` (shape (d,)); returns (hT, SolveStats).
 
-    The field runs at n=1 through one workspace for the whole solve.
+    The n=1 case of :func:`solve` with a dopri5 ``config``.
     """
-    h0 = np.asarray(h0, dtype=np.float64)[None]
-    work = workspace(field, h0)
-    f = lambda y, t: eval_dynamics_batch(field, y, t, work=work)
-    hT, stats = integrate_adaptive(f, h0, t0, t1, config)
+    hT, stats, _ = solve(field, np.asarray(h0, dtype=np.float64)[None], t0, t1, config)
     return hT[0], stats
 
 
@@ -279,8 +295,9 @@ def solve(field, states0, t0, t1, config, keep_trajectory=False):
 
     The fixed method is one :func:`solve_fixed_batch` call, with stats from
     its grid (four evaluations per step and row, every step accepted) and the
-    trajectory when ``keep_trajectory``. The adaptive method runs
-    :func:`solve_adaptive` per row, so step control stays per-trajectory.
+    trajectory when ``keep_trajectory``. The adaptive method is one
+    :func:`integrate_adaptive` call on the whole batch, whose step control
+    stays per row, with stats summed over the rows.
     """
     states0 = np.asarray(states0, dtype=np.float64)
     if config.method == "rk4_fixed":
@@ -288,9 +305,7 @@ def solve(field, states0, t0, t1, config, keep_trajectory=False):
         stats = SolveStats(n_feval=4 * config.n_steps * states0.shape[0], n_accept=config.n_steps,
                            retained_floats=traj.n_retained_floats if traj else states0.size)
         return hT, stats, traj
-    hT = np.empty_like(states0)
-    stats = SolveStats()
-    for i in range(states0.shape[0]):
-        hT[i], s = solve_adaptive(field, states0[i], t0, t1, config)
-        stats.merge(s)
+    work = workspace(field, states0)
+    hT, stats = integrate_adaptive(lambda y, t: eval_dynamics_batch(field, y, t, work=work),
+                                   states0, t0, t1, config)
     return hT, stats, None

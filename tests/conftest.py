@@ -12,14 +12,19 @@ def make_cifar_blob(labels, pixels=None, rng=None):
     return np.concatenate([labels[:, None], pixels], axis=1).tobytes()
 
 
-def make_class_corpus(path, n, seed, noise=40.0, label_noise=0.0, classes=10):
+def make_class_corpus(path, n, seed, noise=40.0, label_noise=0.0, classes=10, template_seed=None):
     """Write a learnable synthetic corpus in the CIFAR binary layout.
 
     Each class gets a random pixel template; images are noisy copies, and an
     optional fraction of labels is re-rolled to cap attainable accuracy.
+    ``seed`` draws the rows and, unless ``template_seed`` is given, the
+    templates, so a held-out file drawn with another ``seed`` and the
+    training file's seed as ``template_seed`` shares the training classes.
     """
     rng = np.random.default_rng(seed)
     templates = rng.integers(0, 256, size=(classes, 3072)).astype(np.float64)
+    if template_seed is not None:
+        templates = np.random.default_rng(template_seed).integers(0, 256, size=(classes, 3072)).astype(np.float64)
     labels = rng.integers(0, classes, size=n)
     pix = np.clip(templates[labels] + rng.normal(0, noise, (n, 3072)), 0, 255).astype(np.uint8)
     stored = labels.copy()

@@ -17,7 +17,7 @@ from nodehead.solvers import (
 
 ZERO_FIELD = lambda h, t: np.zeros_like(h)
 DECAY = lambda h, t: -h
-ROTATION = lambda h, t: np.array([-h[1], h[0]])
+ROTATION = lambda h, t: np.stack([-h[:, 1], h[:, 0]], axis=1)
 GROWTH = ref.LinearField(1.0)
 
 
@@ -208,22 +208,22 @@ class TestBatchKernel:
 class TestSolveAdaptive:
     def test_zero_field_no_rejections(self, rng):
         h0 = rng.standard_normal(4)
-        hT, stats = integrate_adaptive(ZERO_FIELD, h0, 0.0, 1.0, SolverConfig())
+        (hT,), stats = integrate_adaptive(ZERO_FIELD, h0[None], 0.0, 1.0, SolverConfig())
         np.testing.assert_array_equal(hT, h0)
         assert stats.n_reject == 0
 
     def test_decay_closed_form(self):
-        hT, _ = integrate_adaptive(DECAY, np.array([1.0]), 0.0, 1.0, SolverConfig())
+        (hT,), _ = integrate_adaptive(DECAY, np.array([[1.0]]), 0.0, 1.0, SolverConfig())
         assert abs(hT[0] - 0.3678794412) <= 1e-4
 
     def test_rotation_orbit_conservation(self):
-        hT, _ = integrate_adaptive(ROTATION, np.array([1.0, 0.0]), 0.0, 2 * np.pi, SolverConfig())
+        (hT,), _ = integrate_adaptive(ROTATION, np.array([[1.0, 0.0]]), 0.0, 2 * np.pi, SolverConfig())
         assert np.linalg.norm(hT - np.array([1.0, 0.0])) <= 1e-4
         assert abs(np.linalg.norm(hT) - 1.0) <= 1e-4
 
     def test_norm_drift_within_tolerance_budget(self):
         cfg = SolverConfig(rtol=1e-6, atol=1e-6)
-        hT, _ = integrate_adaptive(ROTATION, np.array([1.0, 0.0]), 0.0, 2 * np.pi, cfg)
+        (hT,), _ = integrate_adaptive(ROTATION, np.array([[1.0, 0.0]]), 0.0, 2 * np.pi, cfg)
         assert abs(np.linalg.norm(hT) - 1.0) <= 10 * (cfg.atol + cfg.rtol)
 
     def test_feval_monotone_in_tolerance(self):
@@ -231,7 +231,7 @@ class TestSolveAdaptive:
         counts = []
         for tol in (1e-3, 1e-5, 1e-7):
             _, stats = integrate_adaptive(
-                ROTATION, np.array([1.0, 0.0]), 0.0, 2 * np.pi, SolverConfig(rtol=tol, atol=tol)
+                ROTATION, np.array([[1.0, 0.0]]), 0.0, 2 * np.pi, SolverConfig(rtol=tol, atol=tol)
             )
             counts.append(stats.n_feval)
         assert counts[0] < counts[1] < counts[2]
@@ -270,14 +270,18 @@ class TestSolveAdaptive:
     def test_step_budget_error_reports_progress(self):
         cfg = SolverConfig(max_steps=3)
         with pytest.raises(StepBudgetError) as exc:
-            integrate_adaptive(lambda h, t: 100 * np.cos(100 * t) * h, np.array([1.0]), 0.0, 10.0, cfg)
+            integrate_adaptive(lambda h, t: 100 * np.cos(100 * t) * h, np.array([[1.0]]), 0.0, 10.0, cfg)
         assert exc.value.where is not None
         assert 0.0 <= exc.value.where < 10.0
 
     def test_non_finite_raises_numeric_error(self):
         stiff_blowup = lambda h, t: h * h * 1e4
         with np.errstate(over="ignore"), pytest.raises((NumericError, StepBudgetError)):
-            integrate_adaptive(stiff_blowup, np.array([10.0]), 0.0, 5.0, SolverConfig(max_steps=200))
+            integrate_adaptive(stiff_blowup, np.array([[10.0]]), 0.0, 5.0, SolverConfig(max_steps=200))
+
+    def test_requires_a_batch_of_rows(self):
+        with pytest.raises(ShapeError):
+            integrate_adaptive(DECAY, np.array([1.0]), 0.0, 1.0, SolverConfig())
 
     def test_requires_distinct_endpoints(self):
         with pytest.raises(ContractError):
@@ -286,9 +290,9 @@ class TestSolveAdaptive:
     def test_stops_exactly_at_t1(self):
         seen = []
         def recording(h, t):
-            seen.append(t)
+            seen.extend(t[:, 0])
             return -h
-        hT, _ = integrate_adaptive(recording, np.array([1.0]), 0.0, 0.7, SolverConfig())
+        hT, _ = integrate_adaptive(recording, np.array([[1.0]]), 0.0, 0.7, SolverConfig())
         assert max(seen) <= 0.7 + 1e-12
 
     def test_against_scipy_reference(self, rng):
@@ -302,8 +306,82 @@ class TestSolveAdaptive:
         np.testing.assert_allclose(ours, expected, atol=1e-6)
 
 
+def rate_decay(h, t):
+    """dx/dt = -lam * x with each row's own rate lam carried, constant, in its last column."""
+    return np.concatenate([-h[:, -1:] * h[:, :-1], np.zeros_like(h[:, -1:])], axis=1)
+
+
+def pulse(h, t):
+    """dx/dt = 200 x cos(200 t) inside a narrow window around each row's own
+    centre c (the last column, constant) and 0 elsewhere: a row needs short
+    steps only near its c."""
+    c = h[:, -1:]
+    near = np.abs(t - c) < 0.05
+    return np.concatenate([np.where(near, 200 * np.cos(200 * t) * h[:, :-1], 0.0), np.zeros_like(c)], axis=1)
+
+
+def counts(stats):
+    return stats.n_feval, stats.n_accept, stats.n_reject
+
+
+class TestPerRowStepControl:
+    """Each row of an adaptive batch is stepped as if it were solved alone."""
+
+    def test_rows_of_different_stiffness_keep_their_own_counts(self):
+        rates = [0.5, 5.0, 40.0, 300.0]
+        y0 = np.array([[1.0, 2.0, lam] for lam in rates])
+        cfg = SolverConfig(rtol=1e-6, atol=1e-6)
+        calls = {}
+
+        def tallied(h, t):
+            for lam in h[:, -1]:
+                calls[lam] = calls.get(lam, 0) + 1
+            return rate_decay(h, t)
+
+        hT, stats = integrate_adaptive(tallied, y0, 0.0, 1.0, cfg)
+        alone = [integrate_adaptive(rate_decay, y0[i : i + 1], 0.0, 1.0, cfg) for i in range(4)]
+        summed = SolveStats()
+        for i, (row, s) in enumerate(alone):
+            np.testing.assert_array_equal(hT[i], row[0])
+            # row by row: the NFE the field saw for the row, and what the batch
+            # spends on the row, as the difference with the batch without it
+            assert calls[rates[i]] == s.n_feval
+            _, rest = integrate_adaptive(rate_decay, np.delete(y0, i, axis=0), 0.0, 1.0, cfg)
+            assert tuple(np.subtract(counts(stats), counts(rest))) == counts(s)
+            summed.merge(s)
+        assert counts(stats) == counts(summed)
+        # the stiffer rows really do take more steps
+        assert len({counts(s) for _, s in alone}) == 4
+
+    def test_step_budget_counts_per_trajectory(self):
+        y0 = np.array([[1.0, 0.25], [1.0, 0.75]])
+        cfg = SolverConfig(rtol=1e-6, atol=1e-6)
+        alone = [integrate_adaptive(pulse, y0[i : i + 1], 0.0, 1.0, cfg)[1] for i in range(2)]
+        budget = max(s.n_accept + s.n_reject for s in alone)
+        _, stats = integrate_adaptive(pulse, y0, 0.0, 1.0, SolverConfig(rtol=1e-6, atol=1e-6, max_steps=budget))
+        assert counts(stats) == tuple(np.add(counts(alone[0]), counts(alone[1])))
+        with pytest.raises(StepBudgetError):
+            integrate_adaptive(pulse, y0, 0.0, 1.0, SolverConfig(rtol=1e-6, atol=1e-6, max_steps=budget - 1))
+
+    @pytest.mark.parametrize("max_steps", [10_000, 30])
+    def test_a_diverging_row_is_named_by_its_own_time(self, max_steps):
+        # x' = c x^2 blows up at t = 1 / (c x0) = 0.25 for the row with c = 4 only
+        blowup = lambda h, t: np.concatenate([h[:, -1:] * h[:, :-1] ** 2, np.zeros_like(h[:, -1:])], axis=1)
+        y0 = np.array([[1.0, 0.5], [1.0, 4.0], [0.5, 0.1]])
+        cfg = SolverConfig(max_steps=max_steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises((NumericError, StepBudgetError)) as alone:
+                integrate_adaptive(blowup, y0[1:2], 0.0, 1.0, cfg)
+            with pytest.raises(type(alone.value)) as batch:
+                integrate_adaptive(blowup, y0, 0.0, 1.0, cfg)
+        assert batch.value.where == alone.value.where
+        assert 0.2 < batch.value.where < 0.3
+
+
 class TestSolveDispatch:
     def test_dopri5_batch_is_the_per_row_solves(self, rng):
+        """The batched solve against each row solved alone: the same counts, and
+        states within 1e-12 (a GEMM over n rows rounds unlike one over 1 row)."""
         p = init_params(2, 3, 5, scale=1.0)
         states0 = rng.standard_normal((4, 3))
         cfg = SolverConfig(rtol=1e-6, atol=1e-6)
@@ -312,9 +390,10 @@ class TestSolveDispatch:
         summed = SolveStats()
         for i in range(4):
             row, s = solve_adaptive(p, states0[i], 0.0, 1.0, cfg)
-            np.testing.assert_array_equal(hT[i], row)
+            np.testing.assert_allclose(hT[i], row, rtol=0, atol=1e-12)
             summed.merge(s)
-        assert stats == summed
+        assert counts(stats) == counts(summed)
+        assert stats.retained_floats == states0.size
 
     @pytest.mark.parametrize("keep", [False, True])
     def test_rk4_batch_is_one_fixed_solve(self, keep, rng):

@@ -6,12 +6,13 @@ Two strategies with opposite memory profiles, each with one workspace
 * :func:`backprop_rk4_batch` walks a stored fixed-step RK4 trajectory of an
   (n, d) batch from ``solve_fixed_batch`` in reverse, differentiating the
   discrete recursion exactly. It owns the loop over the grid; the
-  workspace carries the cotangent of the forward carry backward, reverses
-  each step from the stored stage records and sums the parameter gradient
-  over rows, stages and steps; its ``rk4_reverse_end`` returns the pass's
-  result. Memory grows with the step count (the trajectory itself). For
-  the two-layer field the reverse carry is the cotangent of the first
-  stage's pre-activation; :mod:`nodehead.dynamics` derives it and its cost.
+  workspace that wrote the trajectory carries the cotangent of the forward
+  carry backward, reverses each step from the stored stage records and
+  sums the parameter gradient over rows, stages and steps; its
+  ``rk4_reverse_end`` returns the pass's result. Memory grows with the
+  step count. For the two-layer field the reverse carry is the cotangent
+  of the first stage's pre-activation; :mod:`nodehead.dynamics` derives
+  it and its cost.
 * :func:`adjoint_solve` integrates the augmented system [h; a; g] of one
   state backward in time, where a(t) is the adjoint state dL/dh(t) and g
   accumulates the parameter gradient. The augmented vector is a 1-row
@@ -61,19 +62,18 @@ def backprop_rk4_batch(field, trajectory, d_hT_rows):
     ``d_hT_rows`` has one cotangent row per sample; returns (d_h0_rows,
     d_params_sum) where the parameter gradient is summed over rows (callers
     scale the cotangents for mean reductions). This loop walks the grid
-    backwards; the workspace reverses each step (``rk4_step_vjp``) from the
-    stored stage records, so the pass performs no new forward integration,
-    and sums the parameter gradient over the steps.
+    backwards; the workspace that wrote the trajectory reverses each step
+    (``rk4_step_vjp``) from the stored stage records and sums the parameter
+    gradient over the steps. ``field`` must be the object the trajectory
+    was solved with; any other raises :class:`ContractError`.
     """
-    if trajectory.stages is None:
-        raise ContractError("trajectory has no retained stages; use solve_fixed_batch to produce it")
+    work = trajectory.work
+    if getattr(work, "field", None) is not field:
+        raise ContractError("trajectory was not written by this field; "
+                            "pass the field that solve_fixed_batch solved it with")
     g = np.array(d_hT_rows, dtype=np.float64)
     if g.shape != trajectory.h0.shape:
         raise ShapeError(f"cotangent shape {g.shape} does not match batch shape {trajectory.h0.shape}")
-    work = workspace(field, g)
-    if trajectory.stages.shape[-1] != work.stage_dim:
-        raise ShapeError(f"trajectory stages of width {trajectory.stages.shape[-1]} were not "
-                         f"written by this field (stage width {work.stage_dim})")
     carry = work.rk4_reverse_begin(g)
     for i in range(len(trajectory.times) - 2, -1, -1):
         work.rk4_step_vjp(trajectory, i, carry)

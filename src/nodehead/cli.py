@@ -376,8 +376,8 @@ def cmd_compare(args):
 
     col = "{:<6}{:<10}{:>12}{:>12}{:>10}{:>22}{:>14}  {}"
     summary = [
-        f"baseline vs node stability comparison  (window={args.window}, "
-        f"grad={args.grad}, optimizer={args.optimizer}, epochs={args.epochs})",
+        f"baseline vs node stability comparison  (window={args.window}, grad={args.grad}, "
+        f"optimizer={args.optimizer}, epochs={args.epochs}, n_steps={args.n_steps}, width={args.width})",
         col.format("seed", "head", "train_acc", "val_acc", "test_acc",
                    "mean_std(val_loss)", "wall_s", "flag"),
     ]
@@ -508,14 +508,7 @@ def cmd_sweep_tol(args):
 def cmd_plot(args):
     out, manifest = _start_run(args)
     columns = args.columns.split(",") if args.columns else None
-    try:
-        written = plot_metrics_csv(args.csv, out, columns)
-    except FormatError:
-        raise  # malformed CSV is a data problem (exit 2), not a usage one
-    except ValueError as exc:
-        print(f"plot: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    for path in written:
+    for path in plot_metrics_csv(args.csv, out, columns):
         print(path)
     finish_manifest(manifest)
     return EXIT_OK

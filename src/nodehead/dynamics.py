@@ -51,9 +51,9 @@ those of the state-space recursion up to rounding.
 * A forward step costs four (n, w)(w, w) GEMMs: ``u_0 @ M``, ``u_1 @ M``,
   ``u_2 @ M`` and ``ubar @ M``; the last step skips ``ubar @ M``, since
   the terminal state reads only the sum of the ``ubar_i``. The state-space
-  step costs 8 GEMMs between widths d and w. The trajectory keeps ``h0``
-  and the four activations per step, not the grid states, which it
-  rebuilds on demand.
+  step costs 8 GEMMs between widths d and w. The trajectory keeps ``h0``,
+  the four activations per step and the workspace that wrote them, not
+  the grid states, which that workspace rebuilds on demand.
 * The reverse pass carries ``gz = dL/dz`` backward. ``G = dL/dhT @ w2``
   is formed once, and a step costs ``gz @ M.T``, three stage GEMMs and the
   gradient of M (2 GEMMs, 4 n w^2 multiply-adds); the first step starts
@@ -211,12 +211,13 @@ class BatchWorkspace:
     What one kind of solve alone uses is built on its first use: the VJP
     buffers by :meth:`vjp`, ``M``, ``m`` and the step buffers by
     :meth:`rk4_step`, the reverse-pass buffers by :meth:`rk4_reverse_begin`
-    and the gradient sums of ``M`` and ``m`` by :meth:`rk4_step_vjp`. A
-    dopri5 or adjoint workspace never forms ``M``.
+    on the workspace that wrote the trajectory. A dopri5 or adjoint
+    workspace never forms ``M``.
     """
 
     def __init__(self, params, n):
         d, width = params.d, params.width
+        self.field = params
         self.stage_dim = width  # an RK4 stage is stored as its activation
         self.w1h_t = params.w1[:, :d].T.copy()
         self.w1t = params.w1[:, d].copy()
@@ -366,19 +367,15 @@ class BatchWorkspace:
                 e(4, n, width), e(4, n, width), e(n, width), e(n, width), e(n, width),
                 e(n, d), np.ones(3 * n))
 
-    @cached_property
-    def _grads(self):
-        """Running sums of the reverse pass: the gradients of M and m."""
-        width = self.stage_dim
-        return np.zeros((width, width)), np.zeros(width)
-
     def rk4_reverse_begin(self, g):
         """The reverse carry for the cotangent ``g`` of the terminal state:
         ``gz = dL/dz`` at the last grid point, which is zero, since the
-        terminal state reads only ``U``. Forms the constant ``G = g @ w2``."""
+        terminal state reads only ``U``. Forms the constant ``G = g @ w2``
+        and zeroes the pass's running sums, the gradients of M and m."""
         _, _, G, _, _, _, _, _, U, _, _ = self._reverse
         np.matmul(g, self.w2, out=G)
         U[...] = 0.0
+        self._grads = np.zeros((self.stage_dim,) * 2), np.zeros(self.stage_dim)
         return np.zeros_like(G)
 
     def rk4_step_vjp(self, trajectory, i, gz):
@@ -540,16 +537,17 @@ def workspace(field, states, cotangents=None):
     gets a :class:`BatchWorkspace` once ``states`` (and ``cotangents``, when
     given) are checked to be (n, d) batches of its dimension, raising
     :class:`ShapeError` otherwise; any other field is closed-form and gets a
-    :class:`FieldWorkspace`. Either answers ``eval`` and ``vjp``, and the
-    RK4 protocol of the fixed-step loops: ``rk4_begin`` gives the carry
-    once :func:`eval_dynamics_batch` has run at (h0, t0), ``rk4_step``
-    advances it in place and writes the step's stage records (``stage_dim``
-    wide), ``rk4_end`` forms the terminal state and ``rk4_states`` rebuilds
-    the grid states from the records. In reverse, ``rk4_reverse_begin``
-    gives the reverse carry for the terminal cotangent, ``rk4_step_vjp``
-    pulls it back over one step of a trajectory and sums its parameter
-    gradient, and ``rk4_reverse_end`` gives the pass's result: the initial
-    state's gradient and the flat parameter gradient.
+    :class:`FieldWorkspace`. Either keeps its ``field``, answers ``eval``
+    and ``vjp``, and the RK4 protocol of the fixed-step loops:
+    ``rk4_begin`` gives the carry once :func:`eval_dynamics_batch` has run
+    at (h0, t0), ``rk4_step`` advances it in place and writes the step's
+    stage records (``stage_dim`` wide), ``rk4_end`` forms the terminal
+    state and ``rk4_states`` rebuilds the grid states from the records.
+    In reverse, on the workspace that wrote the trajectory,
+    ``rk4_reverse_begin`` gives the reverse carry for the terminal
+    cotangent and zeroes the gradient sums, ``rk4_step_vjp`` pulls it back
+    over one step and adds to them, and ``rk4_reverse_end`` gives the
+    result: the initial state's gradient and the flat parameter gradient.
     """
     if not isinstance(field, DynamicsParams):
         return FieldWorkspace(field, states)

@@ -4,7 +4,8 @@ Two methods cover the two training strategies, and :func:`solve` is the
 one place that picks between them by ``SolverConfig.method``, on an (n, d)
 batch. Both take a field in the sense of :mod:`nodehead.dynamics`
 (``DynamicsParams`` or a closed-form field) and build one workspace per
-solve with :func:`~nodehead.dynamics.workspace`:
+solve with :func:`~nodehead.dynamics.workspace`, which a fixed-step
+trajectory keeps as the workspace that wrote it:
 
 * :func:`solve_fixed_batch` - classic 4-stage RK4 on a uniform grid shared
   by the rows of an (n, d) batch, the routine training and evaluation run.
@@ -101,9 +102,10 @@ class SolverConfig:
 class SolveStats:
     """Cost counters for one solve.
 
-    ``retained_floats`` is the size of the solution buffer the solver carries
-    across step boundaries - the (n, m) batch for the adaptive method, the
-    full trajectory for the fixed one.
+    Every counter sums over the rows of the batch. ``retained_floats`` is
+    the size of the solution buffer the solver carries across step
+    boundaries - the (n, m) batch for the adaptive method, the full
+    trajectory for the fixed one.
     """
 
     n_feval: int = 0
@@ -127,20 +129,20 @@ class Trajectory:
     ``times[i]`` to ``times[i+1]``, shape (n_steps, 4, n, stage_dim). For
     the two-layer field a record is the stage's activation (stage_dim =
     width; see :mod:`nodehead.dynamics`); for a closed-form field it is
-    the stage derivative (stage_dim = d). That is all the
-    reverse pass reads. ``states``, the (n_steps + 1, n, d) grid batches, is
-    rebuilt from them by the field's workspace on first access; its last
-    entry is bitwise the solve's terminal state.
+    the stage derivative (stage_dim = d). ``work``, the workspace that
+    wrote them, runs the reverse pass, and rebuilds ``states``, the
+    (n_steps + 1, n, d) grid batches, on first access; its last entry is
+    bitwise the solve's terminal state.
     """
 
     times: np.ndarray
     h0: np.ndarray
     stages: np.ndarray | None = None
-    field: object = None
+    work: object = None
 
     @cached_property
     def states(self):
-        return workspace(self.field, self.h0).rk4_states(self.h0, self.times, self.stages)
+        return self.work.rk4_states(self.h0, self.times, self.stages)
 
     @property
     def n_retained_floats(self):
@@ -162,12 +164,12 @@ def solve_fixed_batch(field, states0, t0, t1, n_steps, keep_trajectory=True):
     :func:`~nodehead.dynamics.eval_dynamics_batch`, starts the workspace's
     carry (``rk4_begin``); the workspace steps the carry (``rk4_step``),
     writing the four stage records straight into the trajectory, and forms
-    the terminal state from it (``rk4_end``). The carry is checked to be
-    finite after every step. A non-finite terminal state is located on the
-    grid by rebuilding the states, so the :class:`NumericError` names the
-    first grid time whose state is non-finite. With
-    ``keep_trajectory=False`` only the current step's stages are held and
-    the trajectory is None.
+    the terminal state from it (``rk4_end``); the trajectory keeps it. The
+    carry is checked to be finite after every step. A non-finite terminal
+    state is located on the grid by rebuilding the states, so the
+    :class:`NumericError` names the first grid time whose state is
+    non-finite. With ``keep_trajectory=False`` only the current step's
+    stages are held and the trajectory is None.
     """
     if n_steps < 1:
         raise ContractError(f"n_steps must be >= 1, got {n_steps}")
@@ -188,7 +190,7 @@ def solve_fixed_batch(field, states0, t0, t1, n_steps, keep_trajectory=True):
         work.rk4_step(carry, t, times[i + 1] - t, stages[i % kept], last=i == n_steps - 1)
         _require_finite(carry, times[i + 1])
     hT = work.rk4_end(h0, carry, t1 - t0)
-    traj = Trajectory(times, h0=h0.copy(), stages=stages, field=field) if keep_trajectory else None
+    traj = Trajectory(times, h0=h0.copy(), stages=stages, work=work) if keep_trajectory else None
     if not np.all(np.isfinite(hT)):
         # name the first non-finite grid state; without a trajectory to rebuild
         # the states from, a solve that keeps one fails the same way here
@@ -294,15 +296,16 @@ def solve(field, states0, t0, t1, config, keep_trajectory=False):
     (hT, SolveStats, Trajectory | None).
 
     The fixed method is one :func:`solve_fixed_batch` call, with stats from
-    its grid (four evaluations per step and row, every step accepted) and the
-    trajectory when ``keep_trajectory``. The adaptive method is one
+    its grid (four evaluations and one accepted step per step and row) and
+    the trajectory when ``keep_trajectory``. The adaptive method is one
     :func:`integrate_adaptive` call on the whole batch, whose step control
-    stays per row, with stats summed over the rows.
+    stays per row. Either way the stats sum over the rows.
     """
     states0 = np.asarray(states0, dtype=np.float64)
     if config.method == "rk4_fixed":
         hT, traj = solve_fixed_batch(field, states0, t0, t1, config.n_steps, keep_trajectory)
-        stats = SolveStats(n_feval=4 * config.n_steps * states0.shape[0], n_accept=config.n_steps,
+        steps = config.n_steps * states0.shape[0]
+        stats = SolveStats(n_feval=4 * steps, n_accept=steps,
                            retained_floats=traj.n_retained_floats if traj else states0.size)
         return hT, stats, traj
     work = workspace(field, states0)

@@ -7,6 +7,7 @@ the canvas.
 
 from pathlib import Path
 
+from .errors import ContractError
 from .train import METRICS_HEADER, read_metrics_csv
 
 WIDTH, HEIGHT = 640, 420
@@ -84,7 +85,7 @@ def plot_metrics_csv(csv_path, out_dir, columns=None):
         columns = [c for c in METRICS_HEADER if c != "epoch"]
     unknown = [c for c in columns if c not in METRICS_HEADER or c == "epoch"]
     if unknown:
-        raise ValueError(f"cannot plot columns {unknown}; choose from {METRICS_HEADER[1:]}")
+        raise ContractError(f"cannot plot columns {unknown}; choose from {METRICS_HEADER[1:]}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     epochs = [r.epoch for r in records]

@@ -274,6 +274,8 @@ def read_metrics_csv(path):
         raise FormatError(f"{path}: empty metrics file")
     if tuple(rows[0]) != METRICS_HEADER:
         raise FormatError(f"{path}: line 1: bad header {rows[0]!r}")
+    if len(rows) == 1:
+        raise FormatError(f"{path}: no records after the header")
     records = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(METRICS_HEADER):

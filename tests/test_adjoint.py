@@ -216,8 +216,9 @@ class TestBatchReverse:
         r = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
         dr = 1 + z + z**2 / 2 + z**3 / 6
         states0, cots = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
-        _, traj = solve_fixed_batch(ref.LinearField(lam), states0, 0.0, 1.0, n_steps)
-        d_h0, d_lam = backprop_rk4_batch(ref.LinearField(lam), traj, cots)
+        field = ref.LinearField(lam)
+        _, traj = solve_fixed_batch(field, states0, 0.0, 1.0, n_steps)
+        d_h0, d_lam = backprop_rk4_batch(field, traj, cots)
         np.testing.assert_allclose(d_h0, r**n_steps * cots, rtol=1e-13)
         expected = dt * dr * n_steps * r ** (n_steps - 1) * np.sum(cots * states0)
         np.testing.assert_allclose(d_lam, [expected], rtol=1e-12)
@@ -227,6 +228,22 @@ class TestBatchReverse:
         _, traj = solve_fixed_batch(p, rng.standard_normal((4, 3)), 0.0, 1.0, 3)
         with pytest.raises(ShapeError):
             backprop_rk4_batch(p, traj, np.zeros((3, 3)))
+
+    def test_field_of_another_solve_is_contract_error(self, rng):
+        # same shape, different draw: the trajectory's stages were written by p
+        p, other = init_params(0, 3, 4, scale=0.8), init_params(1, 3, 4, scale=0.8)
+        _, traj = solve_fixed_batch(p, rng.standard_normal((4, 3)), 0.0, 1.0, 5)
+        with pytest.raises(ContractError, match="not written by this field"):
+            backprop_rk4_batch(other, traj, rng.standard_normal((4, 3)))
+
+    def test_reversing_twice_is_bitwise_repeatable(self, rng):
+        p = init_params(3, 3, 4, scale=0.8)
+        _, traj = solve_fixed_batch(p, rng.standard_normal((4, 3)), 0.0, 1.0, 6)
+        cots = rng.standard_normal((4, 3))
+        first = backprop_rk4_batch(p, traj, cots)
+        second = backprop_rk4_batch(p, traj, cots)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestAdjointSolve:

@@ -187,6 +187,13 @@ class TestCompareCommand:
         summary = (out / "summary.txt").read_text()
         assert "undecided" in summary
 
+    def test_summary_header_names_depth_and_width(self, feature_file, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--seeds", "0", "--epochs", "1", "--window", "10", "--width", "4",
+                     "--n-steps", "3", "--data", str(feature_file), "--out", str(out)]) == 0
+        header = (out / "summary.txt").read_text().splitlines()[0]
+        assert "n_steps=3" in header and "width=4" in header
+
     def test_constant_loss_stub_gives_equal_stability(self, feature_file, tmp_path):
         # lr = 0 freezes both heads: every epoch repeats the same val loss,
         # so both stability metrics are exactly zero
@@ -477,6 +484,21 @@ class TestPlotCommand:
         code = main(["plot", "--csv", str(csv), "--out", str(tmp_path / "p")])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_header_only_csv_exits_two_naming_file(self, tmp_path, capsys):
+        csv = tmp_path / "header-only.csv"
+        csv.write_text("epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval\n")
+        assert main(["plot", "--csv", str(csv), "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("nodehead plot: ") and str(csv) in err[0]
+
+    def test_unknown_column_exits_one_through_the_table(self, tmp_path, capsys):
+        csv = tmp_path / "m.csv"
+        csv.write_text("epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval\n"
+                       "1,0.5,0.9,0.6,0.8,12.5,480\n")
+        assert main(["plot", "--csv", str(csv), "--columns", "bogus", "--out", str(tmp_path / "p")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("nodehead plot: ") and "bogus" in err[0]
 
     def test_all_columns_from_real_run(self, feature_file, tmp_path):
         out = tmp_path / "run"

@@ -9,7 +9,7 @@ import pytest
 import reference as ref
 from nodehead.adjoint import backprop_rk4_batch
 from nodehead.data import Dataset
-from nodehead.dynamics import init_params
+from nodehead.dynamics import BatchWorkspace, init_params
 from nodehead.errors import ContractError, FormatError, ShapeError
 from nodehead.model import (
     EPS_LOG,
@@ -293,7 +293,17 @@ class TestOneRoute:
         _, _, s_eval = evaluate(head, X, y, cfg)
         _, _, s_step, _ = train_step(head, X, y, "discrete", cfg)
         counts = [(s.n_feval, s.n_accept, s.n_reject) for s in (s_fwd, s_eval, s_step)]
-        assert counts == [(4 * 9 * 6, 9, 0)] * 3
+        assert counts == [(4 * 9 * 6, 9 * 6, 0)] * 3
+
+    def test_discrete_step_builds_one_workspace(self, rng, monkeypatch):
+        # the forward solve's workspace goes with its trajectory to the reverse pass
+        built = []
+        init = BatchWorkspace.__init__
+        monkeypatch.setattr(BatchWorkspace, "__init__", lambda work, *a: built.append(work) or init(work, *a))
+        head = init_node_head(1, 4, 3, width=5, scale=0.5)
+        train_step(head, rng.standard_normal((6, 4)), rng.integers(0, 3, 6), "discrete",
+                   SolverConfig(method="rk4_fixed", n_steps=3))
+        assert len(built) == 1
 
     def test_grad_method_picks_the_solver_method(self, rng):
         head = init_node_head(1, 4, 3, width=5, scale=0.5)

@@ -402,7 +402,7 @@ class TestSolveDispatch:
         hT, stats, traj = solve(p, states0, 0.0, 1.0, SolverConfig(method="rk4_fixed", n_steps=7), keep)
         ref_hT, ref_traj = solve_fixed_batch(p, states0, 0.0, 1.0, 7)
         np.testing.assert_array_equal(hT, ref_hT)
-        assert (stats.n_feval, stats.n_accept, stats.n_reject) == (4 * 7 * 4, 7, 0)
+        assert (stats.n_feval, stats.n_accept, stats.n_reject) == (4 * 7 * 4, 7 * 4, 0)
         if keep:
             np.testing.assert_array_equal(traj.states, ref_traj.states)
             assert stats.retained_floats == ref_traj.n_retained_floats

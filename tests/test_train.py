@@ -320,6 +320,12 @@ class TestMetricsCsv:
         with pytest.raises(FormatError, match="line 1"):
             read_metrics_csv(path)
 
+    def test_header_without_records_names_file(self, tmp_path):
+        path = tmp_path / "header-only.csv"
+        path.write_text("epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval\n")
+        with pytest.raises(FormatError, match="header-only.csv: no records"):
+            read_metrics_csv(path)
+
     def test_bad_field_count_names_line(self, tmp_path):
         path = tmp_path / "bad2.csv"
         path.write_text("epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval\n1,0.5\n")

@@ -5,11 +5,11 @@ Two strategies with opposite memory profiles, each with one workspace
 
 * :func:`backprop_rk4_batch` walks a stored fixed-step RK4 trajectory of an
   (n, d) batch from ``solve_fixed_batch`` in reverse, differentiating the
-  discrete recursion exactly. It owns the loop over the grid; the
-  workspace that wrote the trajectory carries the cotangent of the forward
-  carry backward, reverses each step from the stored stage records and
-  sums the parameter gradient over rows, stages and steps; its
-  ``rk4_reverse_end`` returns the pass's result. Memory grows with the
+  discrete recursion exactly. It checks the field and the cotangent's
+  shape; one ``rk4_reverse`` call of the workspace that wrote the
+  trajectory then carries the cotangent of the forward carry backward over
+  the grid, reverses each step from the stored stage records and sums the
+  parameter gradient over rows, stages and steps. Memory grows with the
   step count. For the two-layer field the reverse carry is the cotangent
   of the first stage's pre-activation; :mod:`nodehead.dynamics` derives
   it and its cost.
@@ -61,11 +61,12 @@ def backprop_rk4_batch(field, trajectory, d_hT_rows):
 
     ``d_hT_rows`` has one cotangent row per sample; returns (d_h0_rows,
     d_params_sum) where the parameter gradient is summed over rows (callers
-    scale the cotangents for mean reductions). This loop walks the grid
-    backwards; the workspace that wrote the trajectory reverses each step
-    (``rk4_step_vjp``) from the stored stage records and sums the parameter
-    gradient over the steps. ``field`` must be the object the trajectory
-    was solved with; any other raises :class:`ContractError`.
+    scale the cotangents for mean reductions). The workspace that wrote the
+    trajectory runs the whole pass in one ``rk4_reverse`` call, walking the
+    grid backwards from the stored stage records. ``field`` must be the
+    object the trajectory was solved with; any other raises
+    :class:`ContractError`, and a cotangent of another shape than the
+    batch raises :class:`ShapeError`.
     """
     work = trajectory.work
     if getattr(work, "field", None) is not field:
@@ -74,10 +75,7 @@ def backprop_rk4_batch(field, trajectory, d_hT_rows):
     g = np.array(d_hT_rows, dtype=np.float64)
     if g.shape != trajectory.h0.shape:
         raise ShapeError(f"cotangent shape {g.shape} does not match batch shape {trajectory.h0.shape}")
-    carry = work.rk4_reverse_begin(g)
-    for i in range(len(trajectory.times) - 2, -1, -1):
-        work.rk4_step_vjp(trajectory, i, carry)
-    return work.rk4_reverse_end(trajectory, g, carry)
+    return work.rk4_reverse(trajectory, g)
 
 
 def adjoint_solve(field, hT, d_hT, t0, t1, config):

@@ -255,12 +255,12 @@ def _load_dataset(path, extractor, limit):
     return ds
 
 
-def _dataset_from_args(args, extractor):
+def _check_data_flags(args):
+    """Reject a bad ``--limit`` or ``--extractor-seed`` before the run starts."""
     if args.limit < 0:
         raise ContractError(f"--limit must be >= 0 (0 = all rows), got {args.limit}")
     if args.extractor_seed < 0:
         raise ContractError(f"--extractor-seed must be >= 0, got {args.extractor_seed}")
-    return _load_dataset(args.data, extractor, args.limit)
 
 
 def _run(func, args, *rest):
@@ -279,9 +279,10 @@ def cmd_train(args, dataset=None):
     """Train one head; ``dataset`` stands in for loading ``--data`` when given."""
     _resolve_optimizer(args)
     config = _train_config(args, args.grad, _optimizer_config(args))
+    _check_data_flags(args)
     out, manifest = _start_run(args)
     if dataset is None:
-        dataset = _dataset_from_args(args, _lazy_extractor(args))
+        dataset = _load_dataset(args.data, _lazy_extractor(args), args.limit)
     head, records = train(args.head, dataset, config)
     write_metrics_csv(records, out / "metrics.csv")
     save_checkpoint(head, out / "head.nodc")
@@ -319,9 +320,10 @@ def cmd_compare(args):
     # the runs differ only in head and seed, so a bad configuration fails here, before any run
     first = argparse.Namespace(**run_flags)
     _train_config(first, args.grad, _optimizer_config(first))
+    _check_data_flags(args)
     out, manifest = _start_run(args)
     extractor = _lazy_extractor(args)
-    dataset = _dataset_from_args(args, extractor)
+    dataset = _load_dataset(args.data, extractor, args.limit)
     test_ds = None
     if args.test_data:
         test_ds = _load_dataset(args.test_data, extractor, 0)
@@ -444,14 +446,17 @@ def cmd_gradcheck(args):
     for flag, bound in (("--max-rel", args.max_rel), ("--max-abs", args.max_abs)):
         if not bound >= 0:
             raise ContractError(f"{flag} must be a number >= 0, got {bound}")
+    for flag, count in (("--batch", args.batch), ("--fd-n-steps", args.fd_n_steps)):
+        if count < 1:
+            raise ContractError(f"{flag} must be >= 1, got {count}")
+    head = init_node_head(args.seed, args.d, args.classes, width=args.width, scale=args.scale)
+    cfg = SolverConfig(rtol=args.rtol, atol=args.atol, n_steps=args.n_steps)
     out, manifest = _start_run(args)
 
-    head = init_node_head(args.seed, args.d, args.classes, width=args.width, scale=args.scale)
     rng = np.random.default_rng(args.seed)
     features = rng.standard_normal((args.batch, args.d))
     labels = rng.integers(0, args.classes, size=args.batch)
 
-    cfg = SolverConfig(rtol=args.rtol, atol=args.atol, n_steps=args.n_steps)
     _, g_discrete, _, _ = train_step(head, features, labels, "discrete", cfg)
     _, g_adjoint, _, _ = train_step(head, features, labels, "adjoint", cfg)
     g_fd = _fd_loss_grad(head, features, labels, args.fd_n_steps, args.fd_step)
@@ -481,8 +486,15 @@ def cmd_sweep_tol(args):
         raise ContractError("--tols must name at least one tolerance")
     configs = [SolverConfig(method="dopri5", rtol=tol, atol=tol, max_steps=args.max_steps)
                for tol in args.tols]
+    # every run's configuration is checked before the run starts; an evaluation
+    # reads only the model flags of one
+    if args.mode == "train":
+        configs = [_train_config(args, "adjoint", SgdConfig(), cfg) for cfg in configs]
+    else:
+        TrainConfig(width=args.width, init_scale=args.scale)
+    _check_data_flags(args)
     out, manifest = _start_run(args)
-    dataset = _dataset_from_args(args, _lazy_extractor(args))
+    dataset = _load_dataset(args.data, _lazy_extractor(args), args.limit)
 
     lines = ["rtol,atol,n_feval,final_val_acc,wall_ms"]
     for tol, cfg in zip(args.tols, configs):
@@ -493,7 +505,7 @@ def cmd_sweep_tol(args):
             _, acc, stats = evaluate(head, dataset.features, dataset.labels, cfg)
             n_feval = stats.n_feval
         else:
-            _, records = train("node", dataset, _train_config(args, "adjoint", SgdConfig(), cfg))
+            _, records = train("node", dataset, cfg)
             acc = records[-1].val_acc
             n_feval = sum(r.n_feval for r in records)
         wall_ms = (time.perf_counter() - tic) * 1000.0

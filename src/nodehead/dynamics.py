@@ -24,12 +24,12 @@ object with batch methods ``eval(H, t) -> F`` and
 attribute. :func:`workspace` is the one place that tells them apart;
 solvers build one workspace per solve and pass it to every call.
 
-The workspace also takes the classic RK4 step and its reverse, for the
-fixed-step loops in :mod:`nodehead.solvers` and :mod:`nodehead.adjoint`.
-The loops carry one array from step to step, and the workspace decides
-what it is. A closed-form field steps in state space: its carry is the
-state, and it stores the four stage derivatives. The two-layer field
-carries the pre-activation of its first stage,
+The workspace also runs the classic RK4 solve and its reverse pass, each
+in one call, for :func:`~nodehead.solvers.solve_fixed_batch` and
+:func:`~nodehead.adjoint.backprop_rk4_batch`. What it carries from step
+to step depends on the field. A closed-form field steps in state space:
+its carry is the state, and it stores the four stage derivatives. The
+two-layer field carries the pre-activation of its first stage,
 
     z_i = h_i @ w1_h.T + t_i * w1_t + b1        (shape (n, width)),
 
@@ -79,7 +79,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
 
 # Classic RK4 in tableau form (all coefficients are exact binary fractions):
 # stage j reads h + RK4_C[j] * dt * k[j-1] at t + RK4_C[j] * dt, and the step
@@ -209,10 +209,10 @@ class BatchWorkspace:
     passes cost more than the bias adds they would save.
 
     What one kind of solve alone uses is built on its first use: the VJP
-    buffers by :meth:`vjp`, ``M``, ``m`` and the step buffers by
-    :meth:`rk4_step`, the reverse-pass buffers by :meth:`rk4_reverse_begin`
-    on the workspace that wrote the trajectory. A dopri5 or adjoint
-    workspace never forms ``M``.
+    buffers by :meth:`vjp`, ``M`` and ``m`` by :meth:`rk4_solve`, so a
+    dopri5 or adjoint workspace never forms ``M``. The RK4 solve and its
+    reverse pass keep their step buffers and running sums as locals, so
+    nothing of one call is left for the next.
     """
 
     def __init__(self, params, n):
@@ -285,49 +285,47 @@ class BatchWorkspace:
         ``z + v @ M + a * m``, z being that of (h, t)."""
         return self.w2.T @ self.w1h_t, self.w2b_t[-1] @ self.w1h_t + self.w1t
 
-    @cached_property
-    def _step_buffers(self):
-        """``z + (dt / 2) * m``, ``z + dt * m``, ``ubar``, the running sum ``U``,
-        and ``(dt / 2) * M`` and ``dt * M``."""
-        M = self._hidden[0]
-        return (*(np.empty_like(self.z) for _ in range(4)), np.empty_like(M), np.empty_like(M))
+    def rk4_solve(self, h0, times, stages):
+        """The terminal state of the RK4 solve from ``h0`` over the grid ``times``.
 
-    def rk4_begin(self, h0):
-        """The carry of an RK4 solve from ``h0``: the pre-activation ``z_0`` that
-        :meth:`eval` at (h0, t0) left behind. Zeroes the running sum ``U``."""
-        self._step_buffers[3][...] = 0.0
-        return self.z
-
-    def rk4_step(self, z, t, dt, stages, last=False):
-        """One RK4 step of the carry ``z`` from ``t`` to ``t + dt``, in place.
-
-        Stage j's pre-activation is ``z + a_j * (u_{j-1} @ M + m)`` with
-        ``a_j = RK4_C[j] * dt`` and ``u_0 = tanh(z)``; each activation
-        ``u_j`` is written to ``stages[j]`` (shape (n, width)). With
-        ``ubar = sum_j dt * RK4_B[j] * u_j`` the step's state is
+        The carry starts as the pre-activation ``z_0`` that :meth:`eval` at
+        (h0, t0) left behind and is stepped in place. Stage j's
+        pre-activation is ``z + a_j * (u_{j-1} @ M + m)`` with
+        ``a_j = RK4_C[j] * dt`` and ``u_0 = tanh(z)``; step i writes each
+        activation ``u_j`` to ``stages[i % len(stages)][j]`` (shape (n, width)).
+        With ``ubar = sum_j dt * RK4_B[j] * u_j`` the step's state is
         ``h + ubar @ w2.T + dt * b2``, so the carry becomes
-        ``z + ubar @ M + dt * m`` and ``U`` collects ``ubar``. On the
-        solve's ``last`` step nothing reads the carry again, so it is left
-        as it was.
+        ``z + ubar @ M + dt * m`` and ``U`` sums ``ubar``; after the last
+        step nothing reads the carry, so it is left as it was. The carry is
+        checked to be finite after every step.
         """
         M, m = self._hidden
-        z_half, z_full, ubar, U, M_half, M_full = self._step_buffers
-        np.tanh(z, out=stages[0])
-        # the shares of the stage pre-activations that do not depend on u
-        np.add(z, (0.5 * dt) * m, out=z_half)
-        np.add(z, dt * m, out=z_full)
-        np.multiply(M, 0.5 * dt, out=M_half)
-        np.multiply(M, dt, out=M_full)
-        for j, zj, Mj in ((1, z_half, M_half), (2, z_half, M_half), (3, z_full, M_full)):
-            u = np.matmul(stages[j - 1], Mj, out=stages[j])
-            u += zj
-            np.tanh(u, out=u)
-        np.matmul(RK4_B * dt, stages.reshape(4, -1), out=ubar.reshape(-1))
-        U += ubar
-        if not last:
-            np.matmul(ubar, M, out=z)
-            z += z_full
-        return z
+        z = self.z
+        z_half, z_full, ubar = (np.empty_like(z) for _ in range(3))
+        U = np.zeros_like(z)
+        M_half, M_full = np.empty_like(M), np.empty_like(M)
+        n_steps = len(times) - 1
+        for i in range(n_steps):
+            t = times[i]
+            dt = times[i + 1] - t
+            u = stages[i % len(stages)]
+            np.tanh(z, out=u[0])
+            # the shares of the stage pre-activations that do not depend on u
+            np.add(z, (0.5 * dt) * m, out=z_half)
+            np.add(z, dt * m, out=z_full)
+            np.multiply(M, 0.5 * dt, out=M_half)
+            np.multiply(M, dt, out=M_full)
+            for j, zj, Mj in ((1, z_half, M_half), (2, z_half, M_half), (3, z_full, M_full)):
+                uj = np.matmul(u[j - 1], Mj, out=u[j])
+                uj += zj
+                np.tanh(uj, out=uj)
+            np.matmul(RK4_B * dt, u.reshape(4, -1), out=ubar.reshape(-1))
+            U += ubar
+            if i < n_steps - 1:
+                np.matmul(ubar, M, out=z)
+                z += z_full
+            require_finite(z, times[i + 1])
+        return self._state(h0, U, times[-1] - times[0])
 
     def _state(self, h0, U, span, out=None):
         """The state ``h0 + U @ w2.T + span * b2`` that a running sum ``U`` reaches."""
@@ -337,14 +335,10 @@ class BatchWorkspace:
         out += h0
         return out
 
-    def rk4_end(self, h0, z, span):
-        """The state at the end of the solve from ``h0`` over ``span = t1 - t0``."""
-        return self._state(h0, self._step_buffers[3], span)
-
     def rk4_states(self, h0, times, stages):
         """The grid states of a solve from ``h0``, rebuilt from its stage
-        records as :meth:`rk4_step` and :meth:`rk4_end` form them, so the last
-        one is bitwise the solve's terminal state."""
+        records as :meth:`rk4_solve` forms them, so the last one is bitwise
+        the solve's terminal state."""
         U, ubar = np.zeros_like(self.z), np.empty_like(self.z)
         states = np.empty((len(times),) + h0.shape)
         states[0] = h0
@@ -354,90 +348,67 @@ class BatchWorkspace:
             self._state(h0, U, times[i + 1] - times[0], out=states[i + 1])
         return states
 
-    @cached_property
-    def _reverse(self):
-        """The reverse pass's operands and buffers: contiguous ``M.T`` and
-        ``w1_h``, because a transposed operand slows the GEMM, then
-        ``G = dL/dhT @ w2``, dL/dubar, S, 1 - u^2, scratch, ubar,
-        the running sum U, the state gradient and a row of ones."""
-        n, width = self.z.shape
-        d = self.w2.shape[0]
-        e = lambda *shape: np.empty(shape)
-        return (self._hidden[0].T.copy(), self.w1h_t.T.copy(), e(n, width), e(n, width),
-                e(4, n, width), e(4, n, width), e(n, width), e(n, width), e(n, width),
-                e(n, d), np.ones(3 * n))
+    def rk4_reverse(self, trajectory, g):
+        """(dL/dh0, dL/dθ) of the solve that wrote ``trajectory``, for the
+        cotangent ``g`` of its terminal state; dL/dθ is flat in the
+        documented order.
 
-    def rk4_reverse_begin(self, g):
-        """The reverse carry for the cotangent ``g`` of the terminal state:
-        ``gz = dL/dz`` at the last grid point, which is zero, since the
-        terminal state reads only ``U``. Forms the constant ``G = g @ w2``
-        and zeroes the pass's running sums, the gradients of M and m."""
-        _, _, G, _, _, _, _, _, U, _, _ = self._reverse
-        np.matmul(g, self.w2, out=G)
-        U[...] = 0.0
-        self._grads = np.zeros((self.stage_dim,) * 2), np.zeros(self.stage_dim)
-        return np.zeros_like(G)
-
-    def rk4_step_vjp(self, trajectory, i, gz):
-        """Pull the reverse carry ``gz`` back over step ``i`` of ``trajectory``,
-        in place, from its stored activations, and add the step's gradients
-        of ``M`` and ``m`` to the running sums.
-
-        ``dL/dubar = G + gz @ M.T``. With ``s_j = dL/dz_j`` of stage j, the
-        stages chain back as
+        The reverse carry ``gz = dL/dz`` starts at zero on the last grid
+        point, since the terminal state reads only ``U``, and is pulled back
+        over each step from its stored activations. ``dL/dubar = G + gz @ M.T``
+        with the constant ``G = g @ w2``. With ``s_j = dL/dz_j`` of stage j,
+        the stages chain back as
         ``s_j = (dt * RK4_B[j] * dL/dubar + a_{j+1} * s_{j+1} @ M.T) * (1 - u_j^2)``,
         and ``gz`` gains ``sum_j s_j``. ``M`` collects ``ubar.T @ gz`` and
         ``a_j * u_{j-1}.T @ s_j``, ``m`` collects ``dt * sum_rows gz`` and
-        ``a_j * sum_rows s_j``. On the last step, where the pass starts, ``gz``
-        is still the zero carry of :meth:`rk4_reverse_begin`, so its three
-        products are skipped and ``dL/dubar = G``.
-        """
-        m_t, _, G, H, S, D, tmp, ubar, U, _, ones = self._reverse
-        g_M, g_m = self._grads
-        n, width = G.shape
-        stages = trajectory.stages[i]
-        t = trajectory.times[i]
-        dt = trajectory.times[i + 1] - t
-        np.matmul(RK4_B * dt, stages.reshape(4, -1), out=ubar.reshape(-1))
-        U += ubar
-        if i == len(trajectory.times) - 2:
-            H[...] = G
-        else:
-            # the carry's own step z + ubar @ M + dt * m, while gz is still dL/dz_{i+1}
-            g_M += ubar.T @ gz
-            g_m += dt * (ones[:n] @ gz)
-            np.matmul(gz, m_t, out=H)
-            H += G
-        np.multiply(stages, stages, out=D)
-        np.subtract(1.0, D, out=D)
-        for j in (3, 2, 1, 0):
-            s = S[j]
-            np.multiply(H, RK4_B[j] * dt, out=s)
-            if j < 3:
-                # S[j + 1] already holds a_{j+1} * s_{j+1}
-                s += np.matmul(S[j + 1], m_t, out=tmp)
-            s *= D[j]
-            gz += s
-            if j > 0:
-                s *= RK4_C[j] * dt
-        scaled = S[1:].reshape(-1, width)
-        g_M += stages[:3].reshape(-1, width).T @ scaled
-        g_m += ones @ scaled
-        return gz
-
-    def rk4_reverse_end(self, trajectory, g, gz):
-        """The pass's result (dL/dh0, dL/dθ): the initial state's gradient,
-        written into ``g``, and the parameter gradient, flat in the documented
-        order. ``w2`` and ``b2`` get theirs through the terminal state
+        ``a_j * sum_rows s_j``. On the last step ``gz`` is still zero, so its
+        three products are skipped and ``dL/dubar = G``. Then ``w2`` and
+        ``b2`` get their gradients through the terminal state
         ``h0 + U @ w2.T + (t1 - t0) * b2``, ``w1`` and ``b1`` through
         ``z_0 = h0 @ w1h_t + t0 * w1[:, d] + b1``, and the sums for M and m
-        are mapped onto w1, w2 and b2."""
-        _, w1h, _, _, _, _, _, _, U, dh, ones = self._reverse
-        g_M, g_m = self._grads
-        h0, times = trajectory.h0, trajectory.times
-        n, d = g.shape
-        d_flat = np.empty(param_count(d, self.stage_dim))
-        g_w1, g_b1, g_w2, g_b2 = _param_views(d_flat, d, self.stage_dim)
+        are mapped onto w1, w2 and b2. ``M.T`` and ``w1_h`` are made
+        contiguous, because a transposed operand slows the GEMM.
+        """
+        h0, times, stages = trajectory.h0, trajectory.times, trajectory.stages
+        n, width = self.z.shape
+        d = self.w2.shape[0]
+        m_t, w1h = self._hidden[0].T.copy(), self.w1h_t.T.copy()
+        G = g @ self.w2
+        H, tmp, ubar = (np.empty((n, width)) for _ in range(3))
+        S, D = np.empty((4, n, width)), np.empty((4, n, width))
+        U, gz = np.zeros((n, width)), np.zeros((n, width))
+        g_M, g_m = np.zeros((width, width)), np.zeros(width)
+        ones = np.ones(3 * n)
+        for i in range(len(times) - 2, -1, -1):
+            u = stages[i]
+            dt = times[i + 1] - times[i]
+            np.matmul(RK4_B * dt, u.reshape(4, -1), out=ubar.reshape(-1))
+            U += ubar
+            if i == len(times) - 2:
+                H[...] = G
+            else:
+                # the carry's own step z + ubar @ M + dt * m, while gz is still dL/dz_{i+1}
+                g_M += ubar.T @ gz
+                g_m += dt * (ones[:n] @ gz)
+                np.matmul(gz, m_t, out=H)
+                H += G
+            np.multiply(u, u, out=D)
+            np.subtract(1.0, D, out=D)
+            for j in (3, 2, 1, 0):
+                s = S[j]
+                np.multiply(H, RK4_B[j] * dt, out=s)
+                if j < 3:
+                    # S[j + 1] already holds a_{j+1} * s_{j+1}
+                    s += np.matmul(S[j + 1], m_t, out=tmp)
+                s *= D[j]
+                gz += s
+                if j > 0:
+                    s *= RK4_C[j] * dt
+            scaled = S[1:].reshape(-1, width)
+            g_M += u[:3].reshape(-1, width).T @ scaled
+            g_m += ones @ scaled
+        d_flat = np.empty(param_count(d, width))
+        g_w1, g_b1, g_w2, g_b2 = _param_views(d_flat, d, width)
         g_w1h = gz.T @ h0
         g_w1h += g_M.T @ self.w2.T
         g_w1h += np.outer(g_m, self.w2b_t[-1])
@@ -446,15 +417,14 @@ class BatchWorkspace:
         np.add(times[0] * g_b1, g_m, out=g_w1[:, d])
         np.add(g.T @ U, self.w1h_t @ g_M.T, out=g_w2)
         np.add((times[-1] - times[0]) * (ones[:n] @ g), self.w1h_t @ g_m, out=g_b2)
-        g += np.matmul(gz, w1h, out=dh)
-        return g, d_flat
+        return g + gz @ w1h, d_flat
 
 
 class FieldWorkspace:
     """The workspace of a closed-form field: the calls a :class:`BatchWorkspace`
-    answers, served by the field's own ``eval`` and ``vjp``. Its RK4 step
+    answers, served by the field's own ``eval`` and ``vjp``. Its RK4 solve
     runs in state space, carries the state itself and stores the four stage
-    derivatives; its reverse carry is the state's cotangent."""
+    derivatives; its reverse pass carries the state's cotangent."""
 
     def __init__(self, field, states):
         self.field = field
@@ -470,17 +440,17 @@ class FieldWorkspace:
             value_out[...] = self.field.eval(states, t)
         return _into(out, d_states), d_params_out
 
-    def rk4_begin(self, h0):
-        return np.array(h0, dtype=np.float64)
-
-    def rk4_step(self, h, t, dt, stages, last=False):
-        self.eval(h, t, stages[0])
-        for j in (1, 2, 3):
-            self.eval(h + RK4_C[j] * dt * stages[j - 1], t + RK4_C[j] * dt, stages[j])
-        h += _increment(dt, stages)
-        return h
-
-    def rk4_end(self, h0, h, span):
+    def rk4_solve(self, h0, times, stages):
+        h = np.array(h0, dtype=np.float64)
+        for i in range(len(times) - 1):
+            t = times[i]
+            dt = times[i + 1] - t
+            k = stages[i % len(stages)]
+            self.eval(h, t, k[0])
+            for j in (1, 2, 3):
+                self.eval(h + RK4_C[j] * dt * k[j - 1], t + RK4_C[j] * dt, k[j])
+            h += _increment(dt, k)
+            require_finite(h, times[i + 1])
         return h
 
     def rk4_states(self, h0, times, stages):
@@ -490,30 +460,32 @@ class FieldWorkspace:
             states[i + 1] = states[i] + _increment(times[i + 1] - times[i], stages[i])
         return states
 
-    def rk4_reverse_begin(self, g):
-        self.grad_sum = np.zeros(self.field.n_params)
-        return g
+    def rk4_reverse(self, trajectory, g):
+        g, d_params = np.array(g), np.zeros(self.field.n_params)
+        times = trajectory.times
+        for i in range(len(times) - 2, -1, -1):
+            h, stages = trajectory.states[i], trajectory.stages[i]
+            t = times[i]
+            dt = times[i + 1] - t
+            v = [None] * 4
+            for j in (3, 2, 1, 0):
+                # stage j's cotangent: its weight b_j dt in the step, plus what stage
+                # j+1 sends back through its input h + RK4_C[j+1] dt k_j
+                c = RK4_B[j] * dt * g
+                if j < 3:
+                    c += RK4_C[j + 1] * dt * v[j + 1]
+                y = h if j == 0 else h + RK4_C[j] * dt * stages[j - 1]
+                v[j], d_flat = self.field.vjp(y, t + RK4_C[j] * dt, c)
+                d_params += d_flat
+            for vj in v:
+                g += vj
+        return g, d_params
 
-    def rk4_step_vjp(self, trajectory, i, g):
-        h, stages = trajectory.states[i], trajectory.stages[i]
-        t = trajectory.times[i]
-        dt = trajectory.times[i + 1] - t
-        v = [None] * 4
-        for j in (3, 2, 1, 0):
-            # stage j's cotangent: its weight b_j dt in the step, plus what stage
-            # j+1 sends back through its input h + RK4_C[j+1] dt k_j
-            c = RK4_B[j] * dt * g
-            if j < 3:
-                c += RK4_C[j + 1] * dt * v[j + 1]
-            y = h if j == 0 else h + RK4_C[j] * dt * stages[j - 1]
-            v[j], d_flat = self.field.vjp(y, t + RK4_C[j] * dt, c)
-            self.grad_sum += d_flat
-        for vj in v:
-            g += vj
-        return g
 
-    def rk4_reverse_end(self, trajectory, g, carry):
-        return g, self.grad_sum
+def require_finite(y, t):
+    """Raise :class:`NumericError` at time ``t`` unless every entry of ``y`` is finite."""
+    if not np.all(np.isfinite(y)):
+        raise NumericError(f"solver state became non-finite at t={t}", where=t)
 
 
 def _increment(dt, stages):
@@ -538,16 +510,15 @@ def workspace(field, states, cotangents=None):
     given) are checked to be (n, d) batches of its dimension, raising
     :class:`ShapeError` otherwise; any other field is closed-form and gets a
     :class:`FieldWorkspace`. Either keeps its ``field``, answers ``eval``
-    and ``vjp``, and the RK4 protocol of the fixed-step loops:
-    ``rk4_begin`` gives the carry once :func:`eval_dynamics_batch` has run
-    at (h0, t0), ``rk4_step`` advances it in place and writes the step's
-    stage records (``stage_dim`` wide), ``rk4_end`` forms the terminal
-    state and ``rk4_states`` rebuilds the grid states from the records.
-    In reverse, on the workspace that wrote the trajectory,
-    ``rk4_reverse_begin`` gives the reverse carry for the terminal
-    cotangent and zeroes the gradient sums, ``rk4_step_vjp`` pulls it back
-    over one step and adds to them, and ``rk4_reverse_end`` gives the
-    result: the initial state's gradient and the flat parameter gradient.
+    and ``vjp``, and the RK4 protocol of the fixed-step solve:
+    ``rk4_solve(h0, times, stages)``, once :func:`eval_dynamics_batch` has
+    run at (h0, t0), steps over the grid ``times``, writes step i's stage
+    records (``stage_dim`` wide) to ``stages[i % len(stages)]``, checks the
+    carry after every step and returns the terminal state;
+    ``rk4_states(h0, times, stages)`` rebuilds the grid states from the
+    records; and ``rk4_reverse(trajectory, g)``, on the workspace that
+    wrote the trajectory, returns the initial state's gradient and the flat
+    parameter gradient for the terminal cotangent ``g``.
     """
     if not isinstance(field, DynamicsParams):
         return FieldWorkspace(field, states)

@@ -9,10 +9,11 @@ trajectory keeps as the workspace that wrote it:
 
 * :func:`solve_fixed_batch` - classic 4-stage RK4 on a uniform grid shared
   by the rows of an (n, d) batch, the routine training and evaluation run.
-  It owns the grid, the stage buffers and the finiteness check of every
-  step. The field at (h0, t0), evaluated once per solve with
+  It owns the grid, the stage buffer, the input checks and the location of
+  a failure. The field at (h0, t0), evaluated once per solve with
   :func:`~nodehead.dynamics.eval_dynamics_batch`, starts the workspace's
-  carry; the workspace steps it and writes all four stage records straight
+  carry, and one ``rk4_solve`` call of the workspace runs every step,
+  checks the carry after each and writes all four stage records straight
   into the trajectory, so the discrete recursion can be differentiated
   exactly in reverse (memory grows with the step count), or, with
   ``keep_trajectory=False`` (:func:`rk4_terminal_batch`), keeps only the
@@ -44,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import eval_dynamics_batch, workspace
+from .dynamics import eval_dynamics_batch, require_finite, workspace
 # looked up here by the benchmark's span tracer (perfbench/spans.py)
 from .dynamics import eval_dynamics  # noqa: F401
 from .errors import ContractError, NumericError, ShapeError, StepBudgetError
@@ -130,9 +131,9 @@ class Trajectory:
     the two-layer field a record is the stage's activation (stage_dim =
     width; see :mod:`nodehead.dynamics`); for a closed-form field it is
     the stage derivative (stage_dim = d). ``work``, the workspace that
-    wrote them, runs the reverse pass, and rebuilds ``states``, the
-    (n_steps + 1, n, d) grid batches, on first access; its last entry is
-    bitwise the solve's terminal state.
+    wrote them, runs the reverse pass (``rk4_reverse``) and rebuilds
+    ``states``, the (n_steps + 1, n, d) grid batches, on first access
+    (``rk4_states``); its last entry is bitwise the solve's terminal state.
     """
 
     times: np.ndarray
@@ -149,27 +150,21 @@ class Trajectory:
         return self.h0.size + self.stages.size
 
 
-def _require_finite(y, t):
-    if not np.all(np.isfinite(y)):
-        raise NumericError(f"solver state became non-finite at t={t}", where=t)
-
-
 def solve_fixed_batch(field, states0, t0, t1, n_steps, keep_trajectory=True):
     """Integrate the rows of ``states0`` (shape (n, d)) with ``n_steps`` uniform RK4 steps.
 
     Returns (hT, Trajectory). Each row is an independent initial value; the
     uniform grid makes the batched recursion exactly the per-row one, just
-    evaluated together. This loop owns the grid and the stage buffers. The
-    field at (h0, t0), evaluated with
+    evaluated together. This function owns the grid and the stage buffer.
+    The field at (h0, t0), evaluated with
     :func:`~nodehead.dynamics.eval_dynamics_batch`, starts the workspace's
-    carry (``rk4_begin``); the workspace steps the carry (``rk4_step``),
-    writing the four stage records straight into the trajectory, and forms
-    the terminal state from it (``rk4_end``); the trajectory keeps it. The
-    carry is checked to be finite after every step. A non-finite terminal
-    state is located on the grid by rebuilding the states, so the
-    :class:`NumericError` names the first grid time whose state is
-    non-finite. With ``keep_trajectory=False`` only the current step's
-    stages are held and the trajectory is None.
+    carry, and one ``rk4_solve`` call runs the steps, writing the four
+    stage records of each straight into the trajectory, checks the carry
+    after every step and returns the terminal state; the trajectory keeps
+    the workspace. A non-finite terminal state is located on the grid by
+    rebuilding the states, so the :class:`NumericError` names the first
+    grid time whose state is non-finite. With ``keep_trajectory=False``
+    only the current step's stages are held and the trajectory is None.
     """
     if n_steps < 1:
         raise ContractError(f"n_steps must be >= 1, got {n_steps}")
@@ -180,16 +175,10 @@ def solve_fixed_batch(field, states0, t0, t1, n_steps, keep_trajectory=True):
     times = t0 + (t1 - t0) * np.arange(n_steps + 1) / n_steps
     times[-1] = t1
     # without the trajectory one stage slot is reused
-    kept = n_steps if keep_trajectory else 1
-    stages = np.empty((kept, 4, h0.shape[0], work.stage_dim))
+    stages = np.empty((n_steps if keep_trajectory else 1, 4, h0.shape[0], work.stage_dim))
     # the field at (h0, t0) starts the carry; its value is not needed
     eval_dynamics_batch(field, h0, t0, out=np.empty_like(h0), work=work)
-    carry = work.rk4_begin(h0)
-    for i in range(n_steps):
-        t = times[i]
-        work.rk4_step(carry, t, times[i + 1] - t, stages[i % kept], last=i == n_steps - 1)
-        _require_finite(carry, times[i + 1])
-    hT = work.rk4_end(h0, carry, t1 - t0)
+    hT = work.rk4_solve(h0, times, stages)
     traj = Trajectory(times, h0=h0.copy(), stages=stages, work=work) if keep_trajectory else None
     if not np.all(np.isfinite(hT)):
         # name the first non-finite grid state; without a trajectory to rebuild
@@ -197,7 +186,7 @@ def solve_fixed_batch(field, states0, t0, t1, n_steps, keep_trajectory=True):
         if traj is None:
             solve_fixed_batch(field, h0, t0, t1, n_steps)
         for t, h in zip(times, traj.states):
-            _require_finite(h, t)
+            require_finite(h, t)
     return hT, traj
 
 

@@ -267,7 +267,8 @@ def write_metrics_csv(records, path):
 
 
 def read_metrics_csv(path):
-    """Parse a metrics CSV back into records, naming the line of any defect."""
+    """Parse a metrics CSV back into records, naming the line of any defect
+    and the column of any cell that is not a finite number of its type."""
     with open(path, "r", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -280,8 +281,13 @@ def read_metrics_csv(path):
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(METRICS_HEADER):
             raise FormatError(f"{path}: line {lineno}: expected {len(METRICS_HEADER)} fields, got {len(row)}")
-        try:
-            records.append(MetricsRecord(*(f.type(cell) for f, cell in zip(_METRICS_FIELDS, row))))
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+        values = []
+        for f, cell in zip(_METRICS_FIELDS, row):
+            try:
+                values.append(f.type(cell))
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {lineno}: column {f.name}: {exc}") from exc
+            if not math.isfinite(values[-1]):
+                raise FormatError(f"{path}: line {lineno}: column {f.name}: non-finite value {cell!r}")
+        records.append(MetricsRecord(*values))
     return records

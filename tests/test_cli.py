@@ -337,6 +337,20 @@ class TestBadFlagsExitThroughTable:
         ("compare", ["--width", "0"], 1, "width=0"),
         ("compare", ["--scale", "nan"], 1, "scale"),
         ("train", ["--data", "a\nb"], 1, "newline"),
+        ("gradcheck", ["--batch", "-1"], 1, "--batch"),
+        ("gradcheck", ["--batch", "0"], 1, "--batch"),
+        ("gradcheck", ["--fd-n-steps", "0"], 1, "--fd-n-steps"),
+        ("gradcheck", ["--width", "0"], 1, "width=0"),
+        ("gradcheck", ["--scale", "nan"], 1, "scale"),
+        ("gradcheck", ["--n-steps", "0"], 1, "n_steps"),
+        ("gradcheck", ["--rtol", "nan"], 1, "rtol=nan"),
+        ("gradcheck", ["--atol", "inf"], 1, "atol=inf"),
+        ("sweep-tol", ["--width", "0"], 1, "width=0"),
+        ("sweep-tol", ["--scale", "nan"], 1, "scale"),
+        ("sweep-tol", ["--mode", "train", "--epochs", "0"], 1, "epochs"),
+        ("sweep-tol", ["--mode", "train", "--batch-size", "0"], 1, "batch_size"),
+        ("sweep-tol", ["--mode", "train", "--val-fraction", "1.5"], 1, "val_fraction"),
+        ("sweep-tol", ["--limit", "-5"], 1, "--limit"),
     ], ids=["train-scale-negative", "train-scale-nan", "train-width-0", "train-rtol-nan",
             "train-lr-nan", "train-eps-nan", "compare-test-data-dim", "gradcheck-d-0",
             "gradcheck-classes-0", "gradcheck-fd-step-0", "gradcheck-fd-step-nan",
@@ -350,7 +364,11 @@ class TestBadFlagsExitThroughTable:
             "train-tolerances-inf", "train-atol-inf", "train-lr-inf", "train-sgd-lr-inf",
             "train-eps-inf", "compare-lr-inf", "compare-eps-inf", "compare-epochs-0",
             "compare-batch-size-0", "compare-n-steps-0", "compare-val-fraction-1.5",
-            "compare-width-0", "compare-scale-nan", "train-data-newline"])
+            "compare-width-0", "compare-scale-nan", "train-data-newline", "gradcheck-batch-negative",
+            "gradcheck-batch-0", "gradcheck-fd-n-steps-0", "gradcheck-width-0", "gradcheck-scale-nan",
+            "gradcheck-n-steps-0", "gradcheck-rtol-nan", "gradcheck-atol-inf", "sweep-tol-width-0",
+            "sweep-tol-scale-nan", "sweep-tol-train-epochs-0", "sweep-tol-train-batch-size-0",
+            "sweep-tol-train-val-fraction-1.5", "sweep-tol-limit-negative"])
     def test_exit_code_and_one_line(self, command, flags, code, named, feature_file, tmp_path,
                                     capsys):
         gen = np.random.default_rng(1)
@@ -370,6 +388,8 @@ class TestBadFlagsExitThroughTable:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"nodehead {command}: ") and named in err[0]
         assert not (out / "seed0").exists()  # compare stops before any run starts
+        if code == 1:
+            assert not out.exists()  # a bad flag stops the command before its manifest is written
 
 
 class TestFlagDeclarations:
@@ -491,6 +511,17 @@ class TestPlotCommand:
         assert main(["plot", "--csv", str(csv), "--out", str(tmp_path / "p")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("nodehead plot: ") and str(csv) in err[0]
+
+    def test_non_finite_cell_exits_two_naming_file_line_and_column(self, tmp_path, capsys):
+        csv = tmp_path / "non-finite.csv"
+        csv.write_text("epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval\n"
+                       "1,0.5,0.9,nan,0.8,12.5,480\n"
+                       "2,0.4,0.9,inf,0.8,12.5,480\n")
+        out = tmp_path / "p"
+        assert main(["plot", "--csv", str(csv), "--columns", "val_loss", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"nodehead plot: {csv}: line 2: column val_loss")
+        assert not (out / "val_loss.svg").exists()
 
     def test_unknown_column_exits_one_through_the_table(self, tmp_path, capsys):
         csv = tmp_path / "m.csv"

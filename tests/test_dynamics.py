@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import reference as ref
+from nodehead.adjoint import backprop_rk4_batch
 from nodehead.dynamics import (
     BatchWorkspace,
     DynamicsParams,
@@ -14,6 +15,7 @@ from nodehead.dynamics import (
     vjp_state,
 )
 from nodehead.errors import ShapeError
+from nodehead.solvers import solve_fixed_batch
 
 
 def fd_state_grad(params, h, t, a, step=1e-6):
@@ -205,17 +207,19 @@ class TestBatchWorkspace:
     def test_each_use_builds_only_its_own_buffers(self, rng):
         p = init_params(8, 3, 7, scale=0.9)
         states, cots = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-        built = lambda work: {k for k in ("_vjp_buffers", "_hidden", "_step_buffers", "_reverse", "_grads")
-                              if k in vars(work)}
+        # what a use leaves on a workspace beyond what its constructor built
+        built = lambda work: set(vars(work)) - set(vars(BatchWorkspace(p, 5)))
         work = BatchWorkspace(p, 5)
         eval_dynamics_batch(p, states, 0.5, work=work)
         assert built(work) == set()
         vjp_batch(p, states, 0.5, cots, work=work)
         assert built(work) == {"_vjp_buffers"}
-        work = BatchWorkspace(p, 5)
-        eval_dynamics_batch(p, states, 0.0, work=work)
-        work.rk4_step(work.rk4_begin(states), 0.0, 0.1, np.empty((4, 5, 7)))
-        assert built(work) == {"_hidden", "_step_buffers"}
+        # an RK4 solve forms M and m and nothing else, so a dopri5 or adjoint
+        # workspace never does; its reverse pass leaves no sums behind
+        _, traj = solve_fixed_batch(p, states, 0.0, 1.0, 3)
+        assert built(traj.work) == {"_hidden"}
+        backprop_rk4_batch(p, traj, cots)
+        assert built(traj.work) == {"_hidden"}
 
     def test_value_out_shares_the_activation(self, rng):
         p = init_params(8, 3, 7, scale=0.9)

@@ -339,5 +339,16 @@ class TestMetricsCsv:
             "1,0.5,0.9,0.6,0.8,12.0,2400\n"
             "2,oops,0.9,0.6,0.8,12.0,2400\n"
         )
-        with pytest.raises(FormatError, match="line 3"):
+        with pytest.raises(FormatError, match="line 3: column train_loss"):
+            read_metrics_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_names_line_and_column(self, cell, tmp_path):
+        path = tmp_path / "bad4.csv"
+        path.write_text(
+            "epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval\n"
+            "1,0.5,0.9,0.6,0.8,12.0,2400\n"
+            f"2,0.5,0.9,{cell},0.8,12.0,2400\n"
+        )
+        with pytest.raises(FormatError, match=rf"bad4.csv: line 3: column val_loss: non-finite value '{cell}'"):
             read_metrics_csv(path)

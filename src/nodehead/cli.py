@@ -484,25 +484,22 @@ def cmd_gradcheck(args):
 def cmd_sweep_tol(args):
     if not args.tols:
         raise ContractError("--tols must name at least one tolerance")
-    configs = [SolverConfig(method="dopri5", rtol=tol, atol=tol, max_steps=args.max_steps)
+    # every run's configuration, schedule flags included, is checked before the
+    # run starts, in both modes
+    configs = [_train_config(args, "adjoint", SgdConfig(),
+                             SolverConfig(method="dopri5", rtol=tol, atol=tol, max_steps=args.max_steps))
                for tol in args.tols]
-    # every run's configuration is checked before the run starts; an evaluation
-    # reads only the model flags of one
-    if args.mode == "train":
-        configs = [_train_config(args, "adjoint", SgdConfig(), cfg) for cfg in configs]
-    else:
-        TrainConfig(width=args.width, init_scale=args.scale)
     _check_data_flags(args)
     out, manifest = _start_run(args)
     dataset = _load_dataset(args.data, _lazy_extractor(args), args.limit)
+    if args.mode == "eval":
+        head = init_node_head(args.seed, dataset.d, dataset.class_count, width=args.width, scale=args.scale)
 
     lines = ["rtol,atol,n_feval,final_val_acc,wall_ms"]
     for tol, cfg in zip(args.tols, configs):
         tic = time.perf_counter()
         if args.mode == "eval":
-            head = init_node_head(args.seed, dataset.d, dataset.class_count,
-                                  width=args.width, scale=args.scale)
-            _, acc, stats = evaluate(head, dataset.features, dataset.labels, cfg)
+            _, acc, stats = evaluate(head, dataset.features, dataset.labels, cfg.solver)
             n_feval = stats.n_feval
         else:
             _, records = train("node", dataset, cfg)

@@ -212,18 +212,6 @@ def _block_grad(head, hT, dZ, traj, config, stats):
     return d_dyn
 
 
-def softmax(logits):
-    """Softmax along the last axis, computed with max-subtraction.
-
-    Components are positive and sum to 1 within 1e-12 for any finite input;
-    the shift makes the exponentials overflow-safe.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    shifted = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
 def _logits(head, hT):
     """Class-major logits ``w_out @ hT.T + b_out``, shape (classes, n)."""
     Z = head.w_out @ hT.T

@@ -171,6 +171,7 @@ def solve_fixed_batch(field, states0, t0, t1, n_steps, keep_trajectory=True):
     if not t1 > t0:
         raise ContractError(f"fixed solve requires t1 > t0, got [{t0}, {t1}]")
     h0 = np.asarray(states0, dtype=np.float64)
+    require_finite(h0, t0)
     work = workspace(field, h0)
     times = t0 + (t1 - t0) * np.arange(n_steps + 1) / n_steps
     times[-1] = t1
@@ -211,7 +212,7 @@ def integrate_adaptive(f, y0, t0, t1, config):
     is one call of ``f`` over the rows still integrating. Integration
     direction follows sign(t1 - t0). Raises :class:`StepBudgetError` when a
     row's budget does not reach t1 and :class:`NumericError` when a row's
-    state goes non-finite, ``where`` being that row's time. The stats sum
+    state is or goes non-finite, ``where`` being that row's time. The stats sum
     over rows: a row's derivative evaluation counts once, and with FSAL
     reuse each attempted step costs six fresh evaluations after the
     initial one.
@@ -221,6 +222,7 @@ def integrate_adaptive(f, y0, t0, t1, config):
     y = np.array(y0, dtype=np.float64)
     if y.ndim != 2:
         raise ShapeError(f"adaptive solve takes an (n, m) batch of rows, got shape {y.shape}")
+    require_finite(y, t0)
     out = np.empty_like(y)
     stats = SolveStats(n_feval=len(y), retained_floats=y.size)
     forward = t1 > t0

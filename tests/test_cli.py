@@ -351,6 +351,9 @@ class TestBadFlagsExitThroughTable:
         ("sweep-tol", ["--mode", "train", "--batch-size", "0"], 1, "batch_size"),
         ("sweep-tol", ["--mode", "train", "--val-fraction", "1.5"], 1, "val_fraction"),
         ("sweep-tol", ["--limit", "-5"], 1, "--limit"),
+        ("sweep-tol", ["--mode", "eval", "--epochs", "0"], 1, "epochs"),
+        ("sweep-tol", ["--mode", "eval", "--batch-size", "-3"], 1, "batch_size"),
+        ("sweep-tol", ["--mode", "eval", "--val-fraction", "5"], 1, "val_fraction"),
     ], ids=["train-scale-negative", "train-scale-nan", "train-width-0", "train-rtol-nan",
             "train-lr-nan", "train-eps-nan", "compare-test-data-dim", "gradcheck-d-0",
             "gradcheck-classes-0", "gradcheck-fd-step-0", "gradcheck-fd-step-nan",
@@ -368,7 +371,8 @@ class TestBadFlagsExitThroughTable:
             "gradcheck-batch-0", "gradcheck-fd-n-steps-0", "gradcheck-width-0", "gradcheck-scale-nan",
             "gradcheck-n-steps-0", "gradcheck-rtol-nan", "gradcheck-atol-inf", "sweep-tol-width-0",
             "sweep-tol-scale-nan", "sweep-tol-train-epochs-0", "sweep-tol-train-batch-size-0",
-            "sweep-tol-train-val-fraction-1.5", "sweep-tol-limit-negative"])
+            "sweep-tol-train-val-fraction-1.5", "sweep-tol-limit-negative", "sweep-tol-eval-epochs-0",
+            "sweep-tol-eval-batch-size-negative", "sweep-tol-eval-val-fraction-5"])
     def test_exit_code_and_one_line(self, command, flags, code, named, feature_file, tmp_path,
                                     capsys):
         gen = np.random.default_rng(1)

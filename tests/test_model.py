@@ -23,7 +23,6 @@ from nodehead.model import (
     init_node_head,
     load_checkpoint,
     save_checkpoint,
-    softmax,
     solver_config_for,
     train_step,
 )
@@ -90,13 +89,6 @@ class TestForwardNode:
         logits, stats = forward(head, rng.standard_normal((1, 4)), cfg)
         assert stats.n_feval == 4 * 32
         assert np.all(np.isfinite(logits))
-
-    def test_logit_shift_leaves_argmax(self, rng):
-        head = init_node_head(3, 5, 4, width=6, scale=0.4)
-        x = rng.standard_normal(5)
-        logits, _ = forward(head, x[None], SolverConfig())
-        shifted = logits + 7.3
-        assert np.argmax(softmax(logits)) == np.argmax(softmax(shifted))
 
 
 class TestLossAndGrads:
@@ -181,6 +173,15 @@ class TestClassMajorTail:
         assert n_correct == want_correct
         np.testing.assert_allclose(dZ.T, want_grad, rtol=0.0, atol=1e-15)
         assert _tail(logits.T.copy(), labels, with_grad=False) == (loss, n_correct, None)
+
+    def test_an_underflowed_label_probability_costs_the_log_floor(self):
+        # exp(-1000) is 0: the loss is -log(0 + 1e-12), and the gradient's weight
+        # p / (p + 1e-12) is 0 with it
+        Z = np.array([[0.0], [-1000.0]])
+        loss, n_correct, dZ = _tail(Z.copy(), np.array([1]), with_grad=True)
+        assert (loss, n_correct) == (27.631021115928547, 0)
+        np.testing.assert_array_equal(dZ, 0.0)
+        assert _tail(Z.copy(), np.array([1]), with_grad=False) == (loss, 0, None)
 
     @pytest.mark.parametrize("kind", ["baseline", "node"])
     def test_flat_gradient_matches_the_row_major_concatenation(self, kind, rng):

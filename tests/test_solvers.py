@@ -120,6 +120,11 @@ class TestSolveFixed:
         ratio = err[100] / err[200]
         assert 8.0 <= ratio <= 32.0
 
+    def test_grid_ends_exactly_at_t1(self):
+        # 0.2 + 0.7 * 5 / 5 rounds to 1.1e-16 below 0.9
+        _, traj = solve_fixed_batch(GROWTH, np.array([[1.0]]), 0.2, 0.9, 5)
+        assert traj.times[0] == 0.2 and traj.times[-1] == 0.9
+
     def test_preconditions(self):
         with pytest.raises(ContractError):
             solve_fixed_batch(GROWTH, np.zeros((1, 2)), 0.0, 1.0, 0)
@@ -172,6 +177,8 @@ class TestBatchKernel:
     @pytest.mark.parametrize("keep", [True, False])
     @pytest.mark.parametrize("where", ["h0", "w1"])
     def test_nan_input_raises_after_the_first_step(self, where, keep, rng):
+        """A NaN weight shows after the first step, at t = 0.5; a NaN in h0 is
+        reported before it, at t0 = 0.3."""
         p = init_params(4, 3, 5, scale=0.8)
         states0 = rng.standard_normal((4, 3))
         if where == "h0":
@@ -182,7 +189,7 @@ class TestBatchKernel:
             p = DynamicsParams(w1, p.b1, p.w2, p.b2)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
             solve_fixed_batch(p, states0, 0.3, 1.1, 4, keep_trajectory=keep)
-        assert exc.value.where == pytest.approx(0.5)
+        assert exc.value.where == (0.3 if where == "h0" else pytest.approx(0.5))
 
     def test_outputs_not_aliased_and_inputs_untouched(self, rng):
         p = init_params(4, 3, 5, scale=0.8)
@@ -205,12 +212,48 @@ class TestBatchKernel:
             rk4_terminal_batch(p, rng.standard_normal(3), 0.0, 1.0, 3)
 
 
+class TestNonFiniteInitialState:
+    """A non-finite row of h0 is reported at t0, before any step is taken."""
+
+    @staticmethod
+    def field_and_h0(kind, bad, rng):
+        field = init_params(4, 3, 5, scale=0.8) if kind == "two-layer" else ref.LinearField(0.5)
+        h0 = rng.standard_normal((4, 3))
+        h0[2, 1] = bad
+        return field, h0
+
+    @pytest.mark.parametrize("keep", [True, False])
+    @pytest.mark.parametrize("n_steps", [1, 4])
+    @pytest.mark.parametrize("kind", ["two-layer", "closed-form"])
+    def test_rk4_names_t0(self, kind, n_steps, keep, rng):
+        field, h0 = self.field_and_h0(kind, np.nan, rng)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
+            solve_fixed_batch(field, h0, 0.25, 1.25, n_steps, keep_trajectory=keep)
+        assert exc.value.where == 0.25
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", ["two-layer", "closed-form"])
+    def test_dopri5_names_t0(self, kind, bad, rng):
+        field, h0 = self.field_and_h0(kind, bad, rng)
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericError) as exc:
+            solve(field, h0, 0.25, 1.25, SolverConfig())
+        assert exc.value.where == 0.25
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (1.0, 0.0)])
+    def test_integrate_adaptive_names_t0_in_either_direction(self, t0, t1):
+        with pytest.raises(NumericError) as exc:
+            integrate_adaptive(ZERO_FIELD, np.array([[1.0], [np.nan]]), t0, t1, SolverConfig())
+        assert exc.value.where == t0
+
+
 class TestSolveAdaptive:
     def test_zero_field_no_rejections(self, rng):
-        h0 = rng.standard_normal(4)
-        (hT,), stats = integrate_adaptive(ZERO_FIELD, h0[None], 0.0, 1.0, SolverConfig())
+        # steps of 0.1, 0.5 and the last 0.4 per row: an error of 0 takes the
+        # largest growth, MAX_FACTOR
+        h0 = rng.standard_normal((2, 4))
+        hT, stats = integrate_adaptive(ZERO_FIELD, h0, 0.0, 1.0, SolverConfig())
         np.testing.assert_array_equal(hT, h0)
-        assert stats.n_reject == 0
+        assert (stats.n_accept, stats.n_reject) == (6, 0)
 
     def test_decay_closed_form(self):
         (hT,), _ = integrate_adaptive(DECAY, np.array([[1.0]]), 0.0, 1.0, SolverConfig())

@@ -271,6 +271,12 @@ class TestStabilityStats:
         np.testing.assert_allclose(report.rolling_std_val_loss, np.full(7, 0.5), atol=1e-15)
         assert report.max_epoch_to_epoch_jump == 1.0
 
+    @pytest.mark.parametrize("losses", [[1.0, 2.0, 2.0, 5.0], [5.0, 2.0, 2.0, 1.0]])
+    def test_jump_is_the_largest_absolute_step(self, losses):
+        # the steps are 1, 0 and 3 in size: their mean would read 4/3
+        metrics = [record(i + 1, loss) for i, loss in enumerate(losses)]
+        assert stability_stats(metrics, window=2).max_epoch_to_epoch_jump == 3.0
+
     def test_matches_direct_formula_oracle(self, rng):
         losses = rng.uniform(0.1, 2.0, size=25)
         accs = rng.uniform(0.0, 1.0, size=25)

@@ -34,7 +34,7 @@ import numpy as np
 from .dynamics import vjp_batch, workspace
 # looked up here by the benchmark's span tracer (perfbench/spans.py)
 from .dynamics import eval_dynamics, vjp_params, vjp_state  # noqa: F401
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError
 from .solvers import SolveStats, integrate_adaptive
 
 
@@ -66,7 +66,7 @@ def backprop_rk4_batch(field, trajectory, d_hT_rows):
     grid backwards from the stored stage records. ``field`` must be the
     object the trajectory was solved with; any other raises
     :class:`ContractError`, and a cotangent of another shape than the
-    batch raises :class:`ShapeError`.
+    batch raises :class:`ContractError`.
     """
     work = trajectory.work
     if getattr(work, "field", None) is not field:
@@ -74,7 +74,7 @@ def backprop_rk4_batch(field, trajectory, d_hT_rows):
                             "pass the field that solve_fixed_batch solved it with")
     g = np.array(d_hT_rows, dtype=np.float64)
     if g.shape != trajectory.h0.shape:
-        raise ShapeError(f"cotangent shape {g.shape} does not match batch shape {trajectory.h0.shape}")
+        raise ContractError(f"cotangent shape {g.shape} does not match batch shape {trajectory.h0.shape}")
     return work.rk4_reverse(trajectory, g)
 
 

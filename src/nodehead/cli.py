@@ -31,7 +31,7 @@ from .data import (
     load_cifar10_bin,
     load_feature_file,
 )
-from .errors import ContractError, DataError, FormatError, NumericError
+from .errors import ContractError, FormatError, NumericError
 from .model import (
     evaluate,
     head_from_flat,
@@ -60,8 +60,8 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 # The exceptions a command may end with, and the exit code each one maps to.
-_EXIT_CODES = {FormatError: EXIT_DATA, DataError: EXIT_DATA, OSError: EXIT_DATA,
-               ContractError: EXIT_USAGE, NumericError: EXIT_NUMERIC}
+_EXIT_CODES = {FormatError: EXIT_DATA, OSError: EXIT_DATA, ContractError: EXIT_USAGE,
+               NumericError: EXIT_NUMERIC}
 
 _HEADS = ("baseline", "node")
 
@@ -124,10 +124,15 @@ def finish_manifest(path):
 
 
 def read_manifest(path):
-    """Parse a manifest into (command, {arg: value})."""
+    """Parse a manifest into (command, {arg: value}); a file that does not
+    decode as text raises :class:`FormatError`."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text file: {exc}") from exc
     command = None
     args = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         if "=" not in line:
@@ -251,7 +256,7 @@ def _load_dataset(path, extractor, limit):
     if limit:
         ds = ds.subset(np.arange(min(limit, len(ds))))
     if len(ds) == 0:
-        raise DataError(f"{path}: dataset is empty")
+        raise FormatError(f"{path}: dataset is empty")
     return ds
 
 
@@ -328,7 +333,7 @@ def cmd_compare(args):
     if args.test_data:
         test_ds = _load_dataset(args.test_data, extractor, 0)
         if test_ds.d != dataset.d:
-            raise DataError(f"{args.test_data}: feature dimension {test_ds.d}, but --data has {dataset.d}")
+            raise FormatError(f"{args.test_data}: feature dimension {test_ds.d}, but --data has {dataset.d}")
 
     rows = []
     failures = []

@@ -13,9 +13,9 @@ File formats (little-endian throughout):
   followed by 3072 pixel bytes (1024 red, 1024 green, 1024 blue).
 * NODF feature file: magic ``NODF``, u32 version = 1, u32 N, u32 d,
   u8 has_labels, N*d float32 features row-major, then N label bytes when
-  has_labels is 1. Loading requires the labels: a file with has_labels = 0
-  is a data error. Features are stored at 32-bit precision and widened to
-  float64 on load.
+  has_labels is 1. Loading requires the labels and a feature: a file with
+  has_labels = 0 or d = 0 is a format error. Features are stored at 32-bit
+  precision and widened to float64 on load.
 """
 
 import os
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DataError, FormatError
+from .errors import ContractError, FormatError
 
 CIFAR_RECORD_BYTES = 3073
 CIFAR_PIXELS = 3072
@@ -58,7 +58,7 @@ class ImageSet:
         if self.labels.shape != (self.images.shape[0],):
             raise FormatError(f"{self.images.shape[0]} images but {self.labels.shape[0]} labels")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= CIFAR_CLASSES):
-            raise DataError("labels outside [0, 9]")
+            raise FormatError("labels outside [0, 9]")
 
     def __len__(self):
         return self.images.shape[0]
@@ -80,11 +80,11 @@ class Dataset:
         if self.labels.shape != (self.features.shape[0],):
             raise FormatError(f"{self.features.shape[0]} feature rows but {self.labels.shape[0]} labels")
         if not np.all(np.isfinite(self.features)):
-            raise DataError("non-finite feature values")
+            raise FormatError("non-finite feature values")
         bad = (self.labels < 0) | (self.labels >= self.class_count)
         if bad.any():
             i = int(np.argmax(bad))
-            raise DataError(f"record {i} has label {self.labels[i]} outside [0, {self.class_count})")
+            raise FormatError(f"record {i} has label {self.labels[i]} outside [0, {self.class_count})")
 
     @property
     def d(self):
@@ -105,7 +105,7 @@ def load_cifar10_bin(path):
     load holds the file's bytes once. The file length must be a multiple of
     the 3073-byte record size; a truncated file raises :class:`FormatError`
     naming the offending byte offset, as does a file whose length changes
-    while it is read. A label byte above 9 raises :class:`DataError`.
+    while it is read. A label byte above 9 raises :class:`FormatError`.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -122,7 +122,7 @@ def load_cifar10_bin(path):
     labels = records[:, 0].astype(np.int64)
     if labels.size and labels.max() >= CIFAR_CLASSES:
         bad = int(np.argmax(labels >= CIFAR_CLASSES))
-        raise DataError(f"{path}: record {bad} has label byte {labels[bad]} > 9")
+        raise FormatError(f"{path}: record {bad} has label byte {labels[bad]} > 9")
     return ImageSet(images=records[:, 1:], labels=labels)
 
 
@@ -195,9 +195,9 @@ def save_feature_file(dataset, path):
 def load_feature_file(path):
     """Read a NODF feature file; features are widened back to float64.
 
-    A file without labels (``has_labels=0``) or with a label byte outside
-    [0, class_count) raises :class:`DataError` naming the file (and the
-    first bad record).
+    A file without labels (``has_labels=0``), without features (``d=0``)
+    or with a label byte outside [0, class_count) raises
+    :class:`FormatError` naming the file (and the first bad record).
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -211,8 +211,10 @@ def load_feature_file(path):
         raise FormatError(f"{path}: unsupported version {version}")
     if has_labels not in (0, 1):
         raise FormatError(f"{path}: has_labels byte must be 0 or 1, got {has_labels}")
+    if d == 0:
+        raise FormatError(f"{path}: header field d is 0; a feature row needs d >= 1")
     if not has_labels:
-        raise DataError(f"{path}: file has no labels (has_labels=0); training and evaluation need them")
+        raise FormatError(f"{path}: file has no labels (has_labels=0); training and evaluation need them")
     expected = header_size + 4 * n * d + n
     if len(blob) != expected:
         raise FormatError(f"{path}: length {len(blob)} does not match header fields (expected {expected})")
@@ -221,8 +223,8 @@ def load_feature_file(path):
     labels = np.frombuffer(blob, dtype=np.uint8, offset=header_size + 4 * n * d).astype(np.int64)
     try:
         return Dataset(features=feats, labels=labels)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def split_train_val(dataset, val_fraction, seed):

@@ -79,7 +79,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError
 
 # Classic RK4 in tableau form (all coefficients are exact binary fractions):
 # stage j reads h + RK4_C[j] * dt * k[j-1] at t + RK4_C[j] * dt, and the step
@@ -108,11 +108,11 @@ class DynamicsParams:
         width, d_plus_1 = self.w1.shape
         d = d_plus_1 - 1
         if self.b1.shape != (width,):
-            raise ShapeError(f"b1 shape {self.b1.shape} inconsistent with w1 {self.w1.shape}")
+            raise ContractError(f"b1 shape {self.b1.shape} inconsistent with w1 {self.w1.shape}")
         if self.w2.shape != (d, width):
-            raise ShapeError(f"w2 shape {self.w2.shape} inconsistent with w1 {self.w1.shape}")
+            raise ContractError(f"w2 shape {self.w2.shape} inconsistent with w1 {self.w1.shape}")
         if self.b2.shape != (d,):
-            raise ShapeError(f"b2 shape {self.b2.shape} inconsistent with w1 {self.w1.shape}")
+            raise ContractError(f"b2 shape {self.b2.shape} inconsistent with w1 {self.w1.shape}")
 
     @property
     def d(self):
@@ -153,7 +153,7 @@ def unflatten(flat, d, width):
     flat = np.asarray(flat, dtype=np.float64)
     expected = param_count(d, width)
     if flat.shape != (expected,):
-        raise ShapeError(f"flat parameter vector has shape {flat.shape}, expected ({expected},)")
+        raise ContractError(f"flat parameter vector has shape {flat.shape}, expected ({expected},)")
     return DynamicsParams(*(view.copy() for view in _param_views(flat, d, width)))
 
 
@@ -508,7 +508,7 @@ def workspace(field, states, cotangents=None):
     This is the one place the field kind is decided: :class:`DynamicsParams`
     gets a :class:`BatchWorkspace` once ``states`` (and ``cotangents``, when
     given) are checked to be (n, d) batches of its dimension, raising
-    :class:`ShapeError` otherwise; any other field is closed-form and gets a
+    :class:`ContractError` otherwise; any other field is closed-form and gets a
     :class:`FieldWorkspace`. Either keeps its ``field``, answers ``eval``
     and ``vjp``, and the RK4 protocol of the fixed-step solve:
     ``rk4_solve(h0, times, stages)``, once :func:`eval_dynamics_batch` has
@@ -524,9 +524,9 @@ def workspace(field, states, cotangents=None):
         return FieldWorkspace(field, states)
     shape = np.shape(states)
     if len(shape) != 2 or shape[1] != field.d:
-        raise ShapeError(f"batch shape {shape} does not match field dimension {field.d}")
+        raise ContractError(f"batch shape {shape} does not match field dimension {field.d}")
     if cotangents is not None and np.shape(cotangents) != shape:
-        raise ShapeError(
+        raise ContractError(
             f"batch shapes {shape} and {np.shape(cotangents)} inconsistent with dimension {field.d}"
         )
     return BatchWorkspace(field, shape[0])

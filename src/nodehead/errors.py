@@ -1,29 +1,24 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per non-zero exit code.
 
-The CLI maps these onto its exit-code contract: usage problems exit 1,
-data/format problems exit 2, numeric failures and threshold violations
-exit 3.
+The CLI maps each onto its exit-code contract: a :class:`ContractError`
+exits 1, a :class:`FormatError` 2 and a :class:`NumericError` 3. An error
+is raised as the class of the exit code it should end in; no caller needs
+a finer distinction, which the message carries.
 """
 
 
-class ShapeError(ValueError):
-    """Operand shapes are inconsistent for the requested operation."""
-
-
 class ContractError(ValueError):
-    """A documented precondition was violated (empty batch, short series, ...)."""
+    """A documented precondition was violated: a bad flag or argument, an
+    empty batch, a short series or operands of inconsistent shapes."""
 
 
 class FormatError(ValueError):
-    """A file does not match its documented binary/CSV layout."""
-
-
-class DataError(ValueError):
-    """A file parses but carries semantically invalid content (e.g. label > 9)."""
+    """An input file is unusable: it does not match its documented layout,
+    or it parses but its content is invalid (a label above 9, no labels)."""
 
 
 class NumericError(ArithmeticError):
-    """A computation produced non-finite values.
+    """A computation produced non-finite values or exhausted its step budget.
 
     ``where`` carries the integration time at which the failure occurred,
     when known.
@@ -32,10 +27,3 @@ class NumericError(ArithmeticError):
     def __init__(self, message, where=None):
         super().__init__(message)
         self.where = where
-
-
-class StepBudgetError(NumericError):
-    """The adaptive solver exhausted its step budget before reaching t1.
-
-    ``where`` reports the time reached when the budget ran out.
-    """

@@ -60,7 +60,7 @@ import numpy as np
 
 from .adjoint import adjoint_solve, backprop_rk4_batch
 from .dynamics import DynamicsParams, init_params, param_count, unflatten
-from .errors import ContractError, FormatError, ShapeError
+from .errors import ContractError, FormatError
 from .seeding import subseed
 from .solvers import SolveStats, SolverConfig, solve
 # looked up here by the benchmark's span tracer (perfbench/spans.py)
@@ -91,13 +91,13 @@ class Head:
         self.w_out = np.ascontiguousarray(self.w_out, dtype=np.float64)
         self.b_out = np.ascontiguousarray(self.b_out, dtype=np.float64)
         if self.w_out.ndim != 2:
-            raise ShapeError(f"w_out must be 2-d, got shape {self.w_out.shape}")
+            raise ContractError(f"w_out must be 2-d, got shape {self.w_out.shape}")
         if self.dynamics is not None and self.w_out.shape[1] != self.dynamics.d:
-            raise ShapeError(
+            raise ContractError(
                 f"w_out shape {self.w_out.shape} inconsistent with state dimension {self.dynamics.d}"
             )
         if self.b_out.shape != (self.w_out.shape[0],):
-            raise ShapeError(f"b_out shape {self.b_out.shape} inconsistent with w_out {self.w_out.shape}")
+            raise ContractError(f"b_out shape {self.b_out.shape} inconsistent with w_out {self.w_out.shape}")
 
     @property
     def d(self):
@@ -149,7 +149,7 @@ def head_from_flat(template, flat):
     changes the head. The optimizers return a new vector on every step."""
     flat = np.asarray(flat, dtype=np.float64)
     if flat.shape != (template.n_params,):
-        raise ShapeError(f"flat vector shape {flat.shape}, expected ({template.n_params},)")
+        raise ContractError(f"flat vector shape {flat.shape}, expected ({template.n_params},)")
     d, classes = template.d, template.classes
     p = flat.size - classes * (d + 1)  # the block's parameters come first
     w_out = flat[p : p + classes * d].reshape(classes, d)
@@ -167,7 +167,7 @@ def _check_batch(head, features, labels=None):
     if features.shape[0] == 0:
         raise ContractError("empty batch")
     if features.ndim != 2 or features.shape[1] != head.d:
-        raise ShapeError(f"feature shape {features.shape} does not match head dimension {head.d}")
+        raise ContractError(f"feature shape {features.shape} does not match head dimension {head.d}")
     if labels is None:
         return features
     labels = np.asarray(labels).ravel()
@@ -179,7 +179,7 @@ def _check_batch(head, features, labels=None):
     else:
         labels = labels.astype(np.int64, copy=False)
     if features.shape[0] != labels.shape[0]:
-        raise ShapeError(f"{features.shape[0]} feature rows vs {labels.shape[0]} labels")
+        raise ContractError(f"{features.shape[0]} feature rows vs {labels.shape[0]} labels")
     if labels.min() < 0 or labels.max() >= head.classes:
         i = int(np.argmax((labels < 0) | (labels >= head.classes)))
         raise ContractError(f"record {i} has label {labels[i]} outside [0, {head.classes})")

@@ -48,7 +48,7 @@ import numpy as np
 from .dynamics import eval_dynamics_batch, require_finite, workspace
 # looked up here by the benchmark's span tracer (perfbench/spans.py)
 from .dynamics import eval_dynamics  # noqa: F401
-from .errors import ContractError, NumericError, ShapeError, StepBudgetError
+from .errors import ContractError, NumericError
 
 # Dormand-Prince 5(4) tableau. Stage 7 is evaluated at the 5th-order
 # solution, so its value seeds stage 1 of the next step (FSAL).
@@ -210,18 +210,17 @@ def integrate_adaptive(f, y0, t0, t1, config):
     attempted steps, so its result and counts are those of its solve
     alone, up to the rounding of a field that mixes rows (a GEMM); a stage
     is one call of ``f`` over the rows still integrating. Integration
-    direction follows sign(t1 - t0). Raises :class:`StepBudgetError` when a
-    row's budget does not reach t1 and :class:`NumericError` when a row's
-    state is or goes non-finite, ``where`` being that row's time. The stats sum
-    over rows: a row's derivative evaluation counts once, and with FSAL
-    reuse each attempted step costs six fresh evaluations after the
-    initial one.
+    direction follows sign(t1 - t0). Raises :class:`NumericError` when a
+    row's budget does not reach t1 or its state is or goes non-finite,
+    ``where`` being that row's time. The stats sum over rows: a row's
+    derivative evaluation counts once, and with FSAL reuse each attempted
+    step costs six fresh evaluations after the initial one.
     """
     if t1 == t0:
         raise ContractError("adaptive solve requires t1 != t0")
     y = np.array(y0, dtype=np.float64)
     if y.ndim != 2:
-        raise ShapeError(f"adaptive solve takes an (n, m) batch of rows, got shape {y.shape}")
+        raise ContractError(f"adaptive solve takes an (n, m) batch of rows, got shape {y.shape}")
     require_finite(y, t0)
     out = np.empty_like(y)
     stats = SolveStats(n_feval=len(y), retained_floats=y.size)
@@ -235,8 +234,8 @@ def integrate_adaptive(f, y0, t0, t1, config):
     k = [np.asarray(f(y, t), dtype=np.float64)] + [None] * 6
     while rows.size:
         if attempts >= config.max_steps:
-            raise StepBudgetError(f"step budget {config.max_steps} exhausted at t={t[0, 0]} before reaching {t1}",
-                                  where=float(t[0, 0]))
+            raise NumericError(f"step budget {config.max_steps} exhausted at t={t[0, 0]} before reaching {t1}",
+                               where=float(t[0, 0]))
         attempts += 1
         last = t + dt >= t1 if forward else t + dt <= t1
         np.copyto(dt, t1 - t, where=last)

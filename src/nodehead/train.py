@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .data import split_train_val
-from .errors import ContractError, FormatError, NumericError, ShapeError
+from .errors import ContractError, FormatError, NumericError
 from .model import evaluate, head_from_flat, head_to_flat, init_baseline_head, init_node_head
 from .model import solver_config_for, train_step
 from .seeding import subseed
@@ -66,7 +66,7 @@ def adam_update(params, grads, state, cfg):
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape:
-        raise ShapeError(f"params shape {params.shape} vs grads shape {grads.shape}")
+        raise ContractError(f"params shape {params.shape} vs grads shape {grads.shape}")
     m, v, step = state
     t = step + 1
     m2 = cfg.beta1 * m + (1 - cfg.beta1) * grads
@@ -82,7 +82,7 @@ def sgd_update(params, grads, velocity, cfg):
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape:
-        raise ShapeError(f"params shape {params.shape} vs grads shape {grads.shape}")
+        raise ContractError(f"params shape {params.shape} vs grads shape {grads.shape}")
     v2 = cfg.momentum * velocity + grads
     return params - cfg.lr * v2, v2
 
@@ -160,8 +160,8 @@ def train(head_kind, dataset, cfg):
     raises :class:`NumericError` naming the epoch and batch, before the
     optimizer step could spread it into the parameters; a non-finite
     validation loss raises it naming the epoch, before the record is kept.
-    A solver failure (:class:`NumericError` or :class:`StepBudgetError`) is
-    raised again as its own type, with its ``where``, its message prefixed
+    A solver's :class:`NumericError`, a non-finite state or an exhausted
+    step budget, is raised again with its ``where``, its message prefixed
     by the epoch and batch or by the validation's epoch.
     """
     if head_kind not in ("node", "baseline"):
@@ -268,9 +268,13 @@ def write_metrics_csv(records, path):
 
 def read_metrics_csv(path):
     """Parse a metrics CSV back into records, naming the line of any defect
-    and the column of any cell that is not a finite number of its type."""
-    with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
+    and the column of any cell that is not a finite number of its type.
+    A file that is not text or not CSV raises :class:`FormatError`."""
+    try:
+        with open(path, "r", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: not a text file: {exc}") from exc
     if not rows:
         raise FormatError(f"{path}: empty metrics file")
     if tuple(rows[0]) != METRICS_HEADER:

@@ -14,16 +14,16 @@ The commands run on a 300-row CIFAR-layout corpus at ``--feature-dim 16
 2-seed ``compare`` with ``--test-data``, ``sweep-tol`` and ``gradcheck``.
 Columns that hold wall-clock time are blanked or dropped before hashing.
 
-Bitwise results hold for one numpy build, one BLAS and one CPU, so the
-record keeps that fingerprint. On another fingerprint the test compares the
-checkpoints' parameters within ``FLOAT_RTOL``/``FLOAT_ATOL`` instead.
+Bitwise results hold only where numpy's and the BLAS's kernels round alike,
+so the record keeps a measured fingerprint of them (:func:`fingerprint`). On
+another fingerprint the test compares the checkpoints' parameters within
+``FLOAT_RTOL``/``FLOAT_ATOL`` instead.
 """
 
 import contextlib
 import hashlib
 import io
 import json
-import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -57,15 +57,26 @@ COMMANDS = [
 
 
 def fingerprint():
-    """The numpy version, BLAS build and CPU that bitwise results depend on."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    cpu = platform.processor()
-    with contextlib.suppress(OSError):
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), cpu)
-    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_config": blas.get("openblas configuration", ""), "machine": platform.machine(),
-            "cpu": cpu}
+    """The numpy version and the sha256 of a few fixed float64 results at the
+    command set's shapes and operand layouts: the extractor's GEMM of a
+    150-row block by the transposed (16, 3072) projection, the field's
+    (64, 17) @ (17, 16) GEMM, and ``tanh``, ``exp`` and ``log`` of a (64, 16)
+    batch.
+
+    The kernels are measured rather than named: a BLAS built for several
+    CPUs reports one build name whichever kernel it runs, so two hosts can
+    share a name and still round apart.
+    """
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((64, 16))
+    results = {
+        "gemm_extractor": rng.random((150, 3072)) @ rng.standard_normal((16, 3072)).T,
+        "gemm_field": rng.standard_normal((64, 17)) @ rng.standard_normal((17, 16)),
+        "tanh": np.tanh(x),
+        "exp": np.exp(x),
+        "log": np.log(np.abs(x)),
+    }
+    return {"numpy": np.__version__, **{name: _sha(r.tobytes()) for name, r in results.items()}}
 
 
 def _drop_column(text, name):

@@ -7,6 +7,8 @@ and sharing no code with the package:
   vector-Jacobian products;
 * a per-row classic RK4 loop that keeps every state and stage;
 * the per-row reverse recursion through that loop;
+* a per-row Dormand-Prince 5(4) loop with the step control that the
+  ``solvers`` docstring states;
 * a row-major softmax cross-entropy, one sample at a time.
 
 It also holds :class:`LinearField`, a closed-form field in the package's
@@ -79,6 +81,55 @@ def rk4_backprop(params, times, states, stages, d_hT):
             d_params += vjp_params(params, *inputs[j], c)
         g = g + v[0] + v[1] + v[2] + v[3]
     return g, d_params
+
+
+# the Dormand-Prince 5(4) pair: nodes, stage coefficients, 5th- and 4th-order weights
+DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def dopri5_solve(f, y0, t0, t1, rtol, atol):
+    """Per-row Dormand-Prince 5(4) solve of dy/dt = f(y, t) from t0 to t1;
+    returns (yT, n_accept, n_reject).
+
+    The first step is (t1 - t0) / 10 and a step is cut to end at t1. The
+    error of a step is y5 - y4, scaled per component by atol + rtol *
+    max(|y|, |y5|); the step is accepted when the RMS of the scaled error is
+    at most 1, and the next step is dt * clamp(0.9 * err**(-1/5), 0.2, 5),
+    or dt * 5 when err is 0.
+    """
+    y = np.asarray(y0, dtype=np.float64)
+    t, dt = t0, (t1 - t0) / 10
+    n_accept = n_reject = 0
+    while True:
+        last = (t + dt >= t1) if t1 > t0 else (t + dt <= t1)
+        if last:
+            dt = t1 - t
+        k = []
+        for c, a in zip(DP_C, DP_A):
+            k.append(f(y + dt * sum(aj * kj for aj, kj in zip(a, k)), t + c * dt))
+        y5 = y + dt * sum(b * kj for b, kj in zip(DP_B5, k))
+        y4 = y + dt * sum(b * kj for b, kj in zip(DP_B4, k))
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+        if err <= 1:
+            n_accept += 1
+            if last:
+                return y5, n_accept, n_reject
+            t, y = t + dt, y5
+        else:
+            n_reject += 1
+        dt *= min(max(0.9 * err ** -0.2, 0.2), 5.0) if err else 5.0
 
 
 def softmax_cross_entropy(logits, labels, eps):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nodehead.cli as cli
+import nodehead.errors as errors
 from conftest import make_cifar_blob, make_class_corpus
 from nodehead.cli import main, read_manifest
 from nodehead.data import Dataset, save_feature_file
@@ -300,6 +301,8 @@ class TestBadFlagsExitThroughTable:
         ("train", ["--lr", "nan"], 1, "lr must be"),
         ("train", ["--eps", "nan"], 1, "eps must be"),
         ("compare", ["--test-data", "other-dim.nodf"], 2, "other-dim.nodf"),
+        ("train", ["--data", "featureless.nodf"], 2, "featureless.nodf: header field d is 0"),
+        ("compare", ["--data", "featureless.nodf"], 2, "featureless.nodf: header field d is 0"),
         ("gradcheck", ["--d", "0"], 1, "d=0"),
         ("gradcheck", ["--classes", "0"], 1, "classes=0"),
         ("gradcheck", ["--fd-step", "0"], 1, "--fd-step"),
@@ -355,7 +358,8 @@ class TestBadFlagsExitThroughTable:
         ("sweep-tol", ["--mode", "eval", "--batch-size", "-3"], 1, "batch_size"),
         ("sweep-tol", ["--mode", "eval", "--val-fraction", "5"], 1, "val_fraction"),
     ], ids=["train-scale-negative", "train-scale-nan", "train-width-0", "train-rtol-nan",
-            "train-lr-nan", "train-eps-nan", "compare-test-data-dim", "gradcheck-d-0",
+            "train-lr-nan", "train-eps-nan", "compare-test-data-dim", "train-data-d-0",
+            "compare-data-d-0", "gradcheck-d-0",
             "gradcheck-classes-0", "gradcheck-fd-step-0", "gradcheck-fd-step-nan",
             "gradcheck-fd-step-inf", "gradcheck-fd-step-negative", "compare-window-1",
             "gradcheck-max-rel-nan", "gradcheck-max-rel-negative", "gradcheck-max-abs-nan",
@@ -378,6 +382,7 @@ class TestBadFlagsExitThroughTable:
         gen = np.random.default_rng(1)
         save_feature_file(Dataset(gen.standard_normal((20, 8)), gen.integers(0, 2, 20)),
                           tmp_path / "other-dim.nodf")
+        save_feature_file(Dataset(np.zeros((20, 0)), gen.integers(0, 2, 20)), tmp_path / "featureless.nodf")
         flags = [str(tmp_path / f) if f.endswith(".nodf") else f for f in flags]
         argv = {
             "train": ["train", "--head", "node", "--epochs", "1", "--width", "4",
@@ -394,6 +399,20 @@ class TestBadFlagsExitThroughTable:
         assert not (out / "seed0").exists()  # compare stops before any run starts
         if code == 1:
             assert not out.exists()  # a bad flag stops the command before its manifest is written
+
+
+def test_every_package_error_ends_in_an_exit_code():
+    """``nodehead.errors`` holds one class per non-zero exit code, and the
+    command runner turns each into its code: no package error can end a
+    command in a traceback."""
+    defined = [kind for kind in vars(errors).values()
+               if isinstance(kind, type) and kind.__module__ == errors.__name__]
+
+    def fail(args, kind):
+        raise kind("injected")
+
+    codes = {kind.__name__: cli._run(fail, argparse.Namespace(command="train"), kind) for kind in defined}
+    assert codes == {"ContractError": 1, "FormatError": 2, "NumericError": 3}
 
 
 class TestFlagDeclarations:
@@ -527,6 +546,17 @@ class TestPlotCommand:
         assert len(err) == 1 and err[0].startswith(f"nodehead plot: {csv}: line 2: column val_loss")
         assert not (out / "val_loss.svg").exists()
 
+    @pytest.mark.parametrize("pixels", ["random", "zero"])
+    def test_binary_csv_exits_two_naming_file(self, pixels, tmp_path, capsys):
+        # zero pixels decode as text, but 60 records make one CSV field longer
+        # than the csv module's field limit
+        data = tmp_path / "c.bin"
+        blank = np.zeros((60, 3072), dtype=np.uint8) if pixels == "zero" else None
+        data.write_bytes(make_cifar_blob(np.arange(60) % 10, blank))
+        assert main(["plot", "--csv", str(data), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"nodehead plot: {data}: not a text file")
+
     def test_unknown_column_exits_one_through_the_table(self, tmp_path, capsys):
         csv = tmp_path / "m.csv"
         csv.write_text("epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval\n"
@@ -626,6 +656,14 @@ class TestManifestContract:
         assert main(["rerun", str(m), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "bench" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_rerun_of_a_binary_file_exits_two_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "c.bin"
+        data.write_bytes(make_cifar_blob(np.arange(60) % 10))
+        assert main(["rerun", str(data), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"nodehead rerun: {data}: not a text file")
         assert not (tmp_path / "o").exists()
 
     def test_rerun_rejects_rerun_manifest(self, tmp_path):

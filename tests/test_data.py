@@ -18,7 +18,7 @@ from nodehead.data import (
     save_feature_file,
     split_train_val,
 )
-from nodehead.errors import ContractError, DataError, FormatError
+from nodehead.errors import ContractError, FormatError
 
 
 class TestCifarLoader:
@@ -57,7 +57,7 @@ class TestCifarLoader:
         blob = bytearray(make_cifar_blob([1, 2]))
         blob[3073] = 11  # second record's label byte
         path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="record 1"):
+        with pytest.raises(FormatError, match="record 1"):
             load_cifar10_bin(path)
 
     def test_official_batch_size_accepted(self, tmp_path):
@@ -239,7 +239,7 @@ class TestFeatureFile:
         blob = bytearray(path.read_bytes())
         blob[-2] = 12  # the label byte of record 2; 12 >= the 10 classes
         path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match=r"bad\.nodf: record 2 has label 12 outside \[0, 10\)"):
+        with pytest.raises(FormatError, match=r"bad\.nodf: record 2 has label 12 outside \[0, 10\)"):
             load_feature_file(path)
 
     def test_label_less_file_rejected(self, tmp_path):
@@ -251,14 +251,20 @@ class TestFeatureFile:
         blob = b"NODF" + struct.pack("<IIIB", 1, 2, 3, 0) + feats.tobytes()
         path = tmp_path / "nolabels.nodf"
         path.write_bytes(blob)
-        with pytest.raises(DataError, match=r"nolabels\.nodf: file has no labels"):
+        with pytest.raises(FormatError, match=r"nolabels\.nodf: file has no labels"):
+            load_feature_file(path)
+
+    def test_featureless_file_rejected(self, tmp_path):
+        path = tmp_path / "featureless.nodf"
+        save_feature_file(Dataset(np.zeros((4, 0)), np.array([0, 1, 2, 3])), path)
+        with pytest.raises(FormatError, match=r"featureless\.nodf: header field d is 0"):
             load_feature_file(path)
 
 
 class TestDataset:
     @pytest.mark.parametrize("labels, bad", [([0, 1, 2, 1], 2), ([0, -1, 1, 0], 1)])
     def test_labels_outside_class_count_rejected(self, labels, bad):
-        with pytest.raises(DataError, match=f"record {bad} has label {labels[bad]} outside"):
+        with pytest.raises(FormatError, match=f"record {bad} has label {labels[bad]} outside"):
             Dataset(np.zeros((4, 2)), np.array(labels), class_count=2)
 
 

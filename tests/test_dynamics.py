@@ -14,7 +14,7 @@ from nodehead.dynamics import (
     vjp_params,
     vjp_state,
 )
-from nodehead.errors import ShapeError
+from nodehead.errors import ContractError
 from nodehead.solvers import solve_fixed_batch
 
 
@@ -88,7 +88,7 @@ class TestEvalDynamics:
 
     def test_shape_mismatch(self):
         p = init_params(0, 3, 4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"batch shape \(1, 5\) does not match field dimension 3"):
             eval_dynamics(p, np.zeros(5), 0.0)
 
     def test_output_norm_bounded_by_tanh_saturation(self, rng):
@@ -233,9 +233,9 @@ class TestBatchWorkspace:
 
     def test_batch_shapes_checked(self, rng):
         p = init_params(0, 3, 4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"batch shape \(2, 4\) does not match field dimension 3"):
             eval_dynamics_batch(p, rng.standard_normal((2, 4)), 0.0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"batch shapes \(2, 3\) and \(3, 3\) inconsistent"):
             vjp_batch(p, rng.standard_normal((2, 3)), 0.0, rng.standard_normal((3, 3)))
 
 
@@ -255,11 +255,11 @@ class TestFlattenRoundTrip:
         np.testing.assert_array_equal(flat[18:], p.b2)
 
     def test_bad_length_raises(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"flat parameter vector has shape \(7,\), expected \(20,\)"):
             unflatten(np.zeros(7), 2, 3)
 
     def test_inconsistent_shapes_raise(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"w2 shape \(2, 3\) inconsistent with w1 \(3, 4\)"):
             DynamicsParams(
                 w1=np.zeros((3, 4)), b1=np.zeros(3), w2=np.zeros((2, 3)), b2=np.zeros(2)
             )  # w1 implies d=3 but w2 implies d=2

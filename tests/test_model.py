@@ -10,7 +10,7 @@ import reference as ref
 from nodehead.adjoint import backprop_rk4_batch
 from nodehead.data import Dataset
 from nodehead.dynamics import BatchWorkspace, init_params
-from nodehead.errors import ContractError, FormatError, ShapeError
+from nodehead.errors import ContractError, FormatError
 from nodehead.model import (
     EPS_LOG,
     Head,
@@ -47,7 +47,7 @@ class TestForwardBaseline:
 
     def test_shape_mismatch(self):
         head = init_baseline_head(0, 4, 2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"feature shape \(1, 5\) does not match head dimension 4"):
             forward(head, np.zeros((1, 5)))
 
 
@@ -326,9 +326,9 @@ class TestOneRoute:
 
     def test_batch_checks(self, rng):
         head = init_node_head(0, 3, 2, width=4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match="3 feature rows vs 2 labels"):
             evaluate(head, rng.standard_normal((3, 3)), [0, 1])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"feature shape \(2, 4\) does not match head dimension 3"):
             train_step(head, rng.standard_normal((2, 4)), [0, 1])
         with pytest.raises(ContractError):
             forward(head, np.zeros((0, 3)))
@@ -342,11 +342,11 @@ class TestHead:
         assert (node.d, node.classes, node.n_params) == (5, 3, 18 + node.dynamics.n_params)
 
     def test_inconsistent_shapes_rejected(self):
-        with pytest.raises(ShapeError, match="state dimension 4"):
+        with pytest.raises(ContractError, match="state dimension 4"):
             Head(np.zeros((2, 3)), np.zeros(2), init_params(0, 4, 5))
-        with pytest.raises(ShapeError, match="2-d"):
+        with pytest.raises(ContractError, match="2-d"):
             Head(np.zeros(3), np.zeros(3))
-        with pytest.raises(ShapeError, match="b_out"):
+        with pytest.raises(ContractError, match="b_out"):
             Head(np.zeros((2, 3)), np.zeros(3))
 
     @pytest.mark.parametrize("kind, byte, width", [("baseline", 0, 0), ("node", 1, 6)])
@@ -407,7 +407,7 @@ class TestFlatPacking:
 
     def test_wrong_length_rejected(self):
         head = init_baseline_head(0, 3, 2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"flat vector shape \(5,\), expected \(8,\)"):
             head_from_flat(head, np.zeros(5))
 
 

@@ -4,7 +4,7 @@ import pytest
 import reference as ref
 from nodehead import solvers
 from nodehead.dynamics import DynamicsParams, init_params
-from nodehead.errors import ContractError, NumericError, ShapeError, StepBudgetError
+from nodehead.errors import ContractError, NumericError
 from nodehead.solvers import (
     SolveStats,
     SolverConfig,
@@ -206,9 +206,9 @@ class TestBatchKernel:
 
     def test_batch_shape_checked(self, rng):
         p = init_params(0, 3, 4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"batch shape \(2, 4\) does not match field dimension 3"):
             solve_fixed_batch(p, rng.standard_normal((2, 4)), 0.0, 1.0, 3)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"batch shape \(3,\) does not match field dimension 3"):
             rk4_terminal_batch(p, rng.standard_normal(3), 0.0, 1.0, 3)
 
 
@@ -312,23 +312,24 @@ class TestSolveAdaptive:
 
     def test_step_budget_error_reports_progress(self):
         cfg = SolverConfig(max_steps=3)
-        with pytest.raises(StepBudgetError) as exc:
+        with pytest.raises(NumericError, match="step budget 3 exhausted at t=") as exc:
             integrate_adaptive(lambda h, t: 100 * np.cos(100 * t) * h, np.array([[1.0]]), 0.0, 10.0, cfg)
         assert exc.value.where is not None
         assert 0.0 <= exc.value.where < 10.0
 
     def test_non_finite_raises_numeric_error(self):
         stiff_blowup = lambda h, t: h * h * 1e4
-        with np.errstate(over="ignore"), pytest.raises((NumericError, StepBudgetError)):
+        blown = r"^(solver state became non-finite|step budget 200 exhausted) at t="
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=blown):
             integrate_adaptive(stiff_blowup, np.array([[10.0]]), 0.0, 5.0, SolverConfig(max_steps=200))
 
     def test_requires_a_batch_of_rows(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError, match=r"takes an \(n, m\) batch of rows, got shape \(1,\)"):
             integrate_adaptive(DECAY, np.array([1.0]), 0.0, 1.0, SolverConfig())
 
     def test_requires_distinct_endpoints(self):
-        with pytest.raises(ContractError):
-            integrate_adaptive(ZERO_FIELD, np.zeros(2), 0.5, 0.5, SolverConfig())
+        with pytest.raises(ContractError, match=r"requires t1 != t0"):
+            integrate_adaptive(ZERO_FIELD, np.zeros((1, 2)), 0.5, 0.5, SolverConfig())
 
     def test_stops_exactly_at_t1(self):
         seen = []
@@ -396,6 +397,25 @@ class TestPerRowStepControl:
         # the stiffer rows really do take more steps
         assert len({counts(s) for _, s in alone}) == 4
 
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6])
+    def test_each_row_steps_as_the_reference_controller(self, tol):
+        """Each row's accepted and rejected steps and its result, against the
+        per-row reference controller. On a decaying field |y5| < |y|, so the
+        error scale's max(|y|, |y5|) is |y|; a growing field would not tell
+        it from |y5|."""
+        y0 = np.array([[1.0, -2.0, lam] for lam in (0.5, 5.0, 40.0)])
+        cfg = SolverConfig(rtol=tol, atol=tol)
+        hT, stats = integrate_adaptive(rate_decay, y0, 0.0, 1.0, cfg)
+        expected = [ref.dopri5_solve(lambda y, t: rate_decay(y[None], t)[0], row, 0.0, 1.0, tol, tol)
+                     for row in y0]
+        for i, (yT, n_accept, n_reject) in enumerate(expected):
+            _, alone = integrate_adaptive(rate_decay, y0[i : i + 1], 0.0, 1.0, cfg)
+            assert (alone.n_accept, alone.n_reject) == (n_accept, n_reject)
+            # the reference takes the error as y5 - y4, which rounds unlike the
+            # package's error weights, so the step sizes differ in their last bits
+            np.testing.assert_allclose(hT[i], yT, rtol=1e-12, atol=1e-15)
+        assert (stats.n_accept, stats.n_reject) == tuple(np.sum([e[1:] for e in expected], axis=0))
+
     def test_step_budget_counts_per_trajectory(self):
         y0 = np.array([[1.0, 0.25], [1.0, 0.75]])
         cfg = SolverConfig(rtol=1e-6, atol=1e-6)
@@ -403,19 +423,21 @@ class TestPerRowStepControl:
         budget = max(s.n_accept + s.n_reject for s in alone)
         _, stats = integrate_adaptive(pulse, y0, 0.0, 1.0, SolverConfig(rtol=1e-6, atol=1e-6, max_steps=budget))
         assert counts(stats) == tuple(np.add(counts(alone[0]), counts(alone[1])))
-        with pytest.raises(StepBudgetError):
+        with pytest.raises(NumericError, match=f"step budget {budget - 1} exhausted"):
             integrate_adaptive(pulse, y0, 0.0, 1.0, SolverConfig(rtol=1e-6, atol=1e-6, max_steps=budget - 1))
 
-    @pytest.mark.parametrize("max_steps", [10_000, 30])
-    def test_a_diverging_row_is_named_by_its_own_time(self, max_steps):
+    @pytest.mark.parametrize("max_steps, failure", [
+        (10_000, "solver state became non-finite at t="), (30, "step budget 30 exhausted at t="),
+    ], ids=["10000", "30"])
+    def test_a_diverging_row_is_named_by_its_own_time(self, max_steps, failure):
         # x' = c x^2 blows up at t = 1 / (c x0) = 0.25 for the row with c = 4 only
         blowup = lambda h, t: np.concatenate([h[:, -1:] * h[:, :-1] ** 2, np.zeros_like(h[:, -1:])], axis=1)
         y0 = np.array([[1.0, 0.5], [1.0, 4.0], [0.5, 0.1]])
         cfg = SolverConfig(max_steps=max_steps)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises((NumericError, StepBudgetError)) as alone:
+            with pytest.raises(NumericError, match=failure) as alone:
                 integrate_adaptive(blowup, y0[1:2], 0.0, 1.0, cfg)
-            with pytest.raises(type(alone.value)) as batch:
+            with pytest.raises(NumericError, match=failure) as batch:
                 integrate_adaptive(blowup, y0, 0.0, 1.0, cfg)
         assert batch.value.where == alone.value.where
         assert 0.2 < batch.value.where < 0.3

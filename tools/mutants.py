@@ -73,6 +73,10 @@ EDITS = [
      "        M, m = self._hidden\n        z = self.z\n",
      "        M, m = self._hidden\n        self._vjp_buffers\n        z = self.z\n"),
     ("numeric-error-exits-2", "cli.py", "NumericError: EXIT_NUMERIC}", "NumericError: EXIT_DATA}"),
+    ("format-error-unmapped", "cli.py", "{FormatError: EXIT_DATA, OSError", "{OSError"),
+    ("metrics-csv-decode-error-escapes", "train.py",
+     "except (UnicodeDecodeError, csv.Error) as exc:", "except csv.Error as exc:"),
+    ("nodf-d-0-accepted", "data.py", "if d == 0:", "if d < 0:"),
     ("nodf-version-2", "data.py", "FEATURE_VERSION = 1", "FEATURE_VERSION = 2"),
     ("nodc-version-2", "model.py", "CHECKPOINT_VERSION = 1", "CHECKPOINT_VERSION = 2"),
 ]

@@ -192,6 +192,22 @@ def save_feature_file(dataset, path):
         fh.write(header + body + label_bytes)
 
 
+def read_header(path, magic, version, header):
+    """Check a NODF or NODC file's length, ``magic`` and ``version``, the first field of
+    ``header``; return its bytes, the header size and the header fields after the version."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    name, size = magic.decode(), 4 + header.size
+    if len(blob) < size:
+        raise FormatError(f"{path}: {len(blob)} bytes is shorter than the {size}-byte {name} header")
+    if blob[:4] != magic:
+        raise FormatError(f"{path}: bad magic {blob[:4]!r}, not a {name} file")
+    found, *fields = header.unpack_from(blob, 4)
+    if found != version:
+        raise FormatError(f"{path}: unsupported {name} version {found}, expected {version}")
+    return blob, size, fields
+
+
 def load_feature_file(path):
     """Read a NODF feature file; features are widened back to float64.
 
@@ -199,16 +215,7 @@ def load_feature_file(path):
     or with a label byte outside [0, class_count) raises
     :class:`FormatError` naming the file (and the first bad record).
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header_size = 4 + _FEATURE_HEADER.size
-    if len(blob) < header_size:
-        raise FormatError(f"{path}: shorter than the {header_size}-byte header")
-    if blob[:4] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {FEATURE_MAGIC!r}")
-    version, n, d, has_labels = _FEATURE_HEADER.unpack_from(blob, 4)
-    if version != FEATURE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    blob, header_size, (n, d, has_labels) = read_header(path, FEATURE_MAGIC, FEATURE_VERSION, _FEATURE_HEADER)
     if has_labels not in (0, 1):
         raise FormatError(f"{path}: has_labels byte must be 0 or 1, got {has_labels}")
     if d == 0:

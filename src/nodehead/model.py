@@ -59,6 +59,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adjoint import adjoint_solve, backprop_rk4_batch
+from .data import read_header
 from .dynamics import DynamicsParams, init_params, param_count, unflatten
 from .errors import ContractError, FormatError
 from .seeding import subseed
@@ -341,16 +342,8 @@ def load_checkpoint(path):
     Raises :class:`FormatError`, naming the file, for a header that
     describes no usable head: d or classes of 0, a node of width 0, or a
     baseline with a width."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header_size = 4 + _CHECKPOINT_HEADER.size
-    if len(blob) < header_size:
-        raise FormatError(f"{path}: checkpoint truncated: {len(blob)} bytes is shorter than the header")
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    version, kind, d, width, classes = _CHECKPOINT_HEADER.unpack_from(blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    blob, header_size, (kind, d, width, classes) = read_header(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _CHECKPOINT_HEADER)
     if kind not in (_KIND_BASELINE, _KIND_NODE):
         raise FormatError(f"{path}: unknown head kind {kind}")
     for field, value in (("d", d), ("classes", classes)):
@@ -360,11 +353,12 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: checkpoint header field width is 0 for a node head, expected >= 1")
     if kind == _KIND_BASELINE and width != 0:
         raise FormatError(f"{path}: checkpoint header field width is {width} for a baseline head, expected 0")
-    flat = np.frombuffer(blob[header_size:], dtype="<f8").astype(np.float64)
     # counted before anything sized by the header is allocated
     n_dynamics = param_count(d, width) if kind == _KIND_NODE else 0
     expected = n_dynamics + classes * d + classes
-    if flat.shape[0] != expected:
-        raise FormatError(f"{path}: checkpoint length mismatch: {flat.shape[0]} parameters, expected {expected}")
+    n_bytes = len(blob) - header_size
+    if n_bytes != 8 * expected:
+        raise FormatError(f"{path}: checkpoint length mismatch: {n_bytes / 8:.15g} parameters, expected {expected}")
+    flat = np.frombuffer(blob, dtype="<f8", offset=header_size).astype(np.float64)
     dynamics = unflatten(np.zeros(n_dynamics), d, width) if kind == _KIND_NODE else None
     return head_from_flat(Head(np.zeros((classes, d)), np.zeros(classes), dynamics), flat)

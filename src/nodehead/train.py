@@ -266,6 +266,12 @@ def write_metrics_csv(records, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _excerpt(text, limit=40):
+    """``repr(text)``, cut after ``limit`` characters with the cut marked by ``...``."""
+    quoted = repr(text)
+    return quoted if len(quoted) <= limit else quoted[:limit] + "..."
+
+
 def read_metrics_csv(path):
     """Parse a metrics CSV back into records, naming the line of any defect
     and the column of any cell that is not a finite number of its type.
@@ -278,7 +284,7 @@ def read_metrics_csv(path):
     if not rows:
         raise FormatError(f"{path}: empty metrics file")
     if tuple(rows[0]) != METRICS_HEADER:
-        raise FormatError(f"{path}: line 1: bad header {rows[0]!r}")
+        raise FormatError(f"{path}: line 1: bad header {_excerpt(','.join(rows[0]))}")
     if len(rows) == 1:
         raise FormatError(f"{path}: no records after the header")
     records = []
@@ -290,8 +296,9 @@ def read_metrics_csv(path):
             try:
                 values.append(f.type(cell))
             except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: column {f.name}: {exc}") from exc
+                raise FormatError(f"{path}: line {lineno}: column {f.name}: "
+                                  f"{_excerpt(cell)} is not a valid {f.type.__name__}") from exc
             if not math.isfinite(values[-1]):
-                raise FormatError(f"{path}: line {lineno}: column {f.name}: non-finite value {cell!r}")
+                raise FormatError(f"{path}: line {lineno}: column {f.name}: non-finite value {_excerpt(cell)}")
         records.append(MetricsRecord(*values))
     return records

@@ -303,6 +303,8 @@ class TestBadFlagsExitThroughTable:
         ("compare", ["--test-data", "other-dim.nodf"], 2, "other-dim.nodf"),
         ("train", ["--data", "featureless.nodf"], 2, "featureless.nodf: header field d is 0"),
         ("compare", ["--data", "featureless.nodf"], 2, "featureless.nodf: header field d is 0"),
+        ("train", ["--data", "short.nodf"], 2, "short.nodf: 5 bytes is shorter than the 17-byte NODF header"),
+        ("compare", ["--test-data", "v9.nodf"], 2, "v9.nodf: unsupported NODF version 9, expected 1"),
         ("gradcheck", ["--d", "0"], 1, "d=0"),
         ("gradcheck", ["--classes", "0"], 1, "classes=0"),
         ("gradcheck", ["--fd-step", "0"], 1, "--fd-step"),
@@ -359,7 +361,7 @@ class TestBadFlagsExitThroughTable:
         ("sweep-tol", ["--mode", "eval", "--val-fraction", "5"], 1, "val_fraction"),
     ], ids=["train-scale-negative", "train-scale-nan", "train-width-0", "train-rtol-nan",
             "train-lr-nan", "train-eps-nan", "compare-test-data-dim", "train-data-d-0",
-            "compare-data-d-0", "gradcheck-d-0",
+            "compare-data-d-0", "train-data-short-header", "compare-test-data-version-9", "gradcheck-d-0",
             "gradcheck-classes-0", "gradcheck-fd-step-0", "gradcheck-fd-step-nan",
             "gradcheck-fd-step-inf", "gradcheck-fd-step-negative", "compare-window-1",
             "gradcheck-max-rel-nan", "gradcheck-max-rel-negative", "gradcheck-max-abs-nan",
@@ -383,6 +385,10 @@ class TestBadFlagsExitThroughTable:
         save_feature_file(Dataset(gen.standard_normal((20, 8)), gen.integers(0, 2, 20)),
                           tmp_path / "other-dim.nodf")
         save_feature_file(Dataset(np.zeros((20, 0)), gen.integers(0, 2, 20)), tmp_path / "featureless.nodf")
+        (tmp_path / "short.nodf").write_bytes(b"NODF\x01")
+        v9 = bytearray(feature_file.read_bytes())
+        v9[4] = 9  # the version byte
+        (tmp_path / "v9.nodf").write_bytes(v9)
         flags = [str(tmp_path / f) if f.endswith(".nodf") else f for f in flags]
         argv = {
             "train": ["train", "--head", "node", "--epochs", "1", "--width", "4",
@@ -556,6 +562,23 @@ class TestPlotCommand:
         assert main(["plot", "--csv", str(data), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"nodehead plot: {data}: not a text file")
+
+    @pytest.mark.parametrize("content, where", [
+        (b"\0" * 100, "line 1: bad header "),
+        (b"x" * 5000, "line 1: bad header "),
+        (b"epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval\n1,%s,0.9,0.6,0.8,12.5,480\n"
+         % (b"x" * 3000), "line 2: column train_loss: "),
+        (b"epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval\n1,%s,0.9,0.6,0.8,12.5,480\n"
+         % (b"7" * 3000), "line 2: column train_loss: non-finite value "),
+    ], ids=["nul-bytes", "one-line-text", "long-cell", "long-overflowing-cell"])
+    def test_a_long_bad_row_or_cell_is_quoted_in_a_short_line(self, content, where, tmp_path, capsys):
+        csv = tmp_path / "m.csv"
+        csv.write_bytes(content)
+        assert main(["plot", "--csv", str(csv), "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        prefix = f"nodehead plot: {csv}: "
+        assert len(err) == 1 and err[0].startswith(prefix + where)
+        assert "..." in err[0] and len(err[0]) - len(prefix) < 120
 
     def test_unknown_column_exits_one_through_the_table(self, tmp_path, capsys):
         csv = tmp_path / "m.csv"

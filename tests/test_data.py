@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from nodehead.data import (
     split_train_val,
 )
 from nodehead.errors import ContractError, FormatError
+from nodehead.model import init_baseline_head, load_checkpoint, save_checkpoint
 
 
 class TestCifarLoader:
@@ -204,34 +206,6 @@ class TestFeatureFile:
         loaded = load_feature_file(path)
         assert len(loaded) == 0 and loaded.d == 16
 
-    def test_corrupted_magic(self, tmp_path, rng):
-        ds = Dataset(rng.standard_normal((2, 3)), np.array([0, 1]))
-        path = tmp_path / "c.nodf"
-        save_feature_file(ds, path)
-        blob = bytearray(path.read_bytes())
-        blob[0] = ord("X")
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="magic"):
-            load_feature_file(path)
-
-    def test_unsupported_version(self, tmp_path, rng):
-        ds = Dataset(rng.standard_normal((2, 3)), np.array([0, 1]))
-        path = tmp_path / "v.nodf"
-        save_feature_file(ds, path)
-        blob = bytearray(path.read_bytes())
-        blob[4] = 2
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="version"):
-            load_feature_file(path)
-
-    def test_length_mismatch(self, tmp_path, rng):
-        ds = Dataset(rng.standard_normal((2, 3)), np.array([0, 1]))
-        path = tmp_path / "l.nodf"
-        save_feature_file(ds, path)
-        path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(FormatError, match="length"):
-            load_feature_file(path)
-
     def test_label_outside_class_range_names_file_and_record(self, tmp_path, rng):
         ds = Dataset(rng.standard_normal((4, 3)), np.array([0, 1, 2, 3]))
         path = tmp_path / "bad.nodf"
@@ -259,6 +233,47 @@ class TestFeatureFile:
         save_feature_file(Dataset(np.zeros((4, 0)), np.array([0, 1, 2, 3])), path)
         with pytest.raises(FormatError, match=r"featureless\.nodf: header field d is 0"):
             load_feature_file(path)
+
+
+# (format, the one corrupted field, the message after "<path>: ")
+HEADER_DEFECTS = [
+    ("nodf", "short-header", "5 bytes is shorter than the 17-byte NODF header"),
+    ("nodc", "short-header", "5 bytes is shorter than the 21-byte NODC header"),
+    ("nodf", "magic", "bad magic b'XODF', not a NODF file"),
+    ("nodc", "magic", "bad magic b'XODC', not a NODC file"),
+    ("nodf", "version", "unsupported NODF version 9, expected 1"),
+    ("nodc", "version", "unsupported NODC version 9, expected 1"),
+    ("nodf", "short-payload", "length 42 does not match header fields (expected 43)"),
+    ("nodc", "short-payload", "checkpoint length mismatch: 5 parameters, expected 6"),
+    ("nodf", "stray-byte", "length 44 does not match header fields (expected 43)"),
+    ("nodc", "stray-byte", "checkpoint length mismatch: 6.125 parameters, expected 6"),
+]
+
+
+class TestHeaderCheck:
+    """NODF and NODC share one check of their length, magic and version; each
+    loader checks its own payload length. Each case corrupts one field of a
+    valid file and expects the whole message after the path."""
+
+    @pytest.mark.parametrize("fmt, defect, expected", HEADER_DEFECTS,
+                             ids=[f"{fmt}-{defect}" for fmt, defect, _ in HEADER_DEFECTS])
+    def test_a_defect_in_one_field_names_the_file(self, fmt, defect, expected, tmp_path):
+        path = tmp_path / f"f.{fmt}"
+        if fmt == "nodf":  # 2 rows of d = 3 and their labels: 17 + 24 + 2 bytes
+            save_feature_file(Dataset(np.zeros((2, 3)), np.array([0, 1])), path)
+        else:  # 6 float64 parameters after the 21-byte header
+            save_checkpoint(init_baseline_head(0, 2, 2), path)
+        blob = path.read_bytes()
+        last = 1 if fmt == "nodf" else 8  # the last stored value: a label byte or a parameter
+        path.write_bytes({
+            "short-header": blob[:5],
+            "magic": b"X" + blob[1:],
+            "version": blob[:4] + bytes([9]) + blob[5:],
+            "short-payload": blob[:-last],
+            "stray-byte": blob + b"\0",
+        }[defect])
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {expected}')}$"):
+            (load_feature_file if fmt == "nodf" else load_checkpoint)(path)
 
 
 class TestDataset:

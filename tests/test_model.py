@@ -428,37 +428,6 @@ class TestCheckpoints:
         save_checkpoint(loaded, tmp_path / "again.nodc")
         assert (tmp_path / "again.nodc").read_bytes() == path.read_bytes()
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.nodc"
-        path.write_bytes(b"XXXX" + bytes(40))
-        with pytest.raises(FormatError, match="magic"):
-            load_checkpoint(path)
-
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "short.nodc"
-        path.write_bytes(b"NODC\x01")
-        with pytest.raises(FormatError, match="truncated"):
-            load_checkpoint(path)
-
-    def test_bad_version(self, tmp_path):
-        head = init_baseline_head(0, 2, 2)
-        path = tmp_path / "v9.nodc"
-        save_checkpoint(head, path)
-        blob = bytearray(path.read_bytes())
-        blob[4] = 9
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="version"):
-            load_checkpoint(path)
-
-    def test_length_mismatch(self, tmp_path):
-        head = init_baseline_head(0, 2, 2)
-        path = tmp_path / "trunc.nodc"
-        save_checkpoint(head, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(FormatError, match="length"):
-            load_checkpoint(path)
-
-
     def test_node_length_mismatch_names_counts(self, tmp_path):
         head = init_node_head(0, 3, 2, width=4)
         path = tmp_path / "trunc.nodc"

@@ -78,6 +78,10 @@ EDITS = [
      "except (UnicodeDecodeError, csv.Error) as exc:", "except csv.Error as exc:"),
     ("nodf-d-0-accepted", "data.py", "if d == 0:", "if d < 0:"),
     ("nodf-version-2", "data.py", "FEATURE_VERSION = 1", "FEATURE_VERSION = 2"),
+    ("header-short-unchecked", "data.py", "if len(blob) < size:", "if False:"),
+    ("header-magic-unchecked", "data.py", "if blob[:4] != magic:", "if False:"),
+    ("header-version-unchecked", "data.py", "if found != version:", "if False:"),
+    ("metrics-csv-whole-header", "train.py", "bad header {_excerpt(','.join(rows[0]))}", "bad header {rows[0]!r}"),
     ("nodc-version-2", "model.py", "CHECKPOINT_VERSION = 1", "CHECKPOINT_VERSION = 2"),
 ]
 

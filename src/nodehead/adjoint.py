@@ -51,10 +51,6 @@ class GradientResult:
     stats: SolveStats | None = None
     retained_floats: int = 0
 
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.d_h0)) and np.all(np.isfinite(self.d_params))):
-            raise NumericError("gradient result contains non-finite entries")
-
 
 def backprop_rk4_batch(field, trajectory, d_hT_rows):
     """Exact reverse-mode differentiation of the RK4 recursion stored by ``solve_fixed_batch``.
@@ -107,7 +103,7 @@ def adjoint_solve(field, hT, d_hT, t0, t1, config):
     try:
         (y0,), stats = integrate_adaptive(aug_rhs, y1, t1, t0, config)
     except NumericError as exc:
-        raise type(exc)(f"adjoint backward pass failed: {exc}", where=exc.where) from exc
+        raise exc.prefixed("adjoint backward pass failed") from exc
     return GradientResult(
         d_h0=y0[d : 2 * d],
         d_params=y0[2 * d :],

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    CIFAR_PIXELS,
     FEATURE_MAGIC,
     FrozenExtractor,
     extract_features,
@@ -43,7 +44,7 @@ from .model import (
     train_step,
 )
 from .solvers import SolverConfig
-from .svgplot import plot_metrics_csv
+from .svgplot import plot_columns, plot_metrics_csv
 from .train import (
     AdamConfig,
     SgdConfig,
@@ -261,17 +262,21 @@ def _load_dataset(path, extractor, limit):
 
 
 def _check_data_flags(args):
-    """Reject a bad ``--limit`` or ``--extractor-seed`` before the run starts."""
+    """Reject a bad ``--limit``, ``--feature-dim`` or ``--extractor-seed`` before the run starts."""
     if args.limit < 0:
         raise ContractError(f"--limit must be >= 0 (0 = all rows), got {args.limit}")
+    if not 1 <= args.feature_dim <= CIFAR_PIXELS:
+        raise ContractError(f"--feature-dim must be in [1, {CIFAR_PIXELS}], got {args.feature_dim}")
     if args.extractor_seed < 0:
         raise ContractError(f"--extractor-seed must be >= 0, got {args.extractor_seed}")
 
 
 def _run(func, args, *rest):
-    """Run one command; an error of the exit-code contract becomes its exit code."""
+    """Run one command; an error of the exit-code contract becomes its exit code.
+    numpy's warnings are off: a check names where each non-finite result arose."""
     try:
-        return func(args, *rest)
+        with np.errstate(all="ignore"):
+            return func(args, *rest)
     except tuple(_EXIT_CODES) as exc:
         print(f"nodehead {args.command}: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
@@ -520,8 +525,8 @@ def cmd_sweep_tol(args):
 
 
 def cmd_plot(args):
+    columns = plot_columns(args.columns.split(",") if args.columns else None)
     out, manifest = _start_run(args)
-    columns = args.columns.split(",") if args.columns else None
     for path in plot_metrics_csv(args.csv, out, columns):
         print(path)
     finish_manifest(manifest)

@@ -27,3 +27,7 @@ class NumericError(ArithmeticError):
     def __init__(self, message, where=None):
         super().__init__(message)
         self.where = where
+
+    def prefixed(self, place):
+        """This failure again, of its own type and ``where``, its message prefixed by ``place``."""
+        return type(self)(f"{place}: {self}", where=self.where)

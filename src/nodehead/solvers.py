@@ -9,13 +9,14 @@ trajectory keeps as the workspace that wrote it:
 
 * :func:`solve_fixed_batch` - classic 4-stage RK4 on a uniform grid shared
   by the rows of an (n, d) batch, the routine training and evaluation run.
-  It owns the grid, the stage buffer, the input checks and the location of
-  a failure. The field at (h0, t0), evaluated once per solve with
+  It owns the grid, the stage buffer, the input checks and the one check
+  of the states: a non-finite terminal state makes it scan the grid states.
+  The field at (h0, t0), evaluated once per solve with
   :func:`~nodehead.dynamics.eval_dynamics_batch`, starts the workspace's
-  carry, and one ``rk4_solve`` call of the workspace runs every step,
-  checks the carry after each and writes all four stage records straight
-  into the trajectory, so the discrete recursion can be differentiated
-  exactly in reverse (memory grows with the step count), or, with
+  carry, and one ``rk4_solve`` call of the workspace runs every step and
+  writes all four stage records straight into the trajectory, so the
+  discrete recursion can be differentiated exactly in reverse (memory
+  grows with the step count), or, with
   ``keep_trajectory=False`` (:func:`rk4_terminal_batch`), keeps only the
   current step. For the two-layer field the carry is the first stage's
   pre-activation and a stage record its activation, so the trajectory
@@ -45,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import eval_dynamics_batch, require_finite, workspace
+from .dynamics import eval_dynamics_batch, workspace
 # looked up here by the benchmark's span tracer (perfbench/spans.py)
 from .dynamics import eval_dynamics  # noqa: F401
 from .errors import ContractError, NumericError
@@ -150,6 +151,12 @@ class Trajectory:
         return self.h0.size + self.stages.size
 
 
+def require_finite(y, t):
+    """Raise :class:`NumericError` at time ``t`` unless every entry of ``y`` is finite."""
+    if not np.all(np.isfinite(y)):
+        raise NumericError(f"solver state became non-finite at t={t}", where=t)
+
+
 def solve_fixed_batch(field, states0, t0, t1, n_steps, keep_trajectory=True):
     """Integrate the rows of ``states0`` (shape (n, d)) with ``n_steps`` uniform RK4 steps.
 
@@ -159,10 +166,10 @@ def solve_fixed_batch(field, states0, t0, t1, n_steps, keep_trajectory=True):
     The field at (h0, t0), evaluated with
     :func:`~nodehead.dynamics.eval_dynamics_batch`, starts the workspace's
     carry, and one ``rk4_solve`` call runs the steps, writing the four
-    stage records of each straight into the trajectory, checks the carry
-    after every step and returns the terminal state; the trajectory keeps
-    the workspace. A non-finite terminal state is located on the grid by
-    rebuilding the states, so the :class:`NumericError` names the first
+    stage records of each straight into the trajectory, and returns the
+    terminal state; the trajectory keeps the workspace. The one check after
+    ``h0`` follows: a non-finite terminal state makes this function scan the
+    grid states it rebuilds, so the :class:`NumericError` names the first
     grid time whose state is non-finite. With ``keep_trajectory=False``
     only the current step's stages are held and the trajectory is None.
     """

@@ -74,18 +74,22 @@ def line_chart(xs, ys, title="", x_label="", y_label=""):
     return "\n".join(parts) + "\n"
 
 
-def plot_metrics_csv(csv_path, out_dir, columns=None):
-    """One SVG per selected metric column (epoch on the x axis).
-
-    ``columns`` defaults to every non-epoch column in the metrics header.
-    Returns the written paths in column order.
-    """
-    records = read_metrics_csv(csv_path)
+def plot_columns(columns=None):
+    """``columns``, by default every non-epoch column in the metrics header;
+    a name that is not such a column raises :class:`ContractError`."""
     if columns is None:
-        columns = [c for c in METRICS_HEADER if c != "epoch"]
+        return [c for c in METRICS_HEADER if c != "epoch"]
     unknown = [c for c in columns if c not in METRICS_HEADER or c == "epoch"]
     if unknown:
         raise ContractError(f"cannot plot columns {unknown}; choose from {METRICS_HEADER[1:]}")
+    return columns
+
+
+def plot_metrics_csv(csv_path, out_dir, columns=None):
+    """One SVG per selected metric column (epoch on the x axis), the columns
+    chosen by :func:`plot_columns`. Returns the written paths in column order."""
+    records = read_metrics_csv(csv_path)
+    columns = plot_columns(columns)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     epochs = [r.epoch for r in records]

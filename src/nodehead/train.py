@@ -200,7 +200,7 @@ def train(head_kind, dataset, cfg):
                     head, train_ds.features[idx], train_ds.labels[idx], cfg.grad_method, cfg.solver
                 )
             except NumericError as exc:
-                raise _prefixed(f"at epoch {epoch}, batch {batch} of {n_batches}", exc) from exc
+                raise exc.prefixed(f"at epoch {epoch}, batch {batch} of {n_batches}") from exc
             if not (math.isfinite(loss) and np.isfinite(grads).all()):
                 what = "gradient" if math.isfinite(loss) else "loss"
                 raise NumericError(f"non-finite {what} at epoch {epoch}, batch {batch} of {n_batches}")
@@ -212,7 +212,7 @@ def train(head_kind, dataset, cfg):
         try:
             val_loss, val_acc, val_stats = evaluate(head, val_ds.features, val_ds.labels, cfg.solver)
         except NumericError as exc:
-            raise _prefixed(f"during validation at epoch {epoch}", exc) from exc
+            raise exc.prefixed(f"during validation at epoch {epoch}") from exc
         if not math.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at epoch {epoch}")
         n_feval += val_stats.n_feval
@@ -228,12 +228,6 @@ def train(head_kind, dataset, cfg):
             )
         )
     return head, records
-
-
-def _prefixed(place, exc):
-    """A solver failure ``exc`` again, of its own type and ``where``, its
-    message prefixed by ``place``."""
-    return type(exc)(f"{place}: {exc}", where=exc.where)
 
 
 def stability_stats(metrics, window):

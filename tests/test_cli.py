@@ -114,8 +114,8 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "o")]) == 2
         assert "nolabels.nodf: file has no labels" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    # a numeric failure ends in its one message line, with no numpy warning before it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_validation_loss_exits_three(self, feature_file, tmp_path, capsys):
         # one batch per epoch: the single Adam step at lr=1e308 puts the weights
         # near the float64 limit, so only the validation logits overflow
@@ -123,10 +123,10 @@ class TestTrainCommand:
                      "--batch-size", "128", "--data", str(feature_file),
                      "--out", str(tmp_path / "o")])
         assert code == 3
-        assert "non-finite validation loss at epoch 1" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "nodehead train: non-finite validation loss at epoch 1"]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_solver_failure_exits_three_naming_epoch_and_batch(self, feature_file, tmp_path,
                                                                capsys):
         # the first SGD step at lr=1e300 makes the field overflow in the second batch's solve
@@ -320,6 +320,9 @@ class TestBadFlagsExitThroughTable:
         ("compare", ["--limit", "-5"], 1, "--limit"),
         ("gradcheck", ["--seed", "-1"], 1, "--seed"),
         ("train", ["--extractor-seed", "-1"], 1, "--extractor-seed"),
+        ("train", ["--feature-dim", "0"], 1, "--feature-dim must be in [1, 3072], got 0"),
+        ("compare", ["--feature-dim", "5000"], 1, "--feature-dim must be in [1, 3072], got 5000"),
+        ("plot", ["--columns", "bogus"], 1, "bogus"),
         ("compare", ["--extractor-seed", "-1"], 1, "--extractor-seed"),
         ("sweep-tol", ["--extractor-seed", "-1"], 1, "--extractor-seed"),
         ("compare", ["--seeds", ""], 1, "--seeds"),
@@ -366,7 +369,8 @@ class TestBadFlagsExitThroughTable:
             "gradcheck-fd-step-inf", "gradcheck-fd-step-negative", "compare-window-1",
             "gradcheck-max-rel-nan", "gradcheck-max-rel-negative", "gradcheck-max-abs-nan",
             "gradcheck-max-abs-negative", "train-limit-negative", "compare-limit-negative",
-            "gradcheck-seed-negative", "train-extractor-seed-negative",
+            "gradcheck-seed-negative", "train-extractor-seed-negative", "train-feature-dim-0",
+            "compare-feature-dim-5000", "plot-unknown-column",
             "compare-extractor-seed-negative", "sweep-tol-extractor-seed-negative",
             "compare-seeds-empty", "compare-seeds-comma", "compare-seeds-repeated",
             "compare-seeds-repeated-apart", "sweep-tol-tols-empty", "sweep-tol-tols-inf",
@@ -389,6 +393,8 @@ class TestBadFlagsExitThroughTable:
         v9 = bytearray(feature_file.read_bytes())
         v9[4] = 9  # the version byte
         (tmp_path / "v9.nodf").write_bytes(v9)
+        (tmp_path / "metrics.csv").write_text("epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval\n"
+                                              "1,0.5,0.9,0.6,0.8,12.5,480\n")
         flags = [str(tmp_path / f) if f.endswith(".nodf") else f for f in flags]
         argv = {
             "train": ["train", "--head", "node", "--epochs", "1", "--width", "4",
@@ -397,6 +403,7 @@ class TestBadFlagsExitThroughTable:
                         "--data", str(feature_file)],
             "gradcheck": ["gradcheck"],
             "sweep-tol": ["sweep-tol", "--tols", "1e-3", "--width", "4", "--data", str(feature_file)],
+            "plot": ["plot", "--csv", str(tmp_path / "metrics.csv")],
         }[command]
         out = tmp_path / "out"
         assert main(argv + flags + ["--out", str(out)]) == code
@@ -579,14 +586,6 @@ class TestPlotCommand:
         prefix = f"nodehead plot: {csv}: "
         assert len(err) == 1 and err[0].startswith(prefix + where)
         assert "..." in err[0] and len(err[0]) - len(prefix) < 120
-
-    def test_unknown_column_exits_one_through_the_table(self, tmp_path, capsys):
-        csv = tmp_path / "m.csv"
-        csv.write_text("epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval\n"
-                       "1,0.5,0.9,0.6,0.8,12.5,480\n")
-        assert main(["plot", "--csv", str(csv), "--columns", "bogus", "--out", str(tmp_path / "p")]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("nodehead plot: ") and "bogus" in err[0]
 
     def test_all_columns_from_real_run(self, feature_file, tmp_path):
         out = tmp_path / "run"

@@ -175,6 +175,22 @@ class TestBatchKernel:
         assert exc.value.where == pytest.approx(2.0)
 
     @pytest.mark.parametrize("keep", [True, False])
+    def test_saturated_carry_with_finite_states_is_no_failure(self, keep):
+        # w1[0, 0] * 2 overflows the first pre-activation to inf, so the carry stays
+        # inf, yet its tanh is exactly 1 and every grid state is finite
+        d, width = 2, 3
+        w1 = np.zeros((width, d + 1))
+        w1[0, 0], w1[1, 1], w1[2, 2] = 1e308, 0.7, -0.4
+        p = DynamicsParams(w1, np.zeros(width), np.full((d, width), 0.5), np.array([0.1, -0.2]))
+        h0 = np.array([[2.0, 0.3]])
+        with np.errstate(over="ignore"):
+            hT, traj = solve_fixed_batch(p, h0, 0.0, 1.0, 4, keep_trajectory=keep)
+            hT_ref, _, states_ref, _ = ref.rk4_solve(lambda h, t: ref.field(p, h, t), h0[0], 0.0, 1.0, 4)
+        np.testing.assert_array_equal(hT[0], hT_ref)
+        if keep:
+            np.testing.assert_array_equal(traj.states[:, 0], states_ref)
+
+    @pytest.mark.parametrize("keep", [True, False])
     @pytest.mark.parametrize("where", ["h0", "w1"])
     def test_nan_input_raises_after_the_first_step(self, where, keep, rng):
         """A NaN weight shows after the first step, at t = 0.5; a NaN in h0 is
@@ -230,6 +246,13 @@ class TestNonFiniteInitialState:
         with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
             solve_fixed_batch(field, h0, 0.25, 1.25, n_steps, keep_trajectory=keep)
         assert exc.value.where == 0.25
+
+    def test_rk4_evaluates_no_field(self, rng):
+        # the scan of the grid states would name t0 too, but only after every step
+        field, h0 = self.field_and_h0("closed-form", np.nan, rng)
+        field.eval = lambda states, t: pytest.fail("the field was evaluated")
+        with pytest.raises(NumericError):
+            solve_fixed_batch(field, h0, 0.25, 1.25, 4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("kind", ["two-layer", "closed-form"])

@@ -41,6 +41,7 @@ TESTS = {
     "train.py": ["tests/test_train.py", "tests/test_cli.py"],
     "cli.py": ["tests/test_cli.py"],
     "data.py": ["tests/test_data.py", "tests/test_cli.py"],
+    "errors.py": ["tests/test_train.py", "tests/test_solvers.py"],
 }
 
 # (name, module, old, new): each a literal edit of one site in src/nodehead
@@ -54,6 +55,8 @@ EDITS = [
     ("rk4-grid-end-unpinned", "solvers.py", "    times[-1] = t1\n", ""),
     ("rk4-h0-unchecked", "solvers.py", "    require_finite(h0, t0)\n", ""),
     ("dopri5-y0-unchecked", "solvers.py", "    require_finite(y, t0)\n", ""),
+    ("grid-scan-skipped", "solvers.py", "if not np.all(np.isfinite(hT)):", "if False:"),
+    ("numeric-context-drops-where", "errors.py", "where=self.where)", "where=None)"),
     ("jump-as-mean", "train.py", "np.max(np.abs(np.diff(val_loss)))", "np.mean(np.abs(np.diff(val_loss)))"),
     ("eps-log-1e-11", "model.py", "EPS_LOG = 1e-12", "EPS_LOG = 1e-11"),
     ("rk4-weights-swapped", "dynamics.py",
@@ -74,6 +77,8 @@ EDITS = [
      "        M, m = self._hidden\n        self._vjp_buffers\n        z = self.z\n"),
     ("numeric-error-exits-2", "cli.py", "NumericError: EXIT_NUMERIC}", "NumericError: EXIT_DATA}"),
     ("format-error-unmapped", "cli.py", "{FormatError: EXIT_DATA, OSError", "{OSError"),
+    ("cli-fp-warnings-shown", "cli.py", 'np.errstate(all="ignore")', "np.errstate()"),
+    ("feature-dim-unchecked", "cli.py", "if not 1 <= args.feature_dim <= CIFAR_PIXELS:", "if False:"),
     ("metrics-csv-decode-error-escapes", "train.py",
      "except (UnicodeDecodeError, csv.Error) as exc:", "except csv.Error as exc:"),
     ("nodf-d-0-accepted", "data.py", "if d == 0:", "if d < 0:"),

@@ -51,6 +51,7 @@ from .train import (
     TrainConfig,
     read_metrics_csv,
     stability_stats,
+    stability_verdict,
     train,
     write_metrics_csv,
 )
@@ -305,10 +306,10 @@ def cmd_train(args, dataset=None):
     return EXIT_OK
 
 
-def _stability_csv(report, path, first_end_epoch):
+def _stability_csv(report, path):
     lines = ["window_end_epoch,rolling_std_val_loss,rolling_std_val_acc"]
     for i, (sl, sa) in enumerate(zip(report.rolling_std_val_loss, report.rolling_std_val_acc)):
-        lines.append(f"{first_end_epoch + i},{sl:.6g},{sa:.6g}")
+        lines.append(f"{report.window + i},{sl:.6g},{sa:.6g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -341,17 +342,15 @@ def cmd_compare(args):
             raise FormatError(f"{args.test_data}: feature dimension {test_ds.d}, but --data has {dataset.d}")
 
     rows = []
-    failures = []
+    reports = {}  # (seed, head) -> the run's StabilityReport, for runs that have one
     for seed in args.seeds:
         for head_kind in _HEADS:
             run_dir = out / f"seed{seed}" / head_kind
             run = argparse.Namespace(**{**run_flags, "head": head_kind, "seed": seed, "out": str(run_dir)})
             code = _run(cmd_train, run, dataset)
-            row = {"seed": seed, "head": head_kind, "flag": "ok"}
+            row = {"seed": seed, "head": head_kind, "flag": "ok" if code == EXIT_OK else f"failed-exit-{code}"}
+            rows.append(row)
             if code != EXIT_OK:
-                row["flag"] = f"failed-exit-{code}"
-                failures.append((seed, head_kind, code))
-                rows.append(row)
                 continue
             # the table reads the run's files back, so it holds the CSV's 6-digit values
             records = read_metrics_csv(run_dir / "metrics.csv")
@@ -365,18 +364,15 @@ def cmd_compare(args):
                 )
                 row["test_acc"] = test_acc
             if len(records) >= args.window:
-                report = stability_stats(records, args.window)
+                report = reports[seed, head_kind] = stability_stats(records, args.window)
                 row["mean_rolling_std_val_loss"] = report.mean_rolling_std_val_loss
                 row["max_epoch_jump"] = report.max_epoch_to_epoch_jump
-                _stability_csv(report, run_dir / "stability.csv", first_end_epoch=args.window)
+                _stability_csv(report, run_dir / "stability.csv")
             else:
                 row["flag"] = "insufficient-window"
-            rows.append(row)
 
-    # a seed is decided when both of its runs have a stability report
-    stds = {(r["seed"], r["head"]): r.get("mean_rolling_std_val_loss") for r in rows}
-    decided = [seed for seed in args.seeds if None not in (stds[seed, "baseline"], stds[seed, "node"])]
-    node_wins = sum(stds[seed, "node"] < stds[seed, "baseline"] for seed in decided)
+    decided, node_wins = stability_verdict(reports, args.seeds)
+    failed = sum(r["flag"].startswith("failed-exit-") for r in rows)
 
     def _cell(row, key, fmt="{:.6g}"):
         value = row.get(key, "")
@@ -405,14 +401,14 @@ def cmd_compare(args):
         if decided else
         "stability winner undecided: no seed produced a full rolling window for both heads"
     )
-    if failures:
-        verdict += f"; {len(failures)} run(s) failed"
+    if failed:
+        verdict += f"; {failed} run(s) failed"
     summary.append(verdict)
     text = "\n".join(summary) + "\n"
     (out / "summary.txt").write_text(text)
     print(text, end="")
     finish_manifest(manifest)
-    return EXIT_NUMERIC if failures else EXIT_OK
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 def _pairwise_deviation(a, b, max_abs, max_rel):

@@ -4,7 +4,9 @@ The loop is fully deterministic for a fixed config: head init, the
 train/val split, and every epoch's shuffle derive from the master seed
 through named sub-seeds. Per-epoch telemetry lands in
 :class:`MetricsRecord`; :func:`stability_stats` turns a metrics series into
-the rolling-variability numbers the head comparison is judged on.
+the rolling-variability numbers the head comparison is judged on, and
+:func:`stability_verdict` judges it: which seeds are decided, and in how
+many of them the NODE head wins.
 
 Metrics CSV layout (stable contract): a header naming the fields of
 :class:`MetricsRecord` in order, then one row per epoch, int fields as
@@ -248,6 +250,21 @@ def stability_stats(metrics, window):
         mean_rolling_std_val_loss=float(std_loss.mean()),
         max_epoch_to_epoch_jump=float(np.max(np.abs(np.diff(val_loss)))),
     )
+
+
+def stability_verdict(reports, seeds):
+    """The head comparison's verdict: (decided seeds, NODE-head wins).
+
+    ``reports`` maps (seed, head) to that run's :class:`StabilityReport`; a
+    run that failed or fell short of a window has no entry, or None. A seed
+    is decided when both its "baseline" and "node" runs have a report, and
+    the node head wins it when its mean rolling std of validation loss is
+    strictly lower, so a tie is no win. The decided seeds keep the order of
+    ``seeds``.
+    """
+    std = {key: report.mean_rolling_std_val_loss for key, report in reports.items() if report is not None}
+    decided = [seed for seed in seeds if (seed, "baseline") in std and (seed, "node") in std]
+    return decided, sum(std[seed, "node"] < std[seed, "baseline"] for seed in decided)
 
 
 def write_metrics_csv(records, path):

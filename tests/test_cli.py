@@ -208,6 +208,8 @@ class TestCompareCommand:
         assert stds[0] == stds[1] == 0.0
         assert (out / "seed1" / "baseline" / "stability.csv").exists()
         assert (out / "seed1" / "node" / "stability.csv").exists()
+        # equal stds: the tie is no node win
+        assert "in 0 of 1 decided seeds" in (out / "summary.txt").read_text()
 
     def test_emits_per_run_artifacts_and_test_accuracy(self, feature_file, tmp_path):
         out = tmp_path / "cmp2"
@@ -265,12 +267,13 @@ class TestCompareCommand:
         assert "bad.bin" in capsys.readouterr().err
         assert not (out / "seed0").exists()  # no run started
 
-    def test_failed_run_is_flagged_and_later_runs_still_execute(self, feature_file, tmp_path,
+    @pytest.mark.parametrize("failing", ["node", "baseline"])
+    def test_failed_run_is_flagged_and_later_runs_still_execute(self, failing, feature_file, tmp_path,
                                                                 monkeypatch, capsys):
         real_train = cli.train
 
         def train(head_kind, dataset, cfg):
-            if head_kind == "node" and cfg.seed == 0:
+            if head_kind == failing and cfg.seed == 0:
                 raise NumericError("injected failure")
             return real_train(head_kind, dataset, cfg)
 
@@ -283,11 +286,12 @@ class TestCompareCommand:
         assert "nodehead train: injected failure" in capsys.readouterr().err
         rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()[1:]]
         assert [(r[0], r[1], r[-1]) for r in rows] == [
-            ("0", "baseline", "ok"), ("0", "node", "failed-exit-3"),
-            ("1", "baseline", "ok"), ("1", "node", "ok"),
-        ]
+            ("0", head, "failed-exit-3" if head == failing else "ok") for head in ("baseline", "node")
+        ] + [("1", "baseline", "ok"), ("1", "node", "ok")]
         assert (out / "seed1" / "node" / "metrics.csv").exists()
-        assert "1 run(s) failed" in (out / "summary.txt").read_text()
+        # seed 0 is undecided; at seed 1 the node head's std is the higher one
+        summary = (out / "summary.txt").read_text()
+        assert "in 0 of 1 decided seeds; 1 run(s) failed" in summary
 
 
 class TestBadFlagsExitThroughTable:

@@ -16,6 +16,7 @@ from nodehead.train import (
     read_metrics_csv,
     sgd_update,
     stability_stats,
+    stability_verdict,
     train,
     write_metrics_csv,
 )
@@ -303,6 +304,48 @@ class TestStabilityStats:
             stability_stats(metrics, window=5)
         with pytest.raises(ContractError):
             stability_stats(metrics, window=1)
+
+
+def stability(losses):
+    """The window-2 report of a run whose validation losses are ``losses``."""
+    return stability_stats([record(i + 1, loss) for i, loss in enumerate(losses)], window=2)
+
+
+FLAT, WOBBLY = [0.5, 0.5, 0.5], [0.5, 0.7, 0.5]  # mean rolling std 0 and 0.1
+
+
+class TestStabilityVerdict:
+    def test_lower_node_std_wins(self):
+        reports = {(0, "baseline"): stability(WOBBLY), (0, "node"): stability(FLAT),
+                   (1, "baseline"): stability(FLAT), (1, "node"): stability(WOBBLY)}
+        assert stability_verdict(reports, [0, 1]) == ([0, 1], 1)
+
+    @pytest.mark.parametrize("losses", [FLAT, WOBBLY])
+    def test_tie_is_no_node_win(self, losses):
+        reports = {(0, "baseline"): stability(losses), (0, "node"): stability(losses)}
+        assert stability_verdict(reports, [0]) == ([0], 0)
+
+    @pytest.mark.parametrize("missing", ["baseline", "node"])
+    @pytest.mark.parametrize("absent", [True, False], ids=["no-entry", "none"])
+    def test_seed_missing_a_report_is_undecided(self, missing, absent):
+        # a failed run, or one short of a window, has no report
+        reports = {(seed, head): stability(WOBBLY if head == "baseline" else FLAT)
+                   for seed in (0, 1) for head in ("baseline", "node")}
+        if absent:
+            del reports[1, missing]
+        else:
+            reports[1, missing] = None
+        assert stability_verdict(reports, [0, 1]) == ([0], 1)
+
+    def test_decided_seeds_follow_the_seed_order(self):
+        reports = {(seed, head): stability(FLAT) for seed in (1, 2, 3) for head in ("baseline", "node")}
+        assert stability_verdict(reports, [3, 9, 1, 2]) == ([3, 1, 2], 0)
+
+    def test_no_full_window_anywhere_is_undecided(self):
+        runs = {(seed, head): [record(1, 0.5)] for seed in (0, 1) for head in ("baseline", "node")}
+        reports = {key: stability_stats(records, 2) for key, records in runs.items() if len(records) >= 2}
+        assert stability_verdict(reports, [0, 1]) == ([], 0)
+        assert stability_verdict(dict.fromkeys(runs), [0, 1]) == ([], 0)
 
 
 class TestMetricsCsv:

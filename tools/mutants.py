@@ -58,6 +58,12 @@ EDITS = [
     ("grid-scan-skipped", "solvers.py", "if not np.all(np.isfinite(hT)):", "if False:"),
     ("numeric-context-drops-where", "errors.py", "where=self.where)", "where=None)"),
     ("jump-as-mean", "train.py", "np.max(np.abs(np.diff(val_loss)))", "np.mean(np.abs(np.diff(val_loss)))"),
+    ("verdict-ties-count-for-node", "train.py",
+     'std[seed, "node"] < std[seed, "baseline"]', 'std[seed, "node"] <= std[seed, "baseline"]'),
+    ("verdict-decided-by-node-only", "train.py",
+     'if (seed, "baseline") in std and (seed, "node") in std]', 'if (seed, "node") in std]'),
+    ("verdict-inverted", "train.py",
+     'std[seed, "node"] < std[seed, "baseline"]', 'std[seed, "node"] > std[seed, "baseline"]'),
     ("eps-log-1e-11", "model.py", "EPS_LOG = 1e-12", "EPS_LOG = 1e-11"),
     ("rk4-weights-swapped", "dynamics.py",
      "RK4_B = np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6])", "RK4_B = np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3])"),

@@ -40,7 +40,6 @@ from .model import (
     init_node_head,
     load_checkpoint,
     save_checkpoint,
-    solver_config_for,
     train_step,
 )
 from .solvers import SolverConfig
@@ -61,11 +60,15 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# The exceptions a command may end with, and the exit code each one maps to.
+# The exceptions a command may end with, and the exit code each one maps to. An
+# allocation too large for the machine (say, a grid for a huge --n-steps) is the flags' fault.
 _EXIT_CODES = {FormatError: EXIT_DATA, OSError: EXIT_DATA, ContractError: EXIT_USAGE,
-               NumericError: EXIT_NUMERIC}
+               MemoryError: EXIT_USAGE, NumericError: EXIT_NUMERIC}
 
 _HEADS = ("baseline", "node")
+
+# the optimizer each --optimizer name trains with; its class defaults give an unset --lr
+_OPTIMIZERS = {"adam": AdamConfig, "sgd": SgdConfig}
 
 # comparison.csv's columns, in order; each of compare's rows is a dict keyed by them
 _COMPARISON_COLUMNS = ("seed", "head", "final_train_acc", "final_val_acc", "test_acc",
@@ -104,8 +107,9 @@ def write_manifest(path, args):
             continue
         key = name.replace("_", "-")
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-        if "\n" in text:
-            raise ContractError(f"manifest value for {key} contains a newline")
+        # read_manifest splits lines with str.splitlines, so no value may hold any of its breaks
+        if "".join(text.splitlines()) != text:
+            raise ContractError(f"manifest value for {key} contains a newline or other line break")
         lines.append(f"arg.{key}={text}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -192,13 +196,10 @@ def _add_max_steps_flag(p):
 
 
 def _add_optimizer_flags(p):
-    p.add_argument("--optimizer", choices=("auto", "adam", "sgd"), default="auto",
+    p.add_argument("--optimizer", choices=("auto", *_OPTIMIZERS), default="auto",
                    help="auto pairs adam with the discrete method and sgd with the adjoint")
-    p.add_argument("--lr", type=float, default=None, help="defaults to 1e-3 (adam) / 1e-2 (sgd)")
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--lr", type=float, default=None, help="defaults to " + " / ".join(
+        f"{cls.lr:g} ({name})" for name, cls in _OPTIMIZERS.items()))
 
 
 def _add_run_flags(p):
@@ -215,25 +216,19 @@ def _resolve_optimizer(args):
     if args.optimizer == "auto":
         args.optimizer = "sgd" if args.grad == "adjoint" else "adam"
     if args.lr is None:
-        args.lr = 1e-3 if args.optimizer == "adam" else 1e-2
+        args.lr = _OPTIMIZERS[args.optimizer].lr
 
 
-def _optimizer_config(args):
-    if args.optimizer == "adam":
-        return AdamConfig(lr=args.lr, beta1=args.beta1, beta2=args.beta2, eps=args.eps)
-    return SgdConfig(lr=args.lr, momentum=args.momentum)
-
-
-def _solver_config(args, grad_method):
-    config = SolverConfig(rtol=args.rtol, atol=args.atol, n_steps=args.n_steps, max_steps=args.max_steps)
-    return solver_config_for(grad_method, config)
-
-
-def _train_config(args, grad_method, optimizer, solver=None):
+def _train_config(args, grad_method, optimizer=None, solver=None):
+    """A run's TrainConfig: by default the resolved ``--optimizer`` at ``--lr`` and a
+    solver from the solver flags, whose method TrainConfig sets from ``grad_method``."""
+    if optimizer is None:
+        optimizer = _OPTIMIZERS[args.optimizer](lr=args.lr)
+    if solver is None:
+        solver = SolverConfig(rtol=args.rtol, atol=args.atol, n_steps=args.n_steps, max_steps=args.max_steps)
     return TrainConfig(
         optimizer=optimizer, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
-        grad_method=grad_method,
-        solver=_solver_config(args, grad_method) if solver is None else solver,
+        grad_method=grad_method, solver=solver,
         val_fraction=args.val_fraction, width=args.width, init_scale=args.scale,
     )
 
@@ -289,7 +284,7 @@ def _run(func, args, *rest):
 def cmd_train(args, dataset=None):
     """Train one head; ``dataset`` stands in for loading ``--data`` when given."""
     _resolve_optimizer(args)
-    config = _train_config(args, args.grad, _optimizer_config(args))
+    config = _train_config(args, args.grad)
     _check_data_flags(args)
     out, manifest = _start_run(args)
     if dataset is None:
@@ -329,8 +324,7 @@ def cmd_compare(args):
     shared = {name: getattr(args, name) for name in defaults if hasattr(args, name)}
     run_flags = {**defaults, **shared, "command": "train"}
     # the runs differ only in head and seed, so a bad configuration fails here, before any run
-    first = argparse.Namespace(**run_flags)
-    _train_config(first, args.grad, _optimizer_config(first))
+    config = _train_config(argparse.Namespace(**run_flags), args.grad)
     _check_data_flags(args)
     out, manifest = _start_run(args)
     extractor = _lazy_extractor(args)
@@ -359,9 +353,7 @@ def cmd_compare(args):
             row["total_wall_s"] = sum(r.wall_ms for r in records) / 1000.0
             if test_ds is not None:
                 head = load_checkpoint(run_dir / "head.nodc")
-                _, test_acc, _ = evaluate(
-                    head, test_ds.features, test_ds.labels, _solver_config(args, args.grad)
-                )
+                _, test_acc, _ = evaluate(head, test_ds.features, test_ds.labels, config.solver)
                 row["test_acc"] = test_acc
             if len(records) >= args.window:
                 report = reports[seed, head_kind] = stability_stats(records, args.window)
@@ -521,7 +513,9 @@ def cmd_sweep_tol(args):
 
 
 def cmd_plot(args):
-    columns = plot_columns(args.columns.split(",") if args.columns else None)
+    if args.columns == []:
+        raise ContractError("--columns must name at least one column")
+    columns = plot_columns(args.columns)
     out, manifest = _start_run(args)
     for path in plot_metrics_csv(args.csv, out, columns):
         print(path)
@@ -557,12 +551,14 @@ def cmd_rerun(args):
 # ---------------------------------------------------------------------------
 # parser wiring
 
-def _comma_ints(text):
-    return [int(x) for x in text.split(",") if x != ""]
+def _comma_list(kind):
+    """The argparse type of a comma-separated list of ``kind`` items; empty
+    items are dropped, and each command rejects an empty list itself."""
+    def parse(text):
+        return [kind(x) for x in text.split(",") if x != ""]
 
-
-def _comma_floats(text):
-    return [float(x) for x in text.split(",") if x != ""]
+    parse.__name__ = f"{kind.__name__} list"  # argparse names it in "invalid ... value"
+    return parse
 
 
 def build_parser():
@@ -578,7 +574,7 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare", help="baseline vs node across seeds with stability reports")
-    p.add_argument("--seeds", type=_comma_ints, required=True, help="comma-separated seed list")
+    p.add_argument("--seeds", type=_comma_list(int), required=True, help="comma-separated seed list")
     _add_train_flags(p, epochs=60, val_fraction=1 / 6)
     p.add_argument("--window", type=int, default=10)
     p.add_argument("--test-data", default=None)
@@ -599,7 +595,7 @@ def build_parser():
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("sweep-tol", help="tolerance vs cost/accuracy trade-off table")
-    p.add_argument("--tols", type=_comma_floats, required=True)
+    p.add_argument("--tols", type=_comma_list(float), required=True)
     p.add_argument("--mode", choices=("eval", "train"), default="eval")
     _add_train_flags(p, epochs=5, grad=False)
     _add_seed_flag(p)
@@ -610,7 +606,8 @@ def build_parser():
 
     p = sub.add_parser("plot", help="SVG charts from a metrics CSV")
     p.add_argument("--csv", required=True)
-    p.add_argument("--columns", default=None, help="comma-separated metric columns (default: all)")
+    p.add_argument("--columns", type=_comma_list(str), default=None,
+                   help="comma-separated metric columns (default: all)")
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("rerun", help="re-execute a recorded run into a new directory")

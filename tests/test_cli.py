@@ -29,6 +29,13 @@ def feature_file(tmp_path):
     return path
 
 
+# the line breaks besides "\n" at which str.splitlines, and so read_manifest, splits
+OTHER_LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+# a step count whose solve grid (8 bytes a step) exceeds a 128 TiB address space
+UNALLOCATABLE_N_STEPS = str(10**15)
+
+
 def mask_wall_ms(csv_text):
     """Metrics CSV with the wall-clock column blanked (the one timing field)."""
     rows = [line.split(",") for line in csv_text.strip().splitlines()]
@@ -62,6 +69,22 @@ class TestTrainCommand:
         assert args["optimizer"] == "sgd"  # adjoint pairing resolved into the manifest
         started = (out / "manifest.txt").read_text()
         assert "started_at=" in started and "finished_at=" in started
+
+    @pytest.mark.parametrize("grad, optimizer, lr", [("discrete", "adam", "0.001"), ("adjoint", "sgd", "0.01")])
+    def test_manifest_records_the_auto_optimizer_and_its_default_lr(self, grad, optimizer, lr, feature_file,
+                                                                    tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--head", "node", "--grad", grad, "--epochs", "1", "--width", "4",
+                     "--n-steps", "2", "--limit", "16", "--data", str(feature_file), "--out", str(out)]) == 0
+        _, args = read_manifest(out / "manifest.txt")
+        assert (args["optimizer"], args["lr"]) == (optimizer, lr)
+
+    def test_unallocatable_solve_exits_one_in_one_line(self, feature_file, tmp_path, capsys):
+        assert main(["train", "--head", "node", "--epochs", "1", "--width", "4",
+                     "--n-steps", UNALLOCATABLE_N_STEPS, "--data", str(feature_file),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("nodehead train: ")
 
     def test_same_flags_reproduce_csv(self, feature_file, tmp_path):
         argv = ["train", "--head", "node", "--epochs", "2", "--width", "4", "--n-steps", "4",
@@ -293,6 +316,19 @@ class TestCompareCommand:
         summary = (out / "summary.txt").read_text()
         assert "in 0 of 1 decided seeds; 1 run(s) failed" in summary
 
+    def test_unallocatable_run_is_flagged_and_the_others_finish(self, feature_file, tmp_path, capsys):
+        out = tmp_path / "cmp6"
+        assert main(["compare", "--seeds", "0,1", "--epochs", "2", "--window", "2", "--width", "4",
+                     "--n-steps", UNALLOCATABLE_N_STEPS, "--data", str(feature_file),
+                     "--out", str(out)]) == 3
+        rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[1], r[-1]) for r in rows] == [
+            (seed, head, "ok" if head == "baseline" else "failed-exit-1")
+            for seed in ("0", "1") for head in ("baseline", "node")
+        ]
+        assert "2 run(s) failed" in (out / "summary.txt").read_text()
+        assert capsys.readouterr().err.count("nodehead train: ") == 2
+
 
 class TestBadFlagsExitThroughTable:
     """A bad flag ends in its exit code and one message line naming it, not a traceback."""
@@ -303,7 +339,6 @@ class TestBadFlagsExitThroughTable:
         ("train", ["--width", "0"], 1, "width=0"),
         ("train", ["--grad", "adjoint", "--rtol", "nan"], 1, "rtol=nan"),
         ("train", ["--lr", "nan"], 1, "lr must be"),
-        ("train", ["--eps", "nan"], 1, "eps must be"),
         ("compare", ["--test-data", "other-dim.nodf"], 2, "other-dim.nodf"),
         ("train", ["--data", "featureless.nodf"], 2, "featureless.nodf: header field d is 0"),
         ("compare", ["--data", "featureless.nodf"], 2, "featureless.nodf: header field d is 0"),
@@ -339,9 +374,7 @@ class TestBadFlagsExitThroughTable:
         ("train", ["--grad", "adjoint", "--atol", "inf"], 1, "atol=inf"),
         ("train", ["--lr", "inf"], 1, "lr must be a finite number >= 0, got inf"),
         ("train", ["--optimizer", "sgd", "--lr", "inf"], 1, "lr must be a finite number >= 0, got inf"),
-        ("train", ["--eps", "inf"], 1, "eps must be a finite number > 0, got inf"),
         ("compare", ["--lr", "inf"], 1, "lr must be a finite number >= 0, got inf"),
-        ("compare", ["--eps", "inf"], 1, "eps must be a finite number > 0, got inf"),
         ("compare", ["--epochs", "0"], 1, "epochs"),
         ("compare", ["--batch-size", "0"], 1, "batch_size"),
         ("compare", ["--n-steps", "0"], 1, "n_steps"),
@@ -349,6 +382,9 @@ class TestBadFlagsExitThroughTable:
         ("compare", ["--width", "0"], 1, "width=0"),
         ("compare", ["--scale", "nan"], 1, "scale"),
         ("train", ["--data", "a\nb"], 1, "newline"),
+        *[("train", ["--data", f"a{brk}b"], 1, "newline") for brk in OTHER_LINE_BREAKS],
+        ("plot", ["--columns", ""], 1, "--columns"),
+        ("plot", ["--columns", ","], 1, "--columns"),
         ("gradcheck", ["--batch", "-1"], 1, "--batch"),
         ("gradcheck", ["--batch", "0"], 1, "--batch"),
         ("gradcheck", ["--fd-n-steps", "0"], 1, "--fd-n-steps"),
@@ -367,7 +403,7 @@ class TestBadFlagsExitThroughTable:
         ("sweep-tol", ["--mode", "eval", "--batch-size", "-3"], 1, "batch_size"),
         ("sweep-tol", ["--mode", "eval", "--val-fraction", "5"], 1, "val_fraction"),
     ], ids=["train-scale-negative", "train-scale-nan", "train-width-0", "train-rtol-nan",
-            "train-lr-nan", "train-eps-nan", "compare-test-data-dim", "train-data-d-0",
+            "train-lr-nan", "compare-test-data-dim", "train-data-d-0",
             "compare-data-d-0", "train-data-short-header", "compare-test-data-version-9", "gradcheck-d-0",
             "gradcheck-classes-0", "gradcheck-fd-step-0", "gradcheck-fd-step-nan",
             "gradcheck-fd-step-inf", "gradcheck-fd-step-negative", "compare-window-1",
@@ -379,9 +415,11 @@ class TestBadFlagsExitThroughTable:
             "compare-seeds-empty", "compare-seeds-comma", "compare-seeds-repeated",
             "compare-seeds-repeated-apart", "sweep-tol-tols-empty", "sweep-tol-tols-inf",
             "train-tolerances-inf", "train-atol-inf", "train-lr-inf", "train-sgd-lr-inf",
-            "train-eps-inf", "compare-lr-inf", "compare-eps-inf", "compare-epochs-0",
+            "compare-lr-inf", "compare-epochs-0",
             "compare-batch-size-0", "compare-n-steps-0", "compare-val-fraction-1.5",
-            "compare-width-0", "compare-scale-nan", "train-data-newline", "gradcheck-batch-negative",
+            "compare-width-0", "compare-scale-nan", "train-data-newline",
+            *[f"train-data-newline-{ord(brk):04x}" for brk in OTHER_LINE_BREAKS],
+            "plot-columns-empty", "plot-columns-comma", "gradcheck-batch-negative",
             "gradcheck-batch-0", "gradcheck-fd-n-steps-0", "gradcheck-width-0", "gradcheck-scale-nan",
             "gradcheck-n-steps-0", "gradcheck-rtol-nan", "gradcheck-atol-inf", "sweep-tol-width-0",
             "sweep-tol-scale-nan", "sweep-tol-train-epochs-0", "sweep-tol-train-batch-size-0",
@@ -430,6 +468,16 @@ def test_every_package_error_ends_in_an_exit_code():
 
     codes = {kind.__name__: cli._run(fail, argparse.Namespace(command="train"), kind) for kind in defined}
     assert codes == {"ContractError": 1, "FormatError": 2, "NumericError": 3}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["compare", "--seeds", "0,x", "--data", "d.nodf"], "--seeds"),
+    (["sweep-tol", "--tols", "1e-3,x", "--data", "d.nodf"], "--tols"),
+], ids=["seeds", "tols"])
+def test_an_unparsable_list_item_names_its_flag(argv, flag, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestFlagDeclarations:
@@ -591,6 +639,14 @@ class TestPlotCommand:
         assert len(err) == 1 and err[0].startswith(prefix + where)
         assert "..." in err[0] and len(err[0]) - len(prefix) < 120
 
+    def test_empty_column_items_are_dropped(self, tmp_path):
+        csv = tmp_path / "m.csv"
+        csv.write_text("epoch,train_loss,train_acc,val_loss,val_acc,wall_ms,n_feval\n"
+                       "1,0.5,0.9,0.6,0.8,12.5,480\n")
+        out = tmp_path / "plots"
+        assert main(["plot", "--csv", str(csv), "--columns", "val_loss,", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "val_loss.svg"]
+
     def test_all_columns_from_real_run(self, feature_file, tmp_path):
         out = tmp_path / "run"
         main(["train", "--head", "baseline", "--epochs", "3", "--data", str(feature_file),
@@ -667,6 +723,30 @@ class TestManifestContract:
         assert without_wall_ms(redo) == without_wall_ms(fresh)
         _, recorded = read_manifest(tmp_path / "redo" / "manifest.txt")
         assert "n-steps" not in recorded
+
+    def test_rerun_drops_the_optimizer_flags_train_no_longer_takes(self, feature_file, tmp_path, capsys):
+        # a train manifest from when the command still declared Adam's and SGD's settings
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "manifest.txt").write_text(
+            "command=train\ntoolkit_version=0.1.0\nstarted_at=2026-01-01T00:00:00.000000Z\n"
+            "arg.head=node\narg.grad=discrete\narg.epochs=2\narg.batch-size=64\narg.val-fraction=0.1\n"
+            f"arg.seed=0\narg.data={feature_file}\narg.feature-dim=64\narg.extractor-seed=0\n"
+            "arg.limit=0\narg.width=4\narg.scale=0.1\narg.rtol=1e-05\narg.atol=1e-05\narg.n-steps=4\n"
+            "arg.max-steps=100000\narg.optimizer=adam\narg.lr=0.001\narg.beta1=0.9\narg.beta2=0.999\n"
+            f"arg.eps=1e-08\narg.momentum=0.9\narg.out={old}\nfinished_at=2026-01-01T00:00:01.000000Z\n")
+        assert main(["train", "--head", "node", "--epochs", "2", "--width", "4", "--n-steps", "4",
+                     "--data", str(feature_file), "--out", str(tmp_path / "fresh")]) == 0
+        capsys.readouterr()
+        assert main(["rerun", str(old / "manifest.txt"), "--out", str(tmp_path / "redo")]) == 0
+        assert [line for line in capsys.readouterr().err.splitlines() if "dropping" in line] == [
+            f"nodehead rerun: dropping --{flag}, which train no longer takes"
+            for flag in ("beta1", "beta2", "eps", "momentum")
+        ]
+        redo, fresh = tmp_path / "redo", tmp_path / "fresh"
+        assert mask_wall_ms((redo / "metrics.csv").read_text()) == mask_wall_ms(
+            (fresh / "metrics.csv").read_text())
+        assert (redo / "head.nodc").read_bytes() == (fresh / "head.nodc").read_bytes()
 
     def test_rejected_manifest_creates_no_out_directory(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -70,6 +71,8 @@ class TestAdam:
             AdamConfig(beta1=1.0)
         with pytest.raises(ContractError):
             AdamConfig(eps=0.0)
+        with pytest.raises(ContractError, match="got inf"):
+            AdamConfig(eps=math.inf)  # it would freeze every parameter
         with pytest.raises(ContractError):
             AdamConfig(lr=-0.1)
 

@@ -85,6 +85,11 @@ EDITS = [
     ("format-error-unmapped", "cli.py", "{FormatError: EXIT_DATA, OSError", "{OSError"),
     ("cli-fp-warnings-shown", "cli.py", 'np.errstate(all="ignore")', "np.errstate()"),
     ("feature-dim-unchecked", "cli.py", "if not 1 <= args.feature_dim <= CIFAR_PIXELS:", "if False:"),
+    ("optimizer-table-swapped", "cli.py",
+     '_OPTIMIZERS = {"adam": AdamConfig, "sgd": SgdConfig}', '_OPTIMIZERS = {"adam": SgdConfig, "sgd": AdamConfig}'),
+    ("manifest-rejects-only-newline", "cli.py", 'if "".join(text.splitlines()) != text:', 'if "\\n" in text:'),
+    ("memory-error-unmapped", "cli.py", "MemoryError: EXIT_USAGE, ", ""),
+    ("empty-columns-accepted", "cli.py", "if args.columns == []:", "if False:"),
     ("metrics-csv-decode-error-escapes", "train.py",
      "except (UnicodeDecodeError, csv.Error) as exc:", "except csv.Error as exc:"),
     ("nodf-d-0-accepted", "data.py", "if d == 0:", "if d < 0:"),

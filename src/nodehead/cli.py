@@ -70,6 +70,12 @@ _HEADS = ("baseline", "node")
 # the optimizer each --optimizer name trains with; its class defaults give an unset --lr
 _OPTIMIZERS = {"adam": AdamConfig, "sgd": SgdConfig}
 
+# the last default of each flag a command no longer takes: rerun drops such a flag
+# only when a manifest recorded that value, since a run at it is the run without it
+_RETIRED_DEFAULTS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "momentum": 0.9, "max-steps": 100_000,
+                     "extractor-seed": 0, "mode": "eval", "n-steps": 16, "epochs": 5, "batch-size": 64,
+                     "val-fraction": 0.1}
+
 # comparison.csv's columns, in order; each of compare's rows is a dict keyed by them
 _COMPARISON_COLUMNS = ("seed", "head", "final_train_acc", "final_val_acc", "test_acc",
                        "mean_rolling_std_val_loss", "max_epoch_jump", "total_wall_s", "flag")
@@ -117,7 +123,16 @@ def write_manifest(path, args):
 
 
 def _start_run(args):
-    """Write the manifest, creating the ``--out`` directory; returns (out, manifest path)."""
+    """Reject an empty or repeated list flag, then write the manifest, creating
+    the ``--out`` directory; returns (out, manifest path)."""
+    for name, items in vars(args).items():
+        if isinstance(items, list):
+            flag = "--" + name.replace("_", "-")
+            if not items:
+                raise ContractError(f"{flag} must name at least one item")
+            repeated = next((x for i, x in enumerate(items) if x in items[:i]), None)
+            if repeated is not None:
+                raise ContractError(f"{flag} names {repeated} twice")
     out = Path(args.out)
     manifest = out / "manifest.txt"
     write_manifest(manifest, args)
@@ -165,9 +180,8 @@ def _add_seed_flag(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_train_flags(p, epochs, val_fraction=0.1, grad=True):
-    if grad:
-        p.add_argument("--grad", choices=("discrete", "adjoint"), default="discrete")
+def _add_train_flags(p, epochs, val_fraction=0.1):
+    p.add_argument("--grad", choices=("discrete", "adjoint"), default="discrete")
     p.add_argument("--epochs", type=int, default=epochs)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--val-fraction", type=float, default=val_fraction)
@@ -176,7 +190,6 @@ def _add_train_flags(p, epochs, val_fraction=0.1, grad=True):
 def _add_data_flags(p):
     p.add_argument("--data", required=True, help="NODF feature file or CIFAR-10 binary batch file")
     p.add_argument("--feature-dim", type=int, default=64, help="extractor output dimension for image input")
-    p.add_argument("--extractor-seed", type=int, default=0, help="seed of the frozen feature extractor")
     p.add_argument("--limit", type=int, default=0, help="keep only the first N rows (0 = all)")
 
 
@@ -191,10 +204,6 @@ def _add_solver_flags(p, tol=1e-5, n_steps=16):
     p.add_argument("--n-steps", type=int, default=n_steps, help="fixed-step count for the discrete method")
 
 
-def _add_max_steps_flag(p):
-    p.add_argument("--max-steps", type=int, default=100_000)
-
-
 def _add_optimizer_flags(p):
     p.add_argument("--optimizer", choices=("auto", *_OPTIMIZERS), default="auto",
                    help="auto pairs adam with the discrete method and sgd with the adjoint")
@@ -207,7 +216,6 @@ def _add_run_flags(p):
     _add_data_flags(p)
     _add_model_flags(p)
     _add_solver_flags(p)
-    _add_max_steps_flag(p)
     _add_optimizer_flags(p)
 
 
@@ -219,16 +227,13 @@ def _resolve_optimizer(args):
         args.lr = _OPTIMIZERS[args.optimizer].lr
 
 
-def _train_config(args, grad_method, optimizer=None, solver=None):
-    """A run's TrainConfig: by default the resolved ``--optimizer`` at ``--lr`` and a
-    solver from the solver flags, whose method TrainConfig sets from ``grad_method``."""
-    if optimizer is None:
-        optimizer = _OPTIMIZERS[args.optimizer](lr=args.lr)
-    if solver is None:
-        solver = SolverConfig(rtol=args.rtol, atol=args.atol, n_steps=args.n_steps, max_steps=args.max_steps)
+def _train_config(args):
+    """A run's TrainConfig: the resolved ``--optimizer`` at ``--lr``, and a solver
+    from the solver flags, whose method TrainConfig sets from ``--grad``."""
     return TrainConfig(
-        optimizer=optimizer, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
-        grad_method=grad_method, solver=solver,
+        optimizer=_OPTIMIZERS[args.optimizer](lr=args.lr), epochs=args.epochs, batch_size=args.batch_size,
+        seed=args.seed, grad_method=args.grad,
+        solver=SolverConfig(rtol=args.rtol, atol=args.atol, n_steps=args.n_steps),
         val_fraction=args.val_fraction, width=args.width, init_scale=args.scale,
     )
 
@@ -236,7 +241,7 @@ def _train_config(args, grad_method, optimizer=None, solver=None):
 def _lazy_extractor(args):
     """The command's frozen extractor, built on the first call and reused
     after it; a command whose inputs are all NODF files never builds one."""
-    return functools.cache(lambda: FrozenExtractor(args.extractor_seed, args.feature_dim))
+    return functools.cache(lambda: FrozenExtractor(0, args.feature_dim))
 
 
 def _load_dataset(path, extractor, limit):
@@ -258,13 +263,11 @@ def _load_dataset(path, extractor, limit):
 
 
 def _check_data_flags(args):
-    """Reject a bad ``--limit``, ``--feature-dim`` or ``--extractor-seed`` before the run starts."""
+    """Reject a bad ``--limit`` or ``--feature-dim`` before the run starts."""
     if args.limit < 0:
         raise ContractError(f"--limit must be >= 0 (0 = all rows), got {args.limit}")
     if not 1 <= args.feature_dim <= CIFAR_PIXELS:
         raise ContractError(f"--feature-dim must be in [1, {CIFAR_PIXELS}], got {args.feature_dim}")
-    if args.extractor_seed < 0:
-        raise ContractError(f"--extractor-seed must be >= 0, got {args.extractor_seed}")
 
 
 def _run(func, args, *rest):
@@ -284,7 +287,7 @@ def _run(func, args, *rest):
 def cmd_train(args, dataset=None):
     """Train one head; ``dataset`` stands in for loading ``--data`` when given."""
     _resolve_optimizer(args)
-    config = _train_config(args, args.grad)
+    config = _train_config(args)
     _check_data_flags(args)
     out, manifest = _start_run(args)
     if dataset is None:
@@ -312,11 +315,6 @@ def cmd_compare(args):
     # stability_stats would reject it too, but only after the first run had trained
     if args.window < 2:
         raise ContractError(f"--window must be >= 2, got {args.window}")
-    if not args.seeds:
-        raise ContractError("--seeds must name at least one seed")
-    repeated = next((seed for i, seed in enumerate(args.seeds) if seed in args.seeds[:i]), None)
-    if repeated is not None:
-        raise ContractError(f"--seeds names seed {repeated} twice; each seed's runs share one directory")
     _resolve_optimizer(args)
     # a run's flags: train's defaults, overridden by every flag compare shares with train
     defaults = {a.dest: a.default for a in _commands()["train"]._actions
@@ -324,7 +322,7 @@ def cmd_compare(args):
     shared = {name: getattr(args, name) for name in defaults if hasattr(args, name)}
     run_flags = {**defaults, **shared, "command": "train"}
     # the runs differ only in head and seed, so a bad configuration fails here, before any run
-    config = _train_config(argparse.Namespace(**run_flags), args.grad)
+    config = _train_config(argparse.Namespace(**run_flags))
     _check_data_flags(args)
     out, manifest = _start_run(args)
     extractor = _lazy_extractor(args)
@@ -480,31 +478,23 @@ def cmd_gradcheck(args):
 
 
 def cmd_sweep_tol(args):
-    if not args.tols:
-        raise ContractError("--tols must name at least one tolerance")
-    # every run's configuration, schedule flags included, is checked before the
-    # run starts, in both modes
-    configs = [_train_config(args, "adjoint", SgdConfig(),
-                             SolverConfig(method="dopri5", rtol=tol, atol=tol, max_steps=args.max_steps))
-               for tol in args.tols]
+    """Evaluate one seeded, untrained NODE head on every row of ``--data`` with
+    dopri5 at each tolerance; ``final_val_acc`` is its accuracy over those rows."""
+    # the head's settings, as train checks them, and each tolerance fail here, before the run starts
+    config = TrainConfig(seed=args.seed, width=args.width, init_scale=args.scale)
+    solvers = [SolverConfig(method="dopri5", rtol=tol, atol=tol) for tol in args.tols]
     _check_data_flags(args)
     out, manifest = _start_run(args)
     dataset = _load_dataset(args.data, _lazy_extractor(args), args.limit)
-    if args.mode == "eval":
-        head = init_node_head(args.seed, dataset.d, dataset.class_count, width=args.width, scale=args.scale)
+    head = init_node_head(config.seed, dataset.d, dataset.class_count,
+                          width=config.width, scale=config.init_scale)
 
     lines = ["rtol,atol,n_feval,final_val_acc,wall_ms"]
-    for tol, cfg in zip(args.tols, configs):
+    for tol, solver in zip(args.tols, solvers):
         tic = time.perf_counter()
-        if args.mode == "eval":
-            _, acc, stats = evaluate(head, dataset.features, dataset.labels, cfg.solver)
-            n_feval = stats.n_feval
-        else:
-            _, records = train("node", dataset, cfg)
-            acc = records[-1].val_acc
-            n_feval = sum(r.n_feval for r in records)
+        _, acc, stats = evaluate(head, dataset.features, dataset.labels, solver)
         wall_ms = (time.perf_counter() - tic) * 1000.0
-        lines.append(f"{tol:g},{tol:g},{n_feval},{acc:.6g},{wall_ms:.6g}")
+        lines.append(f"{tol:g},{tol:g},{stats.n_feval},{acc:.6g},{wall_ms:.6g}")
     table = "\n".join(lines) + "\n"
     (out / "sweep.csv").write_text(table)
     print(table, end="")
@@ -513,8 +503,6 @@ def cmd_sweep_tol(args):
 
 
 def cmd_plot(args):
-    if args.columns == []:
-        raise ContractError("--columns must name at least one column")
     columns = plot_columns(args.columns)
     out, manifest = _start_run(args)
     for path in plot_metrics_csv(args.csv, out, columns):
@@ -523,11 +511,21 @@ def cmd_plot(args):
     return EXIT_OK
 
 
+def _is_last_default(key, value):
+    """Whether a recorded ``value`` of the retired flag ``key`` is its last default."""
+    default = _RETIRED_DEFAULTS.get(key)
+    try:
+        return default is not None and type(default)(value) == default
+    except ValueError:
+        return False
+
+
 def cmd_rerun(args):
     """Re-execute a manifest's command into ``--out``.
 
-    A recorded flag that the command no longer declares is dropped, with a
-    note on stderr naming it.
+    A recorded flag that the command no longer takes is dropped, with a note
+    on stderr naming it, when the manifest holds its last default; any other
+    value would replay a different run, so the rerun is refused.
     """
     command, recorded = read_manifest(args.manifest)
     if command == "rerun":
@@ -536,16 +534,17 @@ def cmd_rerun(args):
     if command not in commands:
         raise ContractError(f"{args.manifest}: recorded command {command!r} no longer exists")
     declared = commands[command]._option_string_actions
-    argv = [command]
-    for key, value in recorded.items():
-        if key == "out":
-            continue
-        if f"--{key}" not in declared:
-            print(f"nodehead rerun: dropping --{key}, which {command} no longer takes", file=sys.stderr)
-            continue
-        argv += [f"--{key}", value]
-    argv += ["--out", args.out]
-    return main(argv)
+    recorded.pop("out", None)
+    retired = [key for key in recorded if f"--{key}" not in declared]
+    for key in retired:
+        if not _is_last_default(key, recorded[key]):
+            raise ContractError(f"{args.manifest}: cannot replay --{key}={recorded[key]}; {command} no longer "
+                                f"takes --{key}, and a rerun drops it only at its last default")
+    for key in retired:
+        print(f"nodehead rerun: dropping --{key}, which {command} no longer takes", file=sys.stderr)
+        del recorded[key]
+    # one --key=value item per flag, so a value that starts with "-" is not read as a flag
+    return main([command, *(f"--{key}={value}" for key, value in {**recorded, "out": args.out}.items())])
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +552,7 @@ def cmd_rerun(args):
 
 def _comma_list(kind):
     """The argparse type of a comma-separated list of ``kind`` items; empty
-    items are dropped, and each command rejects an empty list itself."""
+    items are dropped, and :func:`_start_run` rejects an empty or repeated list."""
     def parse(text):
         return [kind(x) for x in text.split(",") if x != ""]
 
@@ -596,12 +595,9 @@ def build_parser():
 
     p = sub.add_parser("sweep-tol", help="tolerance vs cost/accuracy trade-off table")
     p.add_argument("--tols", type=_comma_list(float), required=True)
-    p.add_argument("--mode", choices=("eval", "train"), default="eval")
-    _add_train_flags(p, epochs=5, grad=False)
     _add_seed_flag(p)
     _add_data_flags(p)
     _add_model_flags(p)
-    _add_max_steps_flag(p)
     p.set_defaults(func=cmd_sweep_tol)
 
     p = sub.add_parser("plot", help="SVG charts from a metrics CSV")

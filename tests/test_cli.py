@@ -185,20 +185,6 @@ class TestTrainCommand:
         assert head.d == 8 and head.classes == 10
 
 
-    @pytest.mark.parametrize("argv", [
-        ["train", "--head", "node", "--epochs", "1", "--width", "4"],
-        ["compare", "--seeds", "0", "--epochs", "1", "--width", "4"],
-    ], ids=["train", "compare"])
-    def test_negative_extractor_seed_on_cifar_input_exits_one(self, argv, tmp_path, capsys):
-        corpus = make_class_corpus(tmp_path / "imgs.bin", 20, seed=3, classes=10)
-        out = tmp_path / "run"
-        assert main(argv + ["--feature-dim", "8", "--extractor-seed", "-1", "--data", str(corpus),
-                            "--out", str(out)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "--extractor-seed" in err[0]
-        assert not (out / "metrics.csv").exists() and not (out / "seed0").exists()
-
-
 class TestCompareCommand:
     def test_single_seed_short_run_flags_insufficient_window(self, feature_file, tmp_path):
         out = tmp_path / "cmp"
@@ -358,17 +344,15 @@ class TestBadFlagsExitThroughTable:
         ("train", ["--limit", "-5"], 1, "--limit"),
         ("compare", ["--limit", "-5"], 1, "--limit"),
         ("gradcheck", ["--seed", "-1"], 1, "--seed"),
-        ("train", ["--extractor-seed", "-1"], 1, "--extractor-seed"),
         ("train", ["--feature-dim", "0"], 1, "--feature-dim must be in [1, 3072], got 0"),
         ("compare", ["--feature-dim", "5000"], 1, "--feature-dim must be in [1, 3072], got 5000"),
         ("plot", ["--columns", "bogus"], 1, "bogus"),
-        ("compare", ["--extractor-seed", "-1"], 1, "--extractor-seed"),
-        ("sweep-tol", ["--extractor-seed", "-1"], 1, "--extractor-seed"),
         ("compare", ["--seeds", ""], 1, "--seeds"),
         ("compare", ["--seeds", ","], 1, "--seeds"),
-        ("compare", ["--seeds", "0,0"], 1, "seed 0"),
-        ("compare", ["--seeds", "3,1,3"], 1, "seed 3"),
+        ("compare", ["--seeds", "0,0"], 1, "--seeds names 0 twice"),
+        ("compare", ["--seeds", "3,1,3"], 1, "--seeds names 3 twice"),
         ("sweep-tol", ["--tols", ""], 1, "--tols"),
+        ("sweep-tol", ["--tols", "1e-3,1e-5,0.001"], 1, "--tols names 0.001 twice"),
         ("sweep-tol", ["--tols", "1e-3,inf"], 1, "rtol=inf"),
         ("train", ["--grad", "adjoint", "--rtol", "inf", "--atol", "inf"], 1, "rtol=inf"),
         ("train", ["--grad", "adjoint", "--atol", "inf"], 1, "atol=inf"),
@@ -385,6 +369,7 @@ class TestBadFlagsExitThroughTable:
         *[("train", ["--data", f"a{brk}b"], 1, "newline") for brk in OTHER_LINE_BREAKS],
         ("plot", ["--columns", ""], 1, "--columns"),
         ("plot", ["--columns", ","], 1, "--columns"),
+        ("plot", ["--columns", "val_loss,val_loss"], 1, "--columns names val_loss twice"),
         ("gradcheck", ["--batch", "-1"], 1, "--batch"),
         ("gradcheck", ["--batch", "0"], 1, "--batch"),
         ("gradcheck", ["--fd-n-steps", "0"], 1, "--fd-n-steps"),
@@ -395,13 +380,7 @@ class TestBadFlagsExitThroughTable:
         ("gradcheck", ["--atol", "inf"], 1, "atol=inf"),
         ("sweep-tol", ["--width", "0"], 1, "width=0"),
         ("sweep-tol", ["--scale", "nan"], 1, "scale"),
-        ("sweep-tol", ["--mode", "train", "--epochs", "0"], 1, "epochs"),
-        ("sweep-tol", ["--mode", "train", "--batch-size", "0"], 1, "batch_size"),
-        ("sweep-tol", ["--mode", "train", "--val-fraction", "1.5"], 1, "val_fraction"),
         ("sweep-tol", ["--limit", "-5"], 1, "--limit"),
-        ("sweep-tol", ["--mode", "eval", "--epochs", "0"], 1, "epochs"),
-        ("sweep-tol", ["--mode", "eval", "--batch-size", "-3"], 1, "batch_size"),
-        ("sweep-tol", ["--mode", "eval", "--val-fraction", "5"], 1, "val_fraction"),
     ], ids=["train-scale-negative", "train-scale-nan", "train-width-0", "train-rtol-nan",
             "train-lr-nan", "compare-test-data-dim", "train-data-d-0",
             "compare-data-d-0", "train-data-short-header", "compare-test-data-version-9", "gradcheck-d-0",
@@ -409,22 +388,19 @@ class TestBadFlagsExitThroughTable:
             "gradcheck-fd-step-inf", "gradcheck-fd-step-negative", "compare-window-1",
             "gradcheck-max-rel-nan", "gradcheck-max-rel-negative", "gradcheck-max-abs-nan",
             "gradcheck-max-abs-negative", "train-limit-negative", "compare-limit-negative",
-            "gradcheck-seed-negative", "train-extractor-seed-negative", "train-feature-dim-0",
-            "compare-feature-dim-5000", "plot-unknown-column",
-            "compare-extractor-seed-negative", "sweep-tol-extractor-seed-negative",
-            "compare-seeds-empty", "compare-seeds-comma", "compare-seeds-repeated",
-            "compare-seeds-repeated-apart", "sweep-tol-tols-empty", "sweep-tol-tols-inf",
+            "gradcheck-seed-negative", "train-feature-dim-0", "compare-feature-dim-5000",
+            "plot-unknown-column", "compare-seeds-empty", "compare-seeds-comma", "compare-seeds-repeated",
+            "compare-seeds-repeated-apart", "sweep-tol-tols-empty", "sweep-tol-tols-repeated",
+            "sweep-tol-tols-inf",
             "train-tolerances-inf", "train-atol-inf", "train-lr-inf", "train-sgd-lr-inf",
             "compare-lr-inf", "compare-epochs-0",
             "compare-batch-size-0", "compare-n-steps-0", "compare-val-fraction-1.5",
             "compare-width-0", "compare-scale-nan", "train-data-newline",
             *[f"train-data-newline-{ord(brk):04x}" for brk in OTHER_LINE_BREAKS],
-            "plot-columns-empty", "plot-columns-comma", "gradcheck-batch-negative",
+            "plot-columns-empty", "plot-columns-comma", "plot-columns-repeated", "gradcheck-batch-negative",
             "gradcheck-batch-0", "gradcheck-fd-n-steps-0", "gradcheck-width-0", "gradcheck-scale-nan",
             "gradcheck-n-steps-0", "gradcheck-rtol-nan", "gradcheck-atol-inf", "sweep-tol-width-0",
-            "sweep-tol-scale-nan", "sweep-tol-train-epochs-0", "sweep-tol-train-batch-size-0",
-            "sweep-tol-train-val-fraction-1.5", "sweep-tol-limit-negative", "sweep-tol-eval-epochs-0",
-            "sweep-tol-eval-batch-size-negative", "sweep-tol-eval-val-fraction-5"])
+            "sweep-tol-scale-nan", "sweep-tol-limit-negative"])
     def test_exit_code_and_one_line(self, command, flags, code, named, feature_file, tmp_path,
                                     capsys):
         gen = np.random.default_rng(1)
@@ -512,7 +488,17 @@ class TestFlagDeclarations:
         assert (args.d, args.width, args.scale, args.seed, args.classes, args.batch) == (4, 8, 0.5, 0, 3, 3)
         assert (args.rtol, args.atol, args.n_steps) == (1e-8, 1e-8, 500)
         assert (args.fd_n_steps, args.fd_step, args.max_rel, args.max_abs) == (100, 1e-5, 1e-3, 1e-6)
-        assert "--max-steps" not in self.subcommands()["gradcheck"]._option_string_actions
+
+    @pytest.mark.parametrize("command, retired", [
+        ("gradcheck", ["--max-steps"]),
+        ("train", ["--max-steps", "--extractor-seed", "--beta1", "--beta2", "--eps", "--momentum"]),
+        ("compare", ["--max-steps", "--extractor-seed", "--beta1", "--beta2", "--eps", "--momentum"]),
+        ("sweep-tol", ["--max-steps", "--extractor-seed", "--mode", "--n-steps", "--epochs", "--batch-size",
+                       "--val-fraction", "--grad"]),
+    ], ids=["gradcheck", "train", "compare", "sweep-tol"])
+    def test_a_retired_flag_is_not_declared(self, command, retired):
+        declared = self.subcommands()[command]._option_string_actions
+        assert [flag for flag in retired if flag in declared] == []
 
 
 class TestGradcheckCommand:
@@ -741,12 +727,39 @@ class TestManifestContract:
         assert main(["rerun", str(old / "manifest.txt"), "--out", str(tmp_path / "redo")]) == 0
         assert [line for line in capsys.readouterr().err.splitlines() if "dropping" in line] == [
             f"nodehead rerun: dropping --{flag}, which train no longer takes"
-            for flag in ("beta1", "beta2", "eps", "momentum")
+            for flag in ("extractor-seed", "max-steps", "beta1", "beta2", "eps", "momentum")
         ]
         redo, fresh = tmp_path / "redo", tmp_path / "fresh"
         assert mask_wall_ms((redo / "metrics.csv").read_text()) == mask_wall_ms(
             (fresh / "metrics.csv").read_text())
         assert (redo / "head.nodc").read_bytes() == (fresh / "head.nodc").read_bytes()
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("sweep-tol", "arg.tols=0.001\narg.mode=train\narg.epochs=5\n", "--mode=train"),
+        ("train", "arg.head=node\narg.epochs=1\narg.beta1=0.5\n", "--beta1=0.5"),
+        ("train", "arg.head=node\narg.epochs=1\narg.fd-step=1e-05\n", "--fd-step=1e-05"),
+    ], ids=["sweep-tol-mode-train", "train-beta1", "train-flag-with-no-last-default"])
+    def test_rerun_refuses_a_retired_flag_off_its_last_default(self, command, flags, named, feature_file,
+                                                              tmp_path, capsys):
+        # dropping such a flag would replay another run than the one recorded
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"command={command}\ntoolkit_version=0.1.0\n{flags}arg.width=4\n"
+                            f"arg.data={feature_file}\narg.out={tmp_path / 'old'}\n")
+        out = tmp_path / "redo"
+        assert main(["rerun", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("nodehead rerun: ") and named in err[0]
+        assert not out.exists()
+
+    def test_rerun_replays_values_that_start_with_a_dash(self, feature_file, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("-feats.nodf").write_bytes(feature_file.read_bytes())
+        assert main(["train", "--head", "node", "--epochs", "2", "--width", "4", "--n-steps", "4",
+                     "--data=-feats.nodf", "--out=-orig"]) == 0
+        assert main(["rerun", str(tmp_path / "-orig" / "manifest.txt"), "--out=-redo"]) == 0
+        orig, redo = Path("-orig"), Path("-redo")
+        assert mask_wall_ms((orig / "metrics.csv").read_text()) == mask_wall_ms((redo / "metrics.csv").read_text())
+        assert (orig / "head.nodc").read_bytes() == (redo / "head.nodc").read_bytes()
 
     def test_rejected_manifest_creates_no_out_directory(self, tmp_path, capsys):
         out = tmp_path / "run"

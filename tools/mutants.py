@@ -89,7 +89,12 @@ EDITS = [
      '_OPTIMIZERS = {"adam": AdamConfig, "sgd": SgdConfig}', '_OPTIMIZERS = {"adam": SgdConfig, "sgd": AdamConfig}'),
     ("manifest-rejects-only-newline", "cli.py", 'if "".join(text.splitlines()) != text:', 'if "\\n" in text:'),
     ("memory-error-unmapped", "cli.py", "MemoryError: EXIT_USAGE, ", ""),
-    ("empty-columns-accepted", "cli.py", "if args.columns == []:", "if False:"),
+    ("empty-list-accepted", "cli.py", "if not items:", "if False:"),
+    ("repeated-list-item-accepted", "cli.py", "if repeated is not None:", "if False:"),
+    ("rerun-drops-any-retired-value", "cli.py", "type(default)(value) == default", "True"),
+    ("rerun-splits-key-and-value", "cli.py",
+     'f"--{key}={value}" for key, value in {**recorded, "out": args.out}.items()',
+     'item for key, value in {**recorded, "out": args.out}.items() for item in (f"--{key}", value)'),
     ("metrics-csv-decode-error-escapes", "train.py",
      "except (UnicodeDecodeError, csv.Error) as exc:", "except csv.Error as exc:"),
     ("nodf-d-0-accepted", "data.py", "if d == 0:", "if d < 0:"),

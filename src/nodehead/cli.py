@@ -45,10 +45,15 @@ from .model import (
 from .solvers import SolverConfig
 from .svgplot import plot_columns, plot_metrics_csv
 from .train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    SGD_MOMENTUM,
     AdamConfig,
     SgdConfig,
     TrainConfig,
     read_metrics_csv,
+    require_fits,
     stability_stats,
     stability_verdict,
     train,
@@ -60,8 +65,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# The exceptions a command may end with, and the exit code each one maps to. An
-# allocation too large for the machine (say, a grid for a huge --n-steps) is the flags' fault.
+# The exceptions a command may end with, and the exit code each one maps to. An allocation
+# too large for the machine that no size check foresaw (say, a wide head on a huge dataset)
+# is the flags' fault.
 _EXIT_CODES = {FormatError: EXIT_DATA, OSError: EXIT_DATA, ContractError: EXIT_USAGE,
                MemoryError: EXIT_USAGE, NumericError: EXIT_NUMERIC}
 
@@ -70,11 +76,15 @@ _HEADS = ("baseline", "node")
 # the optimizer each --optimizer name trains with; its class defaults give an unset --lr
 _OPTIMIZERS = {"adam": AdamConfig, "sgd": SgdConfig}
 
-# the last default of each flag a command no longer takes: rerun drops such a flag
-# only when a manifest recorded that value, since a run at it is the run without it
-_RETIRED_DEFAULTS = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "momentum": 0.9, "max-steps": 100_000,
-                     "extractor-seed": 0, "mode": "eval", "n-steps": 16, "epochs": 5, "batch-size": 64,
-                     "val-fraction": 0.1}
+# the seed of the frozen extractor that image input goes through
+_EXTRACTOR_SEED = 0
+
+# the value each flag a command no longer takes now has in the code, or its last default:
+# rerun drops such a flag only when a manifest recorded that value, since a run at it is
+# the run without it
+_RETIRED_DEFAULTS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS, "momentum": SGD_MOMENTUM,
+                     "max-steps": SolverConfig.max_steps, "extractor-seed": _EXTRACTOR_SEED, "mode": "eval",
+                     "n-steps": 16, "epochs": 5, "batch-size": 64, "val-fraction": 0.1}
 
 # comparison.csv's columns, in order; each of compare's rows is a dict keyed by them
 _COMPARISON_COLUMNS = ("seed", "head", "final_train_acc", "final_val_acc", "test_acc",
@@ -241,7 +251,7 @@ def _train_config(args):
 def _lazy_extractor(args):
     """The command's frozen extractor, built on the first call and reused
     after it; a command whose inputs are all NODF files never builds one."""
-    return functools.cache(lambda: FrozenExtractor(0, args.feature_dim))
+    return functools.cache(lambda: FrozenExtractor(_EXTRACTOR_SEED, args.feature_dim))
 
 
 def _load_dataset(path, extractor, limit):
@@ -445,6 +455,12 @@ def cmd_gradcheck(args):
     for flag, count in (("--batch", args.batch), ("--fd-n-steps", args.fd_n_steps)):
         if count < 1:
             raise ContractError(f"{flag} must be >= 1, got {count}")
+    require_fits([
+        (f"--batch={args.batch} and --d={args.d}", args.batch * args.d),
+        (f"--n-steps={args.n_steps}, --batch={args.batch} and --width={args.width}",
+         4 * args.n_steps * args.batch * args.width),
+        (f"--fd-n-steps={args.fd_n_steps}", args.fd_n_steps + 1),
+    ])
     head = init_node_head(args.seed, args.d, args.classes, width=args.width, scale=args.scale)
     cfg = SolverConfig(rtol=args.rtol, atol=args.atol, n_steps=args.n_steps)
     out, manifest = _start_run(args)
@@ -480,8 +496,9 @@ def cmd_gradcheck(args):
 def cmd_sweep_tol(args):
     """Evaluate one seeded, untrained NODE head on every row of ``--data`` with
     dopri5 at each tolerance; ``final_val_acc`` is its accuracy over those rows."""
-    # the head's settings, as train checks them, and each tolerance fail here, before the run starts
-    config = TrainConfig(seed=args.seed, width=args.width, init_scale=args.scale)
+    # the head's settings, as train checks them, and each tolerance fail here, before the run starts;
+    # the adjoint's method is the sweep's dopri5, so no step grid is sized
+    config = TrainConfig(seed=args.seed, grad_method="adjoint", width=args.width, init_scale=args.scale)
     solvers = [SolverConfig(method="dopri5", rtol=tol, atol=tol) for tol in args.tols]
     _check_data_flags(args)
     out, manifest = _start_run(args)

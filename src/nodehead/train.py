@@ -15,8 +15,10 @@ integers and float fields at 6 significant digits, newline-terminated.
 
 import csv
 import math
+import os
 import time
 from dataclasses import dataclass, field, fields
+from decimal import Decimal
 
 import numpy as np
 
@@ -28,37 +30,37 @@ from .seeding import subseed
 from .solvers import SolverConfig
 
 
+# the optimizers' fixed coefficients: Adam's from Kingma & Ba (2015), and SGD's classical momentum
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+SGD_MOMENTUM = 0.9
+
+
 @dataclass
-class AdamConfig:
-    """Adam with bias correction; defaults follow common practice."""
+class _Optimizer:
+    """An optimizer's one setting, its learning rate."""
+
+    lr: float
+
+    def __post_init__(self):
+        # an infinite lr sends every parameter to inf
+        if not 0 <= self.lr < math.inf:
+            raise ContractError(f"lr must be a finite number >= 0, got {self.lr}")
+
+
+@dataclass
+class AdamConfig(_Optimizer):
+    """Adam with bias correction, at ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        # an infinite eps freezes every parameter; an infinite lr sends them all to inf
-        if not 0 <= self.lr < math.inf:
-            raise ContractError(f"lr must be a finite number >= 0, got {self.lr}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ContractError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if not 0 < self.eps < math.inf:
-            raise ContractError(f"eps must be a finite number > 0, got {self.eps}")
 
 
 @dataclass
-class SgdConfig:
-    """Stochastic gradient descent with classical momentum."""
+class SgdConfig(_Optimizer):
+    """Stochastic gradient descent with classical momentum ``SGD_MOMENTUM``."""
 
     lr: float = 1e-2
-    momentum: float = 0.9
-
-    def __post_init__(self):
-        if not 0 <= self.lr < math.inf:
-            raise ContractError(f"lr must be a finite number >= 0, got {self.lr}")
-        if not 0 <= self.momentum < 1:
-            raise ContractError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
 def adam_update(params, grads, state, cfg):
@@ -71,11 +73,11 @@ def adam_update(params, grads, state, cfg):
         raise ContractError(f"params shape {params.shape} vs grads shape {grads.shape}")
     m, v, step = state
     t = step + 1
-    m2 = cfg.beta1 * m + (1 - cfg.beta1) * grads
-    v2 = cfg.beta2 * v + (1 - cfg.beta2) * grads * grads
-    m_hat = m2 / (1 - cfg.beta1 ** t)
-    v_hat = v2 / (1 - cfg.beta2 ** t)
-    new_params = params - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    m2 = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grads
+    v2 = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grads * grads
+    m_hat = m2 / (1 - ADAM_BETA1 ** t)
+    v_hat = v2 / (1 - ADAM_BETA2 ** t)
+    new_params = params - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, (m2, v2, t)
 
 
@@ -85,15 +87,30 @@ def sgd_update(params, grads, velocity, cfg):
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape:
         raise ContractError(f"params shape {params.shape} vs grads shape {grads.shape}")
-    v2 = cfg.momentum * velocity + grads
+    v2 = SGD_MOMENTUM * velocity + grads
     return params - cfg.lr * v2, v2
+
+
+def require_fits(sizes):
+    """Raise :class:`ContractError` for the first (what, n_floats) pair of
+    ``sizes`` whose float64s need more bytes than the machine's physical
+    memory; ``what`` names the settings that size them."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for what, n_floats in sizes:
+        if 8 * n_floats > memory:
+            # a Decimal formats any int, where a float overflows past 1e308
+            raise ContractError(f"{what}: {Decimal(8 * n_floats):.3g} bytes needed, more than the machine's "
+                                f"{Decimal(memory):.3g} bytes of memory")
 
 
 @dataclass
 class TrainConfig:
     """Everything one training run depends on, seed included. ``solver``
     takes the method ``grad_method`` differentiates, for training steps and
-    validation alike (see :func:`~nodehead.model.solver_config_for`)."""
+    validation alike (see :func:`~nodehead.model.solver_config_for`). A run
+    one row of which cannot fit in the machine's memory is refused: its
+    dynamics parameters at d = 1 and, with ``grad_method="discrete"``, its
+    step grid and its trajectory are sized (see :func:`require_fits`)."""
 
     optimizer: AdamConfig | SgdConfig = field(default_factory=AdamConfig)
     epochs: int = 1
@@ -117,6 +134,11 @@ class TrainConfig:
             raise ContractError(f"width must be >= 1, got width={self.width}")
         if not 0 <= self.init_scale < math.inf:
             raise ContractError(f"init_scale must be finite and >= 0, got {self.init_scale}")
+        sizes = [(f"width={self.width}", 4 * self.width + 1)]
+        if self.grad_method == "discrete":
+            n_steps = self.solver.n_steps
+            sizes.append((f"n_steps={n_steps} and width={self.width}", n_steps + 1 + 4 * n_steps * self.width))
+        require_fits(sizes)
 
 
 @dataclass

@@ -2,12 +2,14 @@ import argparse
 import ast
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import nodehead.cli as cli
 import nodehead.errors as errors
+import nodehead.train
 from conftest import make_cifar_blob, make_class_corpus
 from nodehead.cli import main, read_manifest
 from nodehead.data import Dataset, save_feature_file
@@ -34,6 +36,8 @@ OTHER_LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u20
 
 # a step count whose solve grid (8 bytes a step) exceeds a 128 TiB address space
 UNALLOCATABLE_N_STEPS = str(10**15)
+# a width whose dynamics parameters (4 floats a unit at d = 1) exceed it too
+UNALLOCATABLE_WIDTH = str(10**13)
 
 
 def mask_wall_ms(csv_text):
@@ -80,11 +84,19 @@ class TestTrainCommand:
         assert (args["optimizer"], args["lr"]) == (optimizer, lr)
 
     def test_unallocatable_solve_exits_one_in_one_line(self, feature_file, tmp_path, capsys):
+        out = tmp_path / "run"
         assert main(["train", "--head", "node", "--epochs", "1", "--width", "4",
                      "--n-steps", UNALLOCATABLE_N_STEPS, "--data", str(feature_file),
-                     "--out", str(tmp_path / "run")]) == 1
+                     "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("nodehead train: ")
+        assert len(err) == 1 and err[0].startswith(f"nodehead train: n_steps={UNALLOCATABLE_N_STEPS} ")
+        assert not out.exists()
+
+    def test_adjoint_run_ignores_an_unallocatable_step_count(self, feature_file, tmp_path):
+        # dopri5 reads no n_steps, so the size check has nothing to refuse
+        assert main(["train", "--head", "node", "--grad", "adjoint", "--epochs", "1", "--width", "4",
+                     "--n-steps", UNALLOCATABLE_N_STEPS, "--limit", "16", "--data", str(feature_file),
+                     "--out", str(tmp_path / "run")]) == 0
 
     def test_same_flags_reproduce_csv(self, feature_file, tmp_path):
         argv = ["train", "--head", "node", "--epochs", "2", "--width", "4", "--n-steps", "4",
@@ -302,18 +314,26 @@ class TestCompareCommand:
         summary = (out / "summary.txt").read_text()
         assert "in 0 of 1 decided seeds; 1 run(s) failed" in summary
 
-    def test_unallocatable_run_is_flagged_and_the_others_finish(self, feature_file, tmp_path, capsys):
+    def test_unallocatable_run_is_flagged_and_the_others_finish(self, feature_file, tmp_path, monkeypatch,
+                                                                capsys):
+        # a run too large for the machine is refused before compare starts, so the failure is injected
+        real_train = cli.train
+
+        def train(head_kind, dataset, cfg):
+            if head_kind == "node" and cfg.seed == 0:
+                raise MemoryError("injected allocation failure")
+            return real_train(head_kind, dataset, cfg)
+
+        monkeypatch.setattr(cli, "train", train)
         out = tmp_path / "cmp6"
         assert main(["compare", "--seeds", "0,1", "--epochs", "2", "--window", "2", "--width", "4",
-                     "--n-steps", UNALLOCATABLE_N_STEPS, "--data", str(feature_file),
-                     "--out", str(out)]) == 3
+                     "--n-steps", "2", "--data", str(feature_file), "--out", str(out)]) == 3
         rows = [line.split(",") for line in (out / "comparison.csv").read_text().splitlines()[1:]]
         assert [(r[0], r[1], r[-1]) for r in rows] == [
-            (seed, head, "ok" if head == "baseline" else "failed-exit-1")
-            for seed in ("0", "1") for head in ("baseline", "node")
+            ("0", "baseline", "ok"), ("0", "node", "failed-exit-1"), ("1", "baseline", "ok"), ("1", "node", "ok")
         ]
-        assert "2 run(s) failed" in (out / "summary.txt").read_text()
-        assert capsys.readouterr().err.count("nodehead train: ") == 2
+        assert "1 run(s) failed" in (out / "summary.txt").read_text()
+        assert capsys.readouterr().err.splitlines() == ["nodehead train: injected allocation failure"]
 
 
 class TestBadFlagsExitThroughTable:
@@ -381,6 +401,13 @@ class TestBadFlagsExitThroughTable:
         ("sweep-tol", ["--width", "0"], 1, "width=0"),
         ("sweep-tol", ["--scale", "nan"], 1, "scale"),
         ("sweep-tol", ["--limit", "-5"], 1, "--limit"),
+        ("compare", ["--n-steps", UNALLOCATABLE_N_STEPS], 1, f"n_steps={UNALLOCATABLE_N_STEPS} "),
+        ("train", ["--width", UNALLOCATABLE_WIDTH], 1, f"width={UNALLOCATABLE_WIDTH}: "),
+        ("compare", ["--width", UNALLOCATABLE_WIDTH], 1, f"width={UNALLOCATABLE_WIDTH}: "),
+        ("sweep-tol", ["--width", UNALLOCATABLE_WIDTH], 1, f"width={UNALLOCATABLE_WIDTH}: "),
+        ("gradcheck", ["--n-steps", UNALLOCATABLE_N_STEPS], 1, f"--n-steps={UNALLOCATABLE_N_STEPS},"),
+        ("gradcheck", ["--fd-n-steps", UNALLOCATABLE_N_STEPS], 1, f"--fd-n-steps={UNALLOCATABLE_N_STEPS}: "),
+        ("gradcheck", ["--batch", UNALLOCATABLE_WIDTH], 1, f"--batch={UNALLOCATABLE_WIDTH} and --d=4: "),
     ], ids=["train-scale-negative", "train-scale-nan", "train-width-0", "train-rtol-nan",
             "train-lr-nan", "compare-test-data-dim", "train-data-d-0",
             "compare-data-d-0", "train-data-short-header", "compare-test-data-version-9", "gradcheck-d-0",
@@ -400,7 +427,10 @@ class TestBadFlagsExitThroughTable:
             "plot-columns-empty", "plot-columns-comma", "plot-columns-repeated", "gradcheck-batch-negative",
             "gradcheck-batch-0", "gradcheck-fd-n-steps-0", "gradcheck-width-0", "gradcheck-scale-nan",
             "gradcheck-n-steps-0", "gradcheck-rtol-nan", "gradcheck-atol-inf", "sweep-tol-width-0",
-            "sweep-tol-scale-nan", "sweep-tol-limit-negative"])
+            "sweep-tol-scale-nan", "sweep-tol-limit-negative", "compare-n-steps-unallocatable",
+            "train-width-unallocatable", "compare-width-unallocatable", "sweep-tol-width-unallocatable",
+            "gradcheck-n-steps-unallocatable", "gradcheck-fd-n-steps-unallocatable",
+            "gradcheck-batch-unallocatable"])
     def test_exit_code_and_one_line(self, command, flags, code, named, feature_file, tmp_path,
                                     capsys):
         gen = np.random.default_rng(1)
@@ -533,6 +563,30 @@ class TestGradcheckCommand:
             return float(line.split()[2])
 
         assert adjoint_dev("1e-1") > adjoint_dev("1e-8")
+
+    # on a machine of 32 floats: the batch takes --batch * --d of them, the discrete trajectory
+    # 4 * --n-steps * --batch * --width (32 at the base flags) and the finite differences' grid
+    # --fd-n-steps + 1
+    @pytest.mark.parametrize("flags, refused", [
+        ([], None),
+        (["--n-steps", "3"], "--n-steps=3, --batch=2 and --width=2: 384 bytes needed"),
+        (["--fd-n-steps", "31"], None),
+        (["--fd-n-steps", "32"], "--fd-n-steps=32: 264 bytes needed"),
+        (["--d", "16"], None),
+        (["--d", "17"], "--batch=2 and --d=17: 272 bytes needed"),
+    ], ids=["fits", "trajectory", "fd-grid-fits", "fd-grid", "batch-fits", "batch"])
+    def test_each_size_is_checked_exactly(self, flags, refused, tmp_path, monkeypatch, capsys):
+        pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 32}
+        monkeypatch.setattr(nodehead.train, "os", SimpleNamespace(sysconf=pages.__getitem__))
+        out = tmp_path / "gc"
+        code = main(["gradcheck", "--d", "2", "--width", "2", "--batch", "2", "--n-steps", "2",
+                     "--fd-n-steps", "2", "--max-abs", "1", *flags, "--out", str(out)])
+        if refused is None:
+            assert code == 0 and out.exists()
+        else:
+            assert code == 1 and not out.exists()
+            err = capsys.readouterr().err
+            assert err == f"nodehead gradcheck: {refused}, more than the machine's 256 bytes of memory\n"
 
 
 class TestSweepCommand:

@@ -104,6 +104,11 @@ EDITS = [
     ("header-version-unchecked", "data.py", "if found != version:", "if False:"),
     ("metrics-csv-whole-header", "train.py", "bad header {_excerpt(','.join(rows[0]))}", "bad header {rows[0]!r}"),
     ("nodc-version-2", "model.py", "CHECKPOINT_VERSION = 1", "CHECKPOINT_VERSION = 2"),
+    ("train-config-size-unchecked", "train.py",
+     "        require_fits(sizes)\n", "        if False: require_fits(sizes)\n"),
+    ("gradcheck-size-unchecked", "cli.py", "    require_fits([\n", "    if False: require_fits([\n"),
+    ("adam-beta2-0.99", "train.py", "ADAM_BETA2 = 0.999", "ADAM_BETA2 = 0.99"),
+    ("retired-momentum-literal", "cli.py", '"momentum": SGD_MOMENTUM', '"momentum": 0.5'),
 ]
 
 

@@ -14,7 +14,7 @@ The API lives in the modules (``nodehead.model``, ``nodehead.solvers``,
 import; a name joins them only when a documented caller needs it.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .model import forward, init_node_head, train_step
 from .solvers import SolverConfig

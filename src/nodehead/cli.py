@@ -3,8 +3,8 @@
 Subcommands: ``train`` (one head, one run), ``compare`` (baseline vs NODE
 across seeds with stability statistics), ``gradcheck`` (pairwise gradient
 agreement), ``sweep-tol`` (tolerance/cost trade-off table), ``plot`` (SVG
-curves from a metrics CSV), and ``rerun`` (re-execute any run from its
-manifest).
+curves from a metrics CSV), and ``rerun`` (re-execute a run from the
+manifest that this version recorded).
 
 Every command resolves its flags, writes a RunManifest into the output
 directory before doing any work, and appends the finish timestamp when done.
@@ -45,10 +45,6 @@ from .model import (
 from .solvers import SolverConfig
 from .svgplot import plot_columns, plot_metrics_csv
 from .train import (
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPS,
-    SGD_MOMENTUM,
     AdamConfig,
     SgdConfig,
     TrainConfig,
@@ -75,16 +71,6 @@ _HEADS = ("baseline", "node")
 
 # the optimizer each --optimizer name trains with; its class defaults give an unset --lr
 _OPTIMIZERS = {"adam": AdamConfig, "sgd": SgdConfig}
-
-# the seed of the frozen extractor that image input goes through
-_EXTRACTOR_SEED = 0
-
-# the value each flag a command no longer takes now has in the code, or its last default:
-# rerun drops such a flag only when a manifest recorded that value, since a run at it is
-# the run without it
-_RETIRED_DEFAULTS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS, "momentum": SGD_MOMENTUM,
-                     "max-steps": SolverConfig.max_steps, "extractor-seed": _EXTRACTOR_SEED, "mode": "eval",
-                     "n-steps": 16, "epochs": 5, "batch-size": 64, "val-fraction": 0.1}
 
 # comparison.csv's columns, in order; each of compare's rows is a dict keyed by them
 _COMPARISON_COLUMNS = ("seed", "head", "final_train_acc", "final_val_acc", "test_acc",
@@ -155,27 +141,27 @@ def finish_manifest(path):
 
 
 def read_manifest(path):
-    """Parse a manifest into (command, {arg: value}); a file that does not
-    decode as text raises :class:`FormatError`."""
+    """Parse a manifest into (command, toolkit version or None, {arg: value}); a
+    file that does not decode as text, or that repeats a key, raises
+    :class:`FormatError`."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not a text file: {exc}") from exc
-    command = None
-    args = {}
+    fields = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         if "=" not in line:
             raise FormatError(f"{path}: line {lineno}: expected key=value")
         key, value = line.split("=", 1)
-        if key == "command":
-            command = value
-        elif key.startswith("arg."):
-            args[key[4:]] = value
-    if command is None:
+        if key in fields:
+            raise FormatError(f"{path}: line {lineno}: {key} recorded twice")
+        fields[key] = value
+    if "command" not in fields:
         raise FormatError(f"{path}: no command recorded")
-    return command, args
+    args = {key[4:]: value for key, value in fields.items() if key.startswith("arg.")}
+    return fields["command"], fields.get("toolkit_version"), args
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +237,7 @@ def _train_config(args):
 def _lazy_extractor(args):
     """The command's frozen extractor, built on the first call and reused
     after it; a command whose inputs are all NODF files never builds one."""
-    return functools.cache(lambda: FrozenExtractor(_EXTRACTOR_SEED, args.feature_dim))
+    return functools.cache(lambda: FrozenExtractor(0, args.feature_dim))
 
 
 def _load_dataset(path, extractor, limit):
@@ -528,38 +514,25 @@ def cmd_plot(args):
     return EXIT_OK
 
 
-def _is_last_default(key, value):
-    """Whether a recorded ``value`` of the retired flag ``key`` is its last default."""
-    default = _RETIRED_DEFAULTS.get(key)
-    try:
-        return default is not None and type(default)(value) == default
-    except ValueError:
-        return False
-
-
 def cmd_rerun(args):
     """Re-execute a manifest's command into ``--out``.
 
-    A recorded flag that the command no longer takes is dropped, with a note
-    on stderr naming it, when the manifest holds its last default; any other
-    value would replay a different run, so the rerun is refused.
+    Only a manifest that this ``__version__`` recorded is replayed: another
+    version's run may have taken other flags or rounded otherwise, so its
+    outputs could not be reproduced byte for byte.
     """
-    command, recorded = read_manifest(args.manifest)
+    command, version, recorded = read_manifest(args.manifest)
+    if version != __version__:
+        raise ContractError(f"{args.manifest}: recorded by nodehead {version or '(no version)'}, but this is "
+                            f"nodehead {__version__}, which replays only its own manifests")
     if command == "rerun":
         raise ContractError("cannot rerun a rerun manifest")
     commands = _commands()
     if command not in commands:
         raise ContractError(f"{args.manifest}: recorded command {command!r} no longer exists")
-    declared = commands[command]._option_string_actions
-    recorded.pop("out", None)
-    retired = [key for key in recorded if f"--{key}" not in declared]
-    for key in retired:
-        if not _is_last_default(key, recorded[key]):
-            raise ContractError(f"{args.manifest}: cannot replay --{key}={recorded[key]}; {command} no longer "
-                                f"takes --{key}, and a rerun drops it only at its last default")
-    for key in retired:
-        print(f"nodehead rerun: dropping --{key}, which {command} no longer takes", file=sys.stderr)
-        del recorded[key]
+    for key, value in recorded.items():
+        if f"--{key}" not in commands[command]._option_string_actions:
+            raise ContractError(f"{args.manifest}: cannot replay --{key}={value}; {command} takes no --{key}")
     # one --key=value item per flag, so a value that starts with "-" is not read as a flag
     return main([command, *(f"--{key}={value}" for key, value in {**recorded, "out": args.out}.items())])
 

@@ -7,7 +7,11 @@ same commands and compares every output with the record, so "outputs are
 byte-identical" is checked, not claimed. Re-record only when a change is
 meant to alter arithmetic; the script prints each entry that moved and, for
 checkpoints, the largest absolute change of a parameter, which the change's
-description should name.
+description should name. The record holds the ``nodehead.__version__`` it
+was made at, and the script refuses to write moved entries under the
+version the record already holds: a manifest recorded before the move would
+no longer replay bitwise, so ``__version__`` is bumped first and ``rerun``
+refuses the older manifests.
 
 The commands run on a 300-row CIFAR-layout corpus at ``--feature-dim 16
 --width 16``: a baseline, a discrete-node and an adjoint-node ``train``, a
@@ -31,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import make_class_corpus
+from nodehead import __version__
 from nodehead.cli import main
 from nodehead.model import head_to_flat, load_checkpoint
 
@@ -170,14 +175,23 @@ def moved(hashes, checkpoints, record):
 
 
 def main_record():
+    """Record the command set's outputs; returns 1, writing nothing, when an
+    entry moved and the record already holds this ``__version__``."""
     with tempfile.TemporaryDirectory() as tmp:
         hashes, checkpoints = run_commands(tmp)
     if GOLDEN.exists():
-        for entry in moved(hashes, checkpoints, load()):
+        record = load()
+        entries = moved(hashes, checkpoints, record)
+        for entry in entries:
             print(f"moved: {entry}")
-    GOLDEN.write_text(json.dumps({"fingerprint": fingerprint(), "hashes": hashes,
+        if entries and record.get("version") == __version__:
+            print(f"{len(entries)} entries moved under the recorded version {__version__}: bump "
+                  f"nodehead.__version__ before re-recording", file=sys.stderr)
+            return 1
+    GOLDEN.write_text(json.dumps({"version": __version__, "fingerprint": fingerprint(), "hashes": hashes,
                                   "checkpoints": checkpoints}, indent=1) + "\n")
     print(f"recorded {len(hashes)} entries in {GOLDEN}")
+    return 0
 
 
 if __name__ == "__main__":

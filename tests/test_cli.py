@@ -11,6 +11,7 @@ import nodehead.cli as cli
 import nodehead.errors as errors
 import nodehead.train
 from conftest import make_cifar_blob, make_class_corpus
+from nodehead import __version__
 from nodehead.cli import main, read_manifest
 from nodehead.data import Dataset, save_feature_file
 from nodehead.errors import NumericError
@@ -67,7 +68,7 @@ class TestTrainCommand:
                      "--atol", "1e-5", "--epochs", "1", "--width", "4",
                      "--data", str(feature_file), "--out", str(out)])
         assert code == 0
-        command, args = read_manifest(out / "manifest.txt")
+        command, _, args = read_manifest(out / "manifest.txt")
         assert command == "train"
         assert args["rtol"] == "1e-05" and args["atol"] == "1e-05"
         assert args["optimizer"] == "sgd"  # adjoint pairing resolved into the manifest
@@ -80,7 +81,7 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert main(["train", "--head", "node", "--grad", grad, "--epochs", "1", "--width", "4",
                      "--n-steps", "2", "--limit", "16", "--data", str(feature_file), "--out", str(out)]) == 0
-        _, args = read_manifest(out / "manifest.txt")
+        _, _, args = read_manifest(out / "manifest.txt")
         assert (args["optimizer"], args["lr"]) == (optimizer, lr)
 
     def test_unallocatable_solve_exits_one_in_one_line(self, feature_file, tmp_path, capsys):
@@ -703,7 +704,7 @@ class TestManifestContract:
         out = tmp_path / "sweepm"
         main(["sweep-tol", "--tols", "1e-4", "--data", str(feature_file),
               "--width", "4", "--out", str(out)])
-        command, args = read_manifest(out / "manifest.txt")
+        command, _, args = read_manifest(out / "manifest.txt")
         assert command == "sweep-tol"
         assert args["tols"] == "0.0001"
 
@@ -739,70 +740,50 @@ class TestManifestContract:
         assert (original.pop("out"), again.pop("out")) == (str(tmp_path / "a"), str(tmp_path / "b"))
         assert again == original
 
-    def test_rerun_drops_flag_the_command_no_longer_takes(self, feature_file, tmp_path, capsys):
-        # a sweep-tol manifest from when the command still declared --n-steps
-        old = tmp_path / "old"
-        old.mkdir()
-        (old / "manifest.txt").write_text(
-            "command=sweep-tol\ntoolkit_version=0.1.0\nstarted_at=2026-01-01T00:00:00.000000Z\n"
-            "arg.tols=0.001,1e-05\narg.mode=eval\narg.epochs=5\narg.batch-size=64\n"
-            "arg.val-fraction=0.1\narg.seed=0\n"
-            f"arg.data={feature_file}\narg.feature-dim=64\narg.extractor-seed=0\narg.limit=8\n"
-            "arg.width=4\narg.scale=0.1\narg.n-steps=16\narg.max-steps=100000\n"
-            f"arg.out={old}\nfinished_at=2026-01-01T00:00:01.000000Z\n")
-        assert main(["sweep-tol", "--tols", "0.001,1e-05", "--limit", "8", "--width", "4",
-                     "--data", str(feature_file), "--out", str(tmp_path / "fresh")]) == 0
-        capsys.readouterr()
-        assert main(["rerun", str(old / "manifest.txt"), "--out", str(tmp_path / "redo")]) == 0
-        assert "dropping --n-steps" in capsys.readouterr().err
-
-        def without_wall_ms(path):
-            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
-
-        redo, fresh = tmp_path / "redo" / "sweep.csv", tmp_path / "fresh" / "sweep.csv"
-        assert without_wall_ms(redo) == without_wall_ms(fresh)
-        _, recorded = read_manifest(tmp_path / "redo" / "manifest.txt")
-        assert "n-steps" not in recorded
-
-    def test_rerun_drops_the_optimizer_flags_train_no_longer_takes(self, feature_file, tmp_path, capsys):
-        # a train manifest from when the command still declared Adam's and SGD's settings
-        old = tmp_path / "old"
-        old.mkdir()
-        (old / "manifest.txt").write_text(
-            "command=train\ntoolkit_version=0.1.0\nstarted_at=2026-01-01T00:00:00.000000Z\n"
-            "arg.head=node\narg.grad=discrete\narg.epochs=2\narg.batch-size=64\narg.val-fraction=0.1\n"
-            f"arg.seed=0\narg.data={feature_file}\narg.feature-dim=64\narg.extractor-seed=0\n"
-            "arg.limit=0\narg.width=4\narg.scale=0.1\narg.rtol=1e-05\narg.atol=1e-05\narg.n-steps=4\n"
-            "arg.max-steps=100000\narg.optimizer=adam\narg.lr=0.001\narg.beta1=0.9\narg.beta2=0.999\n"
-            f"arg.eps=1e-08\narg.momentum=0.9\narg.out={old}\nfinished_at=2026-01-01T00:00:01.000000Z\n")
-        assert main(["train", "--head", "node", "--epochs", "2", "--width", "4", "--n-steps", "4",
-                     "--data", str(feature_file), "--out", str(tmp_path / "fresh")]) == 0
-        capsys.readouterr()
-        assert main(["rerun", str(old / "manifest.txt"), "--out", str(tmp_path / "redo")]) == 0
-        assert [line for line in capsys.readouterr().err.splitlines() if "dropping" in line] == [
-            f"nodehead rerun: dropping --{flag}, which train no longer takes"
-            for flag in ("extractor-seed", "max-steps", "beta1", "beta2", "eps", "momentum")
-        ]
-        redo, fresh = tmp_path / "redo", tmp_path / "fresh"
-        assert mask_wall_ms((redo / "metrics.csv").read_text()) == mask_wall_ms(
-            (fresh / "metrics.csv").read_text())
-        assert (redo / "head.nodc").read_bytes() == (fresh / "head.nodc").read_bytes()
-
-    @pytest.mark.parametrize("command, flags, named", [
-        ("sweep-tol", "arg.tols=0.001\narg.mode=train\narg.epochs=5\n", "--mode=train"),
-        ("train", "arg.head=node\narg.epochs=1\narg.beta1=0.5\n", "--beta1=0.5"),
-        ("train", "arg.head=node\narg.epochs=1\narg.fd-step=1e-05\n", "--fd-step=1e-05"),
-    ], ids=["sweep-tol-mode-train", "train-beta1", "train-flag-with-no-last-default"])
-    def test_rerun_refuses_a_retired_flag_off_its_last_default(self, command, flags, named, feature_file,
-                                                              tmp_path, capsys):
-        # dropping such a flag would replay another run than the one recorded
+    def test_rerun_refuses_a_flag_the_command_does_not_take(self, feature_file, tmp_path, capsys):
+        # a manifest is input from outside the program: a flag its command lacks is named, not dropped
         manifest = tmp_path / "manifest.txt"
-        manifest.write_text(f"command={command}\ntoolkit_version=0.1.0\n{flags}arg.width=4\n"
-                            f"arg.data={feature_file}\narg.out={tmp_path / 'old'}\n")
+        manifest.write_text(f"command=train\ntoolkit_version={__version__}\narg.head=node\narg.epochs=1\n"
+                            f"arg.fd-step=1e-05\narg.width=4\narg.data={feature_file}\narg.out={tmp_path / 'old'}\n")
         out = tmp_path / "redo"
         assert main(["rerun", str(manifest), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("nodehead rerun: ") and named in err[0]
+        assert len(err) == 1 and err[0].startswith("nodehead rerun: ") and "--fd-step=1e-05" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("version_line", ["toolkit_version=0.1.0\n", ""], ids=["0.1.0", "no-version"])
+    def test_rerun_refuses_a_manifest_of_another_version(self, version_line, feature_file, tmp_path, capsys):
+        # another version's run may have taken other flags or rounded otherwise
+        orig = tmp_path / "orig"
+        assert main(["train", "--head", "node", "--epochs", "1", "--width", "4", "--n-steps", "2",
+                     "--limit", "16", "--data", str(feature_file), "--out", str(orig)]) == 0
+        manifest = orig / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(f"toolkit_version={__version__}\n", version_line))
+        capsys.readouterr()
+        out = tmp_path / "redo"
+        assert main(["rerun", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        recorded = version_line[len("toolkit_version="):].strip() or "(no version)"
+        assert err == [f"nodehead rerun: {manifest}: recorded by nodehead {recorded}, but this is "
+                       f"nodehead {__version__}, which replays only its own manifests"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["command=train", f"toolkit_version={__version__}", "arg.head=baseline"],
+                             ids=["command", "toolkit_version", "arg"])
+    def test_a_repeated_manifest_key_exits_two_naming_its_line(self, line, feature_file, tmp_path, capsys):
+        # whichever occurrence won, a second arg.head could replay another head than the run's
+        orig = tmp_path / "orig"
+        assert main(["train", "--head", "node", "--epochs", "1", "--width", "4", "--n-steps", "2",
+                     "--limit", "16", "--data", str(feature_file), "--out", str(orig)]) == 0
+        manifest = orig / "manifest.txt"
+        manifest.write_text(manifest.read_text() + line + "\n")
+        lineno = len(manifest.read_text().splitlines())
+        capsys.readouterr()
+        out = tmp_path / "redo"
+        assert main(["rerun", str(manifest), "--out", str(out)]) == 2
+        key = line.split("=")[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"nodehead rerun: {manifest}: line {lineno}: {key} recorded twice"]
         assert not out.exists()
 
     def test_rerun_replays_values_that_start_with_a_dash(self, feature_file, tmp_path, monkeypatch):
@@ -824,11 +805,11 @@ class TestManifestContract:
     def test_rerun_of_a_removed_command_names_it(self, tmp_path, capsys):
         # a manifest recorded by the timing command, which the CLI no longer has
         m = tmp_path / "m.txt"
-        m.write_text("command=bench\ntoolkit_version=0.1.0\narg.epochs=3\narg.data=feats.nodf\n"
+        m.write_text(f"command=bench\ntoolkit_version={__version__}\narg.epochs=3\narg.data=feats.nodf\n"
                      f"arg.out={tmp_path / 'old'}\n")
         assert main(["rerun", str(m), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert "bench" in err and "Traceback" not in err
+        assert "recorded command 'bench' no longer exists" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_rerun_of_a_binary_file_exits_two_naming_it(self, tmp_path, capsys):
@@ -839,11 +820,12 @@ class TestManifestContract:
         assert len(err) == 1 and err[0].startswith(f"nodehead rerun: {data}: not a text file")
         assert not (tmp_path / "o").exists()
 
-    def test_rerun_rejects_rerun_manifest(self, tmp_path):
+    def test_rerun_rejects_rerun_manifest(self, tmp_path, capsys):
         m = tmp_path / "m.txt"
-        m.write_text("command=rerun\narg.out=x\n")
+        m.write_text(f"command=rerun\ntoolkit_version={__version__}\narg.out=x\n")
         assert main(["rerun", str(m), "--out", str(tmp_path / "o")]) == 1
+        assert "cannot rerun a rerun manifest" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
-        assert "nodehead" in capsys.readouterr().out
+        assert capsys.readouterr().out == "nodehead 0.2.0\n"

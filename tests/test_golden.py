@@ -8,11 +8,13 @@ parameters are compared within the stated tolerance instead, and a warning
 says so; the test never skips.
 """
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+import nodehead
 import record_golden as rg
 
 
@@ -58,3 +60,21 @@ def test_another_fingerprint_compares_checkpoint_floats(outputs, monkeypatch):
     nudged = {**checkpoints, key: np.add(checkpoints[key], 1e-6).tolist()}
     with pytest.warns(UserWarning):
         assert check(hashes, nudged, record, other) == [key]
+
+
+def test_the_record_is_of_this_version():
+    # a moved hash comes with a version bump, so the record and the package move together
+    assert rg.load()["version"] == nodehead.__version__
+
+
+@pytest.mark.parametrize("version, code", [(nodehead.__version__, 1), ("0.0.0", 0)])
+def test_moved_entries_are_recorded_only_under_a_new_version(version, code, tmp_path, monkeypatch, capsys):
+    record = {"version": version, "fingerprint": rg.fingerprint(),
+              "hashes": {"train/head.nodc": "0" * 64}, "checkpoints": {"train/head.nodc": [0.0]}}
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps(record))
+    monkeypatch.setattr(rg, "GOLDEN", golden)
+    monkeypatch.setattr(rg, "run_commands", lambda root: ({"train/head.nodc": "1" * 64}, {"train/head.nodc": [0.5]}))
+    assert rg.main_record() == code
+    assert "moved: train/head.nodc (largest |delta| 5.000e-01)" in capsys.readouterr().out
+    assert (json.loads(golden.read_text()) == record) == (code == 1)

@@ -91,7 +91,8 @@ EDITS = [
     ("memory-error-unmapped", "cli.py", "MemoryError: EXIT_USAGE, ", ""),
     ("empty-list-accepted", "cli.py", "if not items:", "if False:"),
     ("repeated-list-item-accepted", "cli.py", "if repeated is not None:", "if False:"),
-    ("rerun-drops-any-retired-value", "cli.py", "type(default)(value) == default", "True"),
+    ("version-unchecked", "cli.py", "if version != __version__:", "if False:"),
+    ("manifest-repeated-key-accepted", "cli.py", "if key in fields:", "if False:"),
     ("rerun-splits-key-and-value", "cli.py",
      'f"--{key}={value}" for key, value in {**recorded, "out": args.out}.items()',
      'item for key, value in {**recorded, "out": args.out}.items() for item in (f"--{key}", value)'),
@@ -108,7 +109,6 @@ EDITS = [
      "        require_fits(sizes)\n", "        if False: require_fits(sizes)\n"),
     ("gradcheck-size-unchecked", "cli.py", "    require_fits([\n", "    if False: require_fits([\n"),
     ("adam-beta2-0.99", "train.py", "ADAM_BETA2 = 0.999", "ADAM_BETA2 = 0.99"),
-    ("retired-momentum-literal", "cli.py", '"momentum": SGD_MOMENTUM', '"momentum": 0.5'),
 ]
 
 

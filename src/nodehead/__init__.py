@@ -10,11 +10,11 @@ fully-connected baseline on training stability.
 
 The API lives in the modules (``nodehead.model``, ``nodehead.solvers``,
 ``nodehead.train``, ...). The package itself exports only ``SolverConfig``,
-``forward``, ``init_node_head`` and ``train_step``, the names the demos
-import; a name joins them only when a documented caller needs it.
+``init_node_head`` and ``train_step``, the names the demos import; a name
+joins them only when a documented caller needs it.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
-from .model import forward, init_node_head, train_step
+from .model import init_node_head, train_step
 from .solvers import SolverConfig

@@ -2,7 +2,7 @@
 
 Subcommands: ``train`` (one head, one run), ``compare`` (baseline vs NODE
 across seeds with stability statistics), ``gradcheck`` (pairwise gradient
-agreement), ``sweep-tol`` (tolerance/cost trade-off table), ``plot`` (SVG
+agreement), ``sweep-tol`` (tolerance/cost/precision table), ``plot`` (SVG
 curves from a metrics CSV), and ``rerun`` (re-execute a run from the
 manifest that this version recorded).
 
@@ -31,10 +31,12 @@ from .data import (
     extract_features,
     load_cifar10_bin,
     load_feature_file,
+    split_train_val,
 )
 from .errors import ContractError, FormatError, NumericError
 from .model import (
     evaluate,
+    forward,
     head_from_flat,
     head_to_flat,
     init_node_head,
@@ -69,8 +71,8 @@ _EXIT_CODES = {FormatError: EXIT_DATA, OSError: EXIT_DATA, ContractError: EXIT_U
 
 _HEADS = ("baseline", "node")
 
-# the optimizer each --optimizer name trains with; its class defaults give an unset --lr
-_OPTIMIZERS = {"adam": AdamConfig, "sgd": SgdConfig}
+# the optimizer each --grad route trains with, by name; its class default gives an unset --lr
+_OPTIMIZERS = {"discrete": ("adam", AdamConfig), "adjoint": ("sgd", SgdConfig)}
 
 # comparison.csv's columns, in order; each of compare's rows is a dict keyed by them
 _COMPARISON_COLUMNS = ("seed", "head", "final_train_acc", "final_val_acc", "test_acc",
@@ -200,34 +202,26 @@ def _add_solver_flags(p, tol=1e-5, n_steps=16):
     p.add_argument("--n-steps", type=int, default=n_steps, help="fixed-step count for the discrete method")
 
 
-def _add_optimizer_flags(p):
-    p.add_argument("--optimizer", choices=("auto", *_OPTIMIZERS), default="auto",
-                   help="auto pairs adam with the discrete method and sgd with the adjoint")
-    p.add_argument("--lr", type=float, default=None, help="defaults to " + " / ".join(
-        f"{cls.lr:g} ({name})" for name, cls in _OPTIMIZERS.items()))
-
-
 def _add_run_flags(p):
     """The flags of a training run besides its head, schedule and seed (train, compare)."""
     _add_data_flags(p)
     _add_model_flags(p)
     _add_solver_flags(p)
-    _add_optimizer_flags(p)
+    p.add_argument("--lr", type=float, default=None, help="defaults to " + " / ".join(
+        f"{cls.lr:g} ({grad}, {name})" for grad, (name, cls) in _OPTIMIZERS.items()))
 
 
-def _resolve_optimizer(args):
-    """Fill in the auto optimizer/lr pairing in place."""
-    if args.optimizer == "auto":
-        args.optimizer = "sgd" if args.grad == "adjoint" else "adam"
+def _resolve_lr(args):
+    """Fill in an unset ``--lr`` in place with the default of the ``--grad`` route's optimizer."""
     if args.lr is None:
-        args.lr = _OPTIMIZERS[args.optimizer].lr
+        args.lr = _OPTIMIZERS[args.grad][1].lr
 
 
 def _train_config(args):
-    """A run's TrainConfig: the resolved ``--optimizer`` at ``--lr``, and a solver
-    from the solver flags, whose method TrainConfig sets from ``--grad``."""
+    """A run's TrainConfig: the ``--grad`` route's optimizer at ``--lr``, and a
+    solver from the solver flags, whose method TrainConfig sets from ``--grad``."""
     return TrainConfig(
-        optimizer=_OPTIMIZERS[args.optimizer](lr=args.lr), epochs=args.epochs, batch_size=args.batch_size,
+        optimizer=_OPTIMIZERS[args.grad][1](lr=args.lr), epochs=args.epochs, batch_size=args.batch_size,
         seed=args.seed, grad_method=args.grad,
         solver=SolverConfig(rtol=args.rtol, atol=args.atol, n_steps=args.n_steps),
         val_fraction=args.val_fraction, width=args.width, init_scale=args.scale,
@@ -240,9 +234,10 @@ def _lazy_extractor(args):
     return functools.cache(lambda: FrozenExtractor(0, args.feature_dim))
 
 
-def _load_dataset(path, extractor, limit):
+def _load_dataset(path, extractor, limit, val_fraction=None):
     """Sniff the file kind by magic: NODF features, otherwise CIFAR binary
-    through ``extractor()``."""
+    through ``extractor()``. With ``val_fraction``, a dataset that cannot
+    split at it is refused, named, before any run starts."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -255,6 +250,11 @@ def _load_dataset(path, extractor, limit):
         ds = ds.subset(np.arange(min(limit, len(ds))))
     if len(ds) == 0:
         raise FormatError(f"{path}: dataset is empty")
+    if val_fraction is not None:
+        try:  # any seed: which rows go where does not matter, only whether a side is empty
+            split_train_val(ds, val_fraction, 0)
+        except ContractError as exc:
+            raise ContractError(f"{path}: {exc}") from exc
     return ds
 
 
@@ -282,12 +282,12 @@ def _run(func, args, *rest):
 
 def cmd_train(args, dataset=None):
     """Train one head; ``dataset`` stands in for loading ``--data`` when given."""
-    _resolve_optimizer(args)
+    _resolve_lr(args)
     config = _train_config(args)
     _check_data_flags(args)
     out, manifest = _start_run(args)
     if dataset is None:
-        dataset = _load_dataset(args.data, _lazy_extractor(args), args.limit)
+        dataset = _load_dataset(args.data, _lazy_extractor(args), args.limit, args.val_fraction)
     head, records = train(args.head, dataset, config)
     write_metrics_csv(records, out / "metrics.csv")
     save_checkpoint(head, out / "head.nodc")
@@ -311,7 +311,7 @@ def cmd_compare(args):
     # stability_stats would reject it too, but only after the first run had trained
     if args.window < 2:
         raise ContractError(f"--window must be >= 2, got {args.window}")
-    _resolve_optimizer(args)
+    _resolve_lr(args)
     # a run's flags: train's defaults, overridden by every flag compare shares with train
     defaults = {a.dest: a.default for a in _commands()["train"]._actions
                 if a.default is not argparse.SUPPRESS}
@@ -322,7 +322,7 @@ def cmd_compare(args):
     _check_data_flags(args)
     out, manifest = _start_run(args)
     extractor = _lazy_extractor(args)
-    dataset = _load_dataset(args.data, extractor, args.limit)
+    dataset = _load_dataset(args.data, extractor, args.limit, args.val_fraction)
     test_ds = None
     if args.test_data:
         test_ds = _load_dataset(args.test_data, extractor, 0)
@@ -371,7 +371,7 @@ def cmd_compare(args):
     col = "{:<6}{:<10}{:>12}{:>12}{:>10}{:>22}{:>14}  {}"
     summary = [
         f"baseline vs node stability comparison  (window={args.window}, grad={args.grad}, "
-        f"optimizer={args.optimizer}, epochs={args.epochs}, n_steps={args.n_steps}, width={args.width})",
+        f"optimizer={_OPTIMIZERS[args.grad][0]}, epochs={args.epochs}, n_steps={args.n_steps}, width={args.width})",
         col.format("seed", "head", "train_acc", "val_acc", "test_acc",
                    "mean_std(val_loss)", "wall_s", "flag"),
     ]
@@ -466,11 +466,9 @@ def cmd_gradcheck(args):
          *_pairwise_deviation(g_discrete, g_adjoint, args.max_abs, args.max_rel)),
     ]
     print(f"{'pair':<22}{'max_abs_dev':>14}{'max_rel_dev':>14}  status")
-    worst = None
     for name, abs_dev, rel_dev, ok in table:
         print(f"{name:<22}{abs_dev:>14.3e}{rel_dev:>14.3e}  {'ok' if ok else 'FAIL'}")
-        if not ok and worst is None:
-            worst = name
+    worst = next((name for name, *_, ok in table if not ok), None)
     finish_manifest(manifest)
     if worst is not None:
         print(f"gradcheck failed: {worst} exceeds max_abs={args.max_abs} and max_rel={args.max_rel}",
@@ -480,24 +478,30 @@ def cmd_gradcheck(args):
 
 
 def cmd_sweep_tol(args):
-    """Evaluate one seeded, untrained NODE head on every row of ``--data`` with
-    dopri5 at each tolerance; ``final_val_acc`` is its accuracy over those rows."""
+    """Solve one seeded, untrained NODE head on every row of ``--data`` with
+    dopri5 at each tolerance. ``acc`` is the share of rows whose first maximal
+    logit is the label; ``max_logit_drift`` is the largest |logit - logit at
+    the tightest tolerance swept| over every row and class."""
     # the head's settings, as train checks them, and each tolerance fail here, before the run starts;
     # the adjoint's method is the sweep's dopri5, so no step grid is sized
-    config = TrainConfig(seed=args.seed, grad_method="adjoint", width=args.width, init_scale=args.scale)
-    solvers = [SolverConfig(method="dopri5", rtol=tol, atol=tol) for tol in args.tols]
+    TrainConfig(seed=args.seed, grad_method="adjoint", width=args.width, init_scale=args.scale)
+    solvers = {tol: SolverConfig(method="dopri5", rtol=tol, atol=tol) for tol in args.tols}
     _check_data_flags(args)
     out, manifest = _start_run(args)
     dataset = _load_dataset(args.data, _lazy_extractor(args), args.limit)
-    head = init_node_head(config.seed, dataset.d, dataset.class_count,
-                          width=config.width, scale=config.init_scale)
+    head = init_node_head(args.seed, dataset.d, dataset.class_count, width=args.width, scale=args.scale)
 
-    lines = ["rtol,atol,n_feval,final_val_acc,wall_ms"]
-    for tol, solver in zip(args.tols, solvers):
+    solves = {}  # tol -> (logits, SolveStats, wall_ms)
+    for tol, solver in solvers.items():
         tic = time.perf_counter()
-        _, acc, stats = evaluate(head, dataset.features, dataset.labels, solver)
-        wall_ms = (time.perf_counter() - tic) * 1000.0
-        lines.append(f"{tol:g},{tol:g},{stats.n_feval},{acc:.6g},{wall_ms:.6g}")
+        logits, stats = forward(head, dataset.features, solver)
+        solves[tol] = logits, stats, (time.perf_counter() - tic) * 1000.0
+    reference = solves[min(solves)][0]
+    lines = ["rtol,atol,n_feval,n_accept,n_reject,acc,max_logit_drift,wall_ms"]
+    for tol, (logits, stats, wall_ms) in solves.items():
+        acc = np.count_nonzero(logits.argmax(axis=1) == dataset.labels) / len(dataset)
+        lines.append(f"{tol:g},{tol:g},{stats.n_feval},{stats.n_accept},{stats.n_reject},{acc:.6g},"
+                     f"{np.abs(logits - reference).max():.6g},{wall_ms:.6g}")
     table = "\n".join(lines) + "\n"
     (out / "sweep.csv").write_text(table)
     print(table, end="")
@@ -583,7 +587,7 @@ def build_parser():
     p.add_argument("--max-abs", type=float, default=1e-6)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("sweep-tol", help="tolerance vs cost/accuracy trade-off table")
+    p = sub.add_parser("sweep-tol", help="tolerance vs cost/accuracy/logit-drift trade-off table")
     p.add_argument("--tols", type=_comma_list(float), required=True)
     _add_seed_flag(p)
     _add_data_flags(p)

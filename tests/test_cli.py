@@ -1,5 +1,6 @@
 import argparse
 import ast
+import csv
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,9 +14,10 @@ import nodehead.train
 from conftest import make_cifar_blob, make_class_corpus
 from nodehead import __version__
 from nodehead.cli import main, read_manifest
-from nodehead.data import Dataset, save_feature_file
+from nodehead.data import Dataset, load_feature_file, save_feature_file
 from nodehead.errors import NumericError
-from nodehead.model import head_to_flat, init_baseline_head, load_checkpoint
+from nodehead.model import evaluate, head_to_flat, init_baseline_head, init_node_head, load_checkpoint
+from nodehead.solvers import SolverConfig
 from nodehead.train import read_metrics_csv
 
 
@@ -71,18 +73,19 @@ class TestTrainCommand:
         command, _, args = read_manifest(out / "manifest.txt")
         assert command == "train"
         assert args["rtol"] == "1e-05" and args["atol"] == "1e-05"
-        assert args["optimizer"] == "sgd"  # adjoint pairing resolved into the manifest
+        assert args["lr"] == "0.01"  # the adjoint route's SGD default, resolved into the manifest
         started = (out / "manifest.txt").read_text()
         assert "started_at=" in started and "finished_at=" in started
 
-    @pytest.mark.parametrize("grad, optimizer, lr", [("discrete", "adam", "0.001"), ("adjoint", "sgd", "0.01")])
-    def test_manifest_records_the_auto_optimizer_and_its_default_lr(self, grad, optimizer, lr, feature_file,
-                                                                    tmp_path):
+    @pytest.mark.parametrize("grad, lr", [("discrete", "0.001"), ("adjoint", "0.01")])
+    def test_manifest_records_the_auto_optimizer_and_its_default_lr(self, grad, lr, feature_file, tmp_path):
+        # the route picks the optimizer, Adam or SGD, so the manifest records its lr and no optimizer
         out = tmp_path / "run"
         assert main(["train", "--head", "node", "--grad", grad, "--epochs", "1", "--width", "4",
                      "--n-steps", "2", "--limit", "16", "--data", str(feature_file), "--out", str(out)]) == 0
         _, _, args = read_manifest(out / "manifest.txt")
-        assert (args["optimizer"], args["lr"]) == (optimizer, lr)
+        assert args["lr"] == lr
+        assert "optimizer" not in args
 
     def test_unallocatable_solve_exits_one_in_one_line(self, feature_file, tmp_path, capsys):
         out = tmp_path / "run"
@@ -165,14 +168,24 @@ class TestTrainCommand:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_solver_failure_exits_three_naming_epoch_and_batch(self, feature_file, tmp_path,
                                                                capsys):
-        # the first SGD step at lr=1e300 makes the field overflow in the second batch's solve
-        code = main(["train", "--head", "node", "--optimizer", "sgd", "--lr", "1e300",
+        # the first Adam step at lr=1e300 makes the field overflow in the second batch's solve
+        code = main(["train", "--head", "node", "--lr", "1e300",
                      "--epochs", "1", "--batch-size", "16", "--width", "4", "--n-steps", "4",
                      "--data", str(feature_file), "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(
             "nodehead train: at epoch 1, batch 2 of 5: solver state became non-finite at t=")
+
+    @pytest.mark.parametrize("rows, reason", [
+        (1, "need at least 2 rows to split, got 1"),
+        (2, "degenerate split: 2 rows at fraction 0.1 leaves one side empty"),
+    ], ids=["1-row", "2-rows"])
+    def test_a_dataset_too_small_to_split_exits_one_naming_the_file(self, rows, reason, tmp_path, capsys):
+        tiny = tmp_path / "tiny.nodf"
+        save_feature_file(Dataset(np.ones((rows, 3)), np.zeros(rows, dtype=np.int64)), tiny)
+        assert main(["train", "--head", "baseline", "--data", str(tiny), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"nodehead train: {tiny}: {reason}"]
 
     def test_empty_data_file_exits_two(self, tmp_path):
         empty = tmp_path / "empty.bin"
@@ -281,6 +294,15 @@ class TestCompareCommand:
                      "--test-data", str(test), "--out", str(out)]) == 0
         assert built == [(0, 6)] * builds
 
+    def test_a_dataset_too_small_to_split_exits_one_before_any_run(self, tmp_path, capsys):
+        tiny = tmp_path / "tiny.nodf"
+        save_feature_file(Dataset(np.ones((1, 3)), np.zeros(1, dtype=np.int64)), tiny)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--seeds", "0,1", "--data", str(tiny), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"nodehead compare: {tiny}: need at least 2 rows to split, got 1"]
+        assert list(out.glob("seed*")) == []
+
     def test_corrupt_data_exits_two_naming_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(bytes(100))  # not a record multiple
@@ -378,7 +400,7 @@ class TestBadFlagsExitThroughTable:
         ("train", ["--grad", "adjoint", "--rtol", "inf", "--atol", "inf"], 1, "rtol=inf"),
         ("train", ["--grad", "adjoint", "--atol", "inf"], 1, "atol=inf"),
         ("train", ["--lr", "inf"], 1, "lr must be a finite number >= 0, got inf"),
-        ("train", ["--optimizer", "sgd", "--lr", "inf"], 1, "lr must be a finite number >= 0, got inf"),
+        ("train", ["--grad", "adjoint", "--lr", "inf"], 1, "lr must be a finite number >= 0, got inf"),
         ("compare", ["--lr", "inf"], 1, "lr must be a finite number >= 0, got inf"),
         ("compare", ["--epochs", "0"], 1, "epochs"),
         ("compare", ["--batch-size", "0"], 1, "batch_size"),
@@ -522,8 +544,9 @@ class TestFlagDeclarations:
 
     @pytest.mark.parametrize("command, retired", [
         ("gradcheck", ["--max-steps"]),
-        ("train", ["--max-steps", "--extractor-seed", "--beta1", "--beta2", "--eps", "--momentum"]),
-        ("compare", ["--max-steps", "--extractor-seed", "--beta1", "--beta2", "--eps", "--momentum"]),
+        ("train", ["--max-steps", "--extractor-seed", "--beta1", "--beta2", "--eps", "--momentum", "--optimizer"]),
+        ("compare", ["--max-steps", "--extractor-seed", "--beta1", "--beta2", "--eps", "--momentum",
+                     "--optimizer"]),
         ("sweep-tol", ["--max-steps", "--extractor-seed", "--mode", "--n-steps", "--epochs", "--batch-size",
                        "--val-fraction", "--grad"]),
     ], ids=["gradcheck", "train", "compare", "sweep-tol"])
@@ -612,6 +635,34 @@ class TestSweepCommand:
         assert fevals[0] <= fevals[1] <= fevals[2]
         assert fevals[2] > fevals[0]
         assert any(line.startswith("1e-05,1e-05,") for line in lines)
+
+    @staticmethod
+    def sweep(feature_file, out, tols, *flags):
+        assert main(["sweep-tol", "--tols", tols, "--scale", "3.0", "--width", "8", *flags,
+                     "--data", str(feature_file), "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    @pytest.mark.parametrize("tols", ["1e-7,1e-3", "1e-3,1e-7", "1e-3,1e-7,1e-5"])
+    def test_the_tightest_tolerance_is_the_drift_reference(self, tols, feature_file, tmp_path):
+        rows = self.sweep(feature_file, tmp_path / "sweep", tols, "--limit", "8")
+        assert list(rows[0]) == ["rtol", "atol", "n_feval", "n_accept", "n_reject", "acc", "max_logit_drift",
+                                 "wall_ms"]
+        drift = {float(row["rtol"]): float(row["max_logit_drift"]) for row in rows}
+        tightest = min(drift)
+        assert drift.pop(tightest) == 0
+        assert all(value > 0 for value in drift.values())
+
+    def test_each_row_matches_evaluate_on_the_same_head(self, feature_file, tmp_path):
+        rows = self.sweep(feature_file, tmp_path / "sweep", "1e-2,1e-6", "--seed", "3")
+        ds = load_feature_file(feature_file)
+        head = init_node_head(3, ds.d, ds.class_count, width=8, scale=3.0)
+        for row in rows:
+            tol = float(row["rtol"])
+            _, acc, stats = evaluate(head, ds.features, ds.labels, SolverConfig(method="dopri5", rtol=tol, atol=tol))
+            assert row["acc"] == f"{acc:.6g}"
+            assert [int(row[key]) for key in ("n_feval", "n_accept", "n_reject")] == [
+                stats.n_feval, stats.n_accept, stats.n_reject]
 
 
 class TestPlotCommand:
@@ -828,4 +879,4 @@ class TestManifestContract:
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
-        assert capsys.readouterr().out == "nodehead 0.2.0\n"
+        assert capsys.readouterr().out == "nodehead 0.3.0\n"

@@ -86,7 +86,9 @@ EDITS = [
     ("cli-fp-warnings-shown", "cli.py", 'np.errstate(all="ignore")', "np.errstate()"),
     ("feature-dim-unchecked", "cli.py", "if not 1 <= args.feature_dim <= CIFAR_PIXELS:", "if False:"),
     ("optimizer-table-swapped", "cli.py",
-     '_OPTIMIZERS = {"adam": AdamConfig, "sgd": SgdConfig}', '_OPTIMIZERS = {"adam": SgdConfig, "sgd": AdamConfig}'),
+     '{"discrete": ("adam", AdamConfig), "adjoint": ("sgd", SgdConfig)}',
+     '{"discrete": ("adam", SgdConfig), "adjoint": ("sgd", AdamConfig)}'),
+    ("sweep-reference-not-tightest", "cli.py", "reference = solves[min(solves)][0]", "reference = solves[max(solves)][0]"),
     ("manifest-rejects-only-newline", "cli.py", 'if "".join(text.splitlines()) != text:', 'if "\\n" in text:'),
     ("memory-error-unmapped", "cli.py", "MemoryError: EXIT_USAGE, ", ""),
     ("empty-list-accepted", "cli.py", "if not items:", "if False:"),
